@@ -1,6 +1,8 @@
 """Exact benchmark on the full system (x) bath Hilbert space.
 
-Honest brute force at desk scale: the total Hamiltonian is assembled
+Honest brute force at desk scale: the total Hamiltonian splits into the
+invariant subspaces spanned by connected (system level, bath window)
+sectors; the blocks that the initial ensemble occupies are assembled
 densely, diagonalized once per protocol segment, and mixed states are
 propagated as pure-state ensembles (one member per occupied microlevel, or a
 few random vectors from the occupied subspace).  Coarse-graining the result
@@ -13,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
 from .emme import SystemSpec
@@ -25,9 +28,15 @@ NORM_TOL = 1e-8
 
 @dataclass
 class FullModel:
-    """Dense total Hamiltonian H_S (x) 1 + lam sum_a S^a (x) B^a + 1 (x) H_B."""
+    """Total Hamiltonian H_S (x) 1 + lam sum_a S^a (x) B^a + 1 (x) H_B by invariant sectors.
 
-    h_total: np.ndarray
+    ``sectors`` holds (index, block) pairs: the ascending basis indices
+    k * d_b + n of one connected component (see :func:`sector_components`)
+    and the dense Hermitian block H[index][:, index].  H has no elements
+    between different components.
+    """
+
+    sectors: list[tuple[np.ndarray, np.ndarray]]
     levels: np.ndarray
     windows: list[EnergyWindow]
     d_s: int
@@ -57,13 +66,44 @@ class FullEnsemble:
             raise ConfigurationError("ensemble weights must be a distribution")
 
 
+def sector_components(
+    s_ops: list[np.ndarray], realization: BathRealization
+) -> list[np.ndarray]:
+    """Basis indices of the invariant subspaces of H, one ascending array each.
+
+    Sector (k, i) is system level k times bath window i.  Sectors (k, i) and
+    (l, j) are linked when some operator has S^a[k, l] != 0 and a nonzero
+    B^a block between windows i and j; H_S (x) 1 and 1 (x) H_B act within a
+    sector, so H maps every connected component of this graph into itself
+    whatever the levels.  Components come in the order of their first index.
+    """
+    windows = realization.windows
+    slices = window_slices(windows)
+    d_s = len(s_ops[0])
+    links = np.zeros((d_s * len(windows),) * 2, dtype=bool)
+    for s_op, b_op in zip(s_ops, realization.matrices):
+        b_links = np.array([[np.any(b_op[si, sj]) for sj in slices] for si in slices])
+        links |= np.kron(np.asarray(s_op) != 0, b_links)
+    n_comp, labels = connected_components(links, directed=False)
+    # sector k * n_win + i covers basis indices k * d_b + slices[i]
+    basis_labels = np.repeat(labels, np.tile([w.volume for w in windows], d_s))
+    return [np.flatnonzero(basis_labels == c) for c in range(n_comp)]
+
+
 def assemble(
     levels: np.ndarray,
     s_ops: list[np.ndarray],
     realization: BathRealization,
     dim_cap: int = DEFAULT_DIM_CAP,
+    components: list[np.ndarray] | None = None,
 ) -> FullModel:
-    """Exact matrix assembly; re-invoked for every protocol segment."""
+    """Exact blocks of H on ``components`` (default: all of them).
+
+    Re-invoked for every protocol segment.  Each block is built from the
+    system levels and the B^a blocks between the component's windows, with
+    the same floating-point operations as the dense Kronecker form, so a
+    component spanning the whole basis reproduces the dense H exactly.
+    """
     levels = np.asarray(levels, dtype=float)
     d_s = len(levels)
     d_b = bath_dimension(realization.windows)
@@ -71,12 +111,32 @@ def assemble(
         raise DimensionCapExceeded(
             f"total dimension {d_s * d_b} exceeds the cap {dim_cap}"
         )
+    if components is None:
+        components = sector_components(s_ops, realization)
     lam = realization.lam
-    h = np.kron(np.diag(levels), np.eye(d_b)).astype(complex)
-    h += np.kron(np.eye(d_s), np.diag(realization.microlevels()))
-    for s_op, b_op in zip(s_ops, realization.matrices):
-        h += lam * np.kron(s_op, b_op)
-    return FullModel(h, levels, realization.windows, d_s, d_b)
+    windows = realization.windows
+    slices = window_slices(windows)
+    micro = realization.microlevels()
+    window_of = np.repeat(np.arange(len(windows)), [w.volume for w in windows])
+    sectors = []
+    for index in components:
+        k_of, n_of = np.divmod(index, d_b)
+        h = np.zeros((index.size, index.size), dtype=complex)
+        h[np.diag_indices(index.size)] = levels[k_of] + micro[n_of]
+        # (k, i, rows in the block) of every sector (k, i) of the component
+        parts, row = [], 0
+        for sector in np.unique(k_of * len(windows) + window_of[n_of]):
+            k, i = divmod(int(sector), len(windows))
+            parts.append((k, i, slice(row, row + windows[i].volume)))
+            row += windows[i].volume
+        for s_op, b_op in zip(s_ops, realization.matrices):
+            s_op = np.asarray(s_op)
+            for k, i, rows in parts:
+                for l, j, cols in parts:
+                    if s_op[k, l] != 0:
+                        h[rows, cols] += lam * (s_op[k, l] * b_op[slices[i], slices[j]])
+        sectors.append((index, h))
+    return FullModel(sectors, levels, windows, d_s, d_b)
 
 
 def prepare_initial(
@@ -142,16 +202,39 @@ def prepare_initial(
 
 
 class _SegmentPropagator:
-    """Eigendecomposition-based propagator for one static Hamiltonian."""
+    """Eigendecomposition-based propagator for one static Hamiltonian.
 
-    def __init__(self, model: FullModel):
-        self.evals, self.evecs = np.linalg.eigh(model.h_total)
+    Works sector by sector on d-vectors; amplitudes outside the given
+    sectors must be zero, and they stay zero.
+    """
 
-    def prepare(self, psi: np.ndarray) -> np.ndarray:
-        return self.evecs.conj().T @ psi
+    def __init__(self, sectors: list[tuple[np.ndarray, np.ndarray]], dim: int):
+        self.eig = [(index, *np.linalg.eigh(h)) for index, h in sectors]
+        self.dim = dim
+        # a single sector covering the basis needs no gather or scatter
+        self.whole = len(sectors) == 1 and sectors[0][0].size == dim
 
-    def at(self, phi0: np.ndarray, dt: float) -> np.ndarray:
-        return self.evecs @ (np.exp(-1j * self.evals * dt)[:, None] * phi0)
+    def prepare(self, psi: np.ndarray) -> list[np.ndarray]:
+        if self.whole:
+            return [self.eig[0][2].conj().T @ psi]
+        return [evecs.conj().T @ psi[index] for index, _, evecs in self.eig]
+
+    def at(self, phi0: list[np.ndarray], dt: float) -> np.ndarray:
+        parts = [
+            evecs @ (np.exp(-1j * evals * dt)[:, None] * phi)
+            for (_, evals, evecs), phi in zip(self.eig, phi0)
+        ]
+        if self.whole:
+            return parts[0]
+        psi = np.zeros((self.dim, phi0[0].shape[1]), dtype=complex)
+        for (index, _, _), part in zip(self.eig, parts):
+            psi[index] = part
+        return psi
+
+
+def _occupied(index: np.ndarray, members: np.ndarray) -> bool:
+    """Whether any member has a nonzero amplitude on these basis indices."""
+    return bool(np.any(members[index] != 0))
 
 
 def propagate(
@@ -161,13 +244,15 @@ def propagate(
 ):
     """Yield (t, member matrix) along a grid for a single static segment.
 
-    The scheme is exact diagonalization, so norms are preserved to roundoff;
-    a drift beyond 1e-8 aborts.
+    Only the sectors the members occupy are diagonalized.  The scheme is
+    exact diagonalization, so norms are preserved to roundoff; a drift
+    beyond 1e-8 aborts.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ConfigurationError("time grid must be strictly increasing")
-    prop = _SegmentPropagator(model)
+    occupied = [sec for sec in model.sectors if _occupied(sec[0], ensemble.members)]
+    prop = _SegmentPropagator(occupied, model.d_s * model.d_b)
     phi0 = prop.prepare(ensemble.members)
     for t in t_grid:
         psi = prop.at(phi0, t - t_grid[0])
@@ -262,17 +347,20 @@ def run_exact(
 
     segs = system.segments(t_grid[0])
     boundaries = [seg.t_start for seg in segs[1:]] + [np.inf]
+    d_s = system.dim
+    d_b = bath_dimension(realization.windows)
+    # the split depends on S and B only, so it holds for every segment
+    components = sector_components(system.couplings[0], realization)
+    occupied = [c for c in components if _occupied(c, ensemble.members)]
     props: dict[tuple, _SegmentPropagator] = {}
 
     def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
         key = tuple(np.round(levels, 12))
         if key not in props:
-            model = assemble(levels, system.couplings[0], realization, dim_cap)
-            props[key] = _SegmentPropagator(model)
+            model = assemble(levels, system.couplings[0], realization, dim_cap, occupied)
+            props[key] = _SegmentPropagator(model.sectors, d_s * d_b)
         return props[key]
 
-    d_s = system.dim
-    d_b = bath_dimension(realization.windows)
     n_win = len(realization.windows)
 
     pops_out = np.zeros((t_grid.size, d_s * n_win))
@@ -325,5 +413,10 @@ def run_exact(
             "ensemble": ensemble.kind,
             "members": int(ensemble.members.shape[1]),
             "dimension": d_s * d_b,
+            "sector_dims": [int(c.size) for c in components],
+            # one entry per diagonalized block, over all distinct segments
+            "diag_dims": [
+                int(index.size) for prop in props.values() for index, _, _ in prop.eig
+            ],
         },
     )

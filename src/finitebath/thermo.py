@@ -310,7 +310,7 @@ def build_ledger(
         )
     times = traj.times
     pops = traj.populations
-    k_of, win_of, e_b, log_v, bs, n_keys, log_v_key = _grid_arrays(traj)
+    k_of, _, e_b, log_v, bs, n_keys, log_v_key = _grid_arrays(traj)
     n_baths = len(traj.bath_centers)
     d_s = traj.n_levels
     n_t = len(times)
@@ -332,8 +332,6 @@ def build_ledger(
         s_obs_b[n] = observational_entropy(p_key, log_v_key)
         i_cg[n] = mutual_information_cg(pops[n], p_sys, p_key, pair_index)
         for nu in range(n_baths):
-            p_win = np.zeros(len(traj.bath_centers[nu]))
-            np.add.at(p_win, win_of[nu], pops[n])
             betas[n, nu] = effective_temperature(
                 traj.bath_centers[nu], traj.bath_volumes[nu], u_b[n, nu], beta_max
             ).beta

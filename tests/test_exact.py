@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
+from finitebath import exact
 from finitebath.emme import ProtocolSegment, SystemSpec
 from finitebath.errors import ConfigurationError, DimensionCapExceeded
 from finitebath.exact import (
@@ -11,6 +12,7 @@ from finitebath.exact import (
     propagate,
     quantum_mutual_information,
     run_exact,
+    sector_components,
 )
 from finitebath.thermo import mutual_information_cg
 
@@ -31,7 +33,10 @@ def spin():
 def test_assemble_uncoupled_spectrum_is_sum_of_levels():
     real = two_band_realization(v0=3, v1=4, lam=0.0, seed=2)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    evals = np.sort(np.linalg.eigvalsh(model.h_total))
+    # the sectors partition the basis
+    covered = np.sort(np.concatenate([index for index, _ in model.sectors]))
+    assert np.array_equal(covered, np.arange(2 * 7))
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(h) for _, h in model.sectors]))
     micro = real.microlevels()
     expect = np.sort(np.concatenate([micro + 0.0, micro + 1.0]))
     assert np.allclose(evals, expect, atol=1e-12)
@@ -40,7 +45,8 @@ def test_assemble_uncoupled_spectrum_is_sum_of_levels():
 def test_assemble_hermitian_and_capped():
     real = two_band_realization(v0=5, v1=6, seed=3)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    assert np.max(np.abs(model.h_total - model.h_total.conj().T)) == 0.0
+    for _, h in model.sectors:
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
     with pytest.raises(DimensionCapExceeded):
         assemble(np.array([0.0, 1.0]), [SIGMA_X], real, dim_cap=10)
 
@@ -51,9 +57,11 @@ def test_assemble_single_level_windows_coupling_block():
     # basis ordering: (k, i) -> k * d_b + i; resonant pair (1, E0) <-> (0, E1)
     idx_1e0 = 1 * 2 + 0
     idx_0e1 = 0 * 2 + 1
-    assert model.h_total[idx_1e0, idx_0e1] == pytest.approx(0.05 * 0.6)
-    assert model.h_total[idx_1e0, idx_1e0] == pytest.approx(1.0 - 0.25)
-    assert model.h_total[idx_0e1, idx_0e1] == pytest.approx(0.75)
+    index, h = next(sec for sec in model.sectors if idx_1e0 in sec[0])
+    assert list(index) == [idx_0e1, idx_1e0]
+    assert h[1, 0] == pytest.approx(0.05 * 0.6)
+    assert h[1, 1] == pytest.approx(1.0 - 0.25)
+    assert h[0, 0] == pytest.approx(0.75)
 
 
 def test_prepare_initial_basis_full_and_half():
@@ -124,7 +132,10 @@ def test_propagate_conserves_norm_and_energy():
     e0 = None
     for t, psi in propagate(ens, model, np.linspace(0.0, 50.0, 6)):
         assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
-        energy = np.real(np.sum(psi.conj() * (model.h_total @ psi), axis=0))
+        energy = sum(
+            np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
+            for index, h in model.sectors
+        )
         if e0 is None:
             e0 = energy
         assert np.max(np.abs(energy - e0) / np.abs(e0)) < 1e-8
@@ -219,3 +230,122 @@ def test_run_exact_rejects_multiple_baths():
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError):
         run_exact(system, real, ens, np.linspace(0.0, 1.0, 3))
+
+
+# -- sector split against the dense Hamiltonian --------------------------------
+
+
+def dense_hamiltonian(levels, s_ops, realization):
+    """Reference H = H_S (x) 1 + lam sum_a S^a (x) B^a + 1 (x) H_B, assembled densely."""
+    d_b = realization.matrices[0].shape[0]
+    h = np.kron(np.diag(levels), np.eye(d_b)).astype(complex)
+    h += np.kron(np.eye(len(levels)), np.diag(realization.microlevels()))
+    for s_op, b_op in zip(s_ops, realization.matrices):
+        h += realization.lam * np.kron(s_op, b_op)
+    return h
+
+
+def dense_reference_states(system, realization, ensemble, t_grid):
+    """Member matrices on the grid from one dense eigh of H per protocol segment."""
+    segs = system.segments(t_grid[0])
+    ends = [seg.t_start for seg in segs[1:]] + [np.inf]
+    psi, states = ensemble.members, []
+    for seg, t_end in zip(segs, ends):
+        evals, evecs = np.linalg.eigh(dense_hamiltonian(seg.levels, system.couplings[0], realization))
+        phi = evecs.conj().T @ psi
+
+        def evolve(dt, evals=evals, evecs=evecs, phi=phi):
+            return evecs @ (np.exp(-1j * evals * dt)[:, None] * phi)
+
+        for t in t_grid[(t_grid >= seg.t_start - 1e-12) & (t_grid < t_end - 1e-12)]:
+            states.append(evolve(t - seg.t_start))
+        if np.isfinite(t_end):
+            psi = evolve(t_end - seg.t_start)
+    return states
+
+
+def three_window_realization():
+    # the (0, 2) block has zero mean and zero variance: windows 0 and 2 never couple
+    spec = BathSpec([EnergyWindow(0.0, 0.5, 10), EnergyWindow(1.0, 0.5, 14),
+                     EnergyWindow(2.0, 0.5, 18)])
+    coup = CouplingSpec(lam=0.05, block_mean={(0, 1): 0.4, (1, 2): 0.3 + 0.1j},
+                        variance=0.0, seed=5)
+    return sample_coupling(coup, build_spectrum(spec), spec)
+
+
+SECTOR_CASES = {
+    # sigma_x between two windows: (1,E0)+(0,E1) and (0,E0)+(1,E1)
+    "two-window-split": (lambda: two_band_realization(v0=20, v1=30, seed=21),
+                         SIGMA_X, [50, 50]),
+    # (1,E0)+(0,E1)+(1,E2) and (0,E0)+(1,E1)+(0,E2)
+    "uncoupled-window-pair": (three_window_realization, SIGMA_X, [42, 42]),
+    # the diagonal element links (k,E0) to (k,E1): one component
+    "diagonal-element-merges": (lambda: two_band_realization(v0=20, v1=30, seed=22),
+                                np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex), [100]),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTOR_CASES))
+def test_sector_blocks_are_the_dense_hamiltonian(case):
+    make_realization, s_op, dims = SECTOR_CASES[case]
+    real = make_realization()
+    levels = np.array([0.0, 1.0])
+    model = assemble(levels, [s_op], real)
+    dense = dense_hamiltonian(levels, [s_op], real)
+    assert [index.size for index, _ in model.sectors] == dims
+    outside = np.ones(dense.shape, dtype=bool)
+    for index, h in model.sectors:
+        assert np.array_equal(h, dense[np.ix_(index, index)])
+        outside[np.ix_(index, index)] = False
+    assert not np.any(dense[outside])
+
+
+@pytest.mark.parametrize("case", list(SECTOR_CASES))
+def test_run_exact_matches_dense_reference_through_quench(case):
+    make_realization, s_op, dims = SECTOR_CASES[case]
+    real = make_realization()
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[s_op]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(15.0, [0.0, 1.3])],
+    )
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    t_grid = np.linspace(0.0, 40.0, 41)
+    traj = run_exact(system, real, ens, t_grid, mi_stride=4)
+    assert traj.meta["sector_dims"] == dims
+    assert traj.meta["dimension"] == sum(dims)
+    d_b = real.matrices[0].shape[0]
+    for n, psi in enumerate(dense_reference_states(system, real, ens, t_grid)):
+        pops, _ = coarse_grain(psi, ens.weights, 2, real.windows)
+        assert np.max(np.abs(traj.populations[n] - pops.T.ravel())) <= 1e-10
+        if n % 4 == 0:
+            mi = quantum_mutual_information(psi, ens.weights, 2, d_b, ens.subspace_entropy)
+            assert abs(traj.mi[n // 4] - mi) <= 1e-10
+
+
+def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
+    real = two_band_realization(v0=20, v1=30, seed=21)
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 1.3])],
+    )
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    occupied, unoccupied = sector_components([SIGMA_X], real)[::-1]
+    assert np.any(ens.members[occupied]) and not np.any(ens.members[unoccupied])
+    diagonalized = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(h):
+        diagonalized.append(h)
+        return eigh(h)
+
+    monkeypatch.setattr(exact.np.linalg, "eigh", recording_eigh)
+    traj = run_exact(system, real, ens, np.linspace(0.0, 10.0, 11))
+    # one block per segment, each the occupied component's
+    assert len(diagonalized) == 2
+    for h, levels in zip(diagonalized, ([0.0, 1.0], [0.0, 1.3])):
+        (index, block), = assemble(np.array(levels), [SIGMA_X], real, components=[occupied]).sectors
+        assert np.array_equal(h, block)
+    assert traj.meta["diag_dims"] == [occupied.size, occupied.size]
+    assert traj.meta["sector_dims"] == [unoccupied.size, occupied.size]
