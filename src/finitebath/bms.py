@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .emme import SystemSpec, s_omega_decomposition
-from .errors import ConfigurationError, NumericalFailure
+from .emme import SystemSpec, _integrate_segments, s_omega_decomposition
+from .errors import ConfigurationError
 from .rates import RateTable
 from .thermo import effective_temperature
 from .trajectory import Trajectory
@@ -128,53 +127,24 @@ def evolve_bms(
     Emits the shared trajectory contract with no bath bookkeeping (empty
     window keys); only reduced populations are meaningful downstream.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     d = system.dim
     s_op = system.couplings[0][0]
 
-    times, pops, levels_out = [], [], []
-    y = np.asarray(rho0, dtype=complex).ravel()
-    segs = system.segments(t_grid[0])
-    for n, seg in enumerate(segs):
-        t0 = max(seg.t_start, t_grid[0])
-        t1 = segs[n + 1].t_start if n + 1 < len(segs) else t_grid[-1]
-        if t0 >= t_grid[-1] and n > 0:
-            break
+    def segment_rhs(seg):
         h_seg = np.diag(seg.levels).astype(complex)
         s_om = s_omega_decomposition(s_op, seg.levels)
+        return lambda t, y: bms_generator(y.reshape(d, d), rates, s_om, h_seg).ravel()
 
-        def rhs(t, yy, h=h_seg, so=s_om):
-            return bms_generator(yy.reshape(d, d), rates, so, h).ravel()
-
-        if n + 1 < len(segs):
-            mask = (t_grid >= t0 - 1e-12) & (t_grid < t1 - 1e-12)
-        else:
-            mask = t_grid >= t0 - 1e-12
-        grid = t_grid[mask]
-        if grid.size and abs(grid[0] - t0) < 1e-12:
-            times.append(t0)
-            pops.append(np.real(np.diag(y.reshape(d, d))))
-            levels_out.append(seg.levels)
-            grid = grid[1:]
-        if t1 > t0:
-            eval_pts = np.unique(np.concatenate([grid, [t1]]))
-            sol = solve_ivp(rhs, (t0, t1), y, method="DOP853",
-                            t_eval=eval_pts, rtol=rtol, atol=atol)
-            if not sol.success:
-                raise NumericalFailure(f"integrator failed: {sol.message}")
-            for m, t_rec in enumerate(sol.t):
-                if grid.size and np.min(np.abs(grid - t_rec)) < 1e-12:
-                    times.append(float(t_rec))
-                    pops.append(np.real(np.diag(sol.y[:, m].reshape(d, d))))
-                    levels_out.append(seg.levels)
-            y = sol.y[:, -1]
-
+    times, states, levels = _integrate_segments(
+        system, np.asarray(t_grid, dtype=float), np.asarray(rho0, dtype=complex).ravel(),
+        segment_rhs, rtol, atol,
+    )
     return Trajectory(
         solver="bms",
-        times=np.array(times),
+        times=times,
         joint_index=[(k, ()) for k in range(d)],
-        populations=np.stack(pops),
-        level_energies=np.stack(levels_out),
+        populations=states[:, :: d + 1].real.copy(),
+        level_energies=levels,
         bath_centers=[],
         bath_volumes=[],
         meta={"t_can": rates.t_can, "down_rates": dict(rates.down)},

@@ -2,20 +2,24 @@
 
 The state is a map from a vector of bath window indices to an unnormalized
 positive system block; its evolution couples neighboring blocks through
-jump operators resolved by the resonance rule.  Both the Markov form and the
-finite-time variant (all dissipation rates multiplied by the envelope
-zeta(t)) are provided, together with the autonomous population rate
-equation, equilibrium states, and a closed-form oracle for the two-level
-case.
+jump operators resolved by the resonance rule.  The generator of each
+protocol segment is assembled once as sparse operators on the packed blocks.
+Both the Markov form and the finite-time variant (all dissipation rates
+multiplied by the envelope zeta(t)) are provided, together with the
+autonomous population rate equation, equilibrium states, and a closed-form
+oracle for the two-level case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, NumericalFailure
 from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
@@ -67,14 +71,6 @@ class SystemSpec:
         if self.protocol is None:
             return [ProtocolSegment(t0, self.levels)]
         return self.protocol
-
-    def levels_at(self, t: float) -> np.ndarray:
-        segs = self.segments()
-        current = segs[0].levels
-        for seg in segs:
-            if seg.t_start <= t + 1e-12:
-                current = seg.levels
-        return current
 
 
 @dataclass
@@ -155,6 +151,11 @@ def _merge_omegas(per_op: list[dict[float, np.ndarray]], d: int) -> dict[float, 
     }
 
 
+def _omega_sets(couplings: list[list[np.ndarray]], levels: np.ndarray) -> list[set[float]]:
+    """Transition frequencies of each bath's coupling operators at these levels."""
+    return [{w for s in ops for w in s_omega_decomposition(s, levels)} for ops in couplings]
+
+
 def reachable_keys(
     initial: set[tuple[int, ...]],
     tables: list[RateTable],
@@ -191,16 +192,36 @@ def _gamma_strict(table: RateTable, i: int, j: int) -> np.ndarray:
     return g
 
 
-class EmmeGenerator:
-    """Wiring of the conditioned-state generator for one protocol segment.
+def _packed_operator(
+    blocks: dict[tuple[int, int], np.ndarray], n_blocks: int, d: int
+) -> sparse.csr_array:
+    """CSR operator on the packed block vector from dense superoperator blocks.
 
-    ``gain_convention`` selects which neighboring block feeds the gain term
-    when the system emits a quantum omega: "conserving" (default) takes it
-    from the block whose bath energy is lower by omega, which conserves the
-    coarse-grained total energy; "inverted" takes the block higher by omega
-    while keeping the same rate coefficient.  The inverted variant exists
-    only to demonstrate that the opposite index choice breaks total-energy
-    conservation (see the test suite); do not use it for production runs.
+    Block n of the packed vector holds the row-major ravel of rho_n at offset
+    n d^2; ``blocks[(n, m)]`` is the d^2 x d^2 map from block m into d/dt of
+    block n.
+    """
+    d2 = d * d
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, complex)]
+    for (n, m), sup in blocks.items():
+        r, c = np.nonzero(sup)
+        rows.append(n * d2 + r)
+        cols.append(m * d2 + c)
+        vals.append(sup[r, c])
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    return sparse.csr_array((np.concatenate(vals), ij), shape=(n_blocks * d2, n_blocks * d2))
+
+
+class EmmeGenerator:
+    """Conditioned-state generator for one protocol segment as sparse operators.
+
+    The blocks are packed into one vector (block n at offset n d^2, row-major
+    ravel, so that vec(A X B) = (A kron B^T) vec(X)).  ``coherent`` applies
+    -i[H'(E), .] with H' the levels plus each bath's energy shift;
+    ``dissipators[nu]`` holds bath nu's loss anticommutator and its gains,
+    each gain fed by the block whose bath energy is lower by the emitted
+    quantum, which conserves the coarse-grained total energy.  ``markov`` is
+    their sum.
     """
 
     def __init__(
@@ -209,126 +230,69 @@ class EmmeGenerator:
         couplings: list[list[np.ndarray]],
         tables: list[RateTable],
         keys: list[tuple[int, ...]],
-        gain_convention: str = "conserving",
         include_shift: bool = True,
-        delta_h: list[list[np.ndarray]] | None = None,
     ):
-        if gain_convention not in ("conserving", "inverted"):
-            raise ConfigurationError(f"unknown gain convention {gain_convention!r}")
         if len(tables) != len(couplings):
             raise ConfigurationError("one rate table per bath is required")
-        self.levels = np.asarray(levels, dtype=float)
-        self.tables = tables
         self.keys = list(keys)
-        self.key_index = {k: n for n, k in enumerate(self.keys)}
+        key_index = {k: n for n, k in enumerate(self.keys)}
         d = len(levels)
         self.dim = d
-        self.s_omega = [
-            _merge_omegas([s_omega_decomposition(s, levels) for s in ops], d)
-            for ops in couplings
-        ]
+        eye = np.eye(d)
+        n_blocks = len(self.keys)
 
-        shifts: list[list[np.ndarray]] = []
-        for nu, table in enumerate(tables):
-            dh = delta_h[nu] if delta_h is not None else None
-            if include_shift:
-                h_ls, _ = lamb_shift(table, self.s_omega[nu], np.zeros((d, d)), None)
-            else:
-                h_ls = [np.zeros((d, d), dtype=complex) for _ in table.centers]
-            if dh is not None:
-                h_ls = [h + np.diag(np.diag(dhw)) for h, dhw in zip(h_ls, dh)]
-            shifts.append(h_ls)
-
-        h_base = np.diag(self.levels).astype(complex)
-        self.h_prime: list[np.ndarray] = []
-        self.loss: list[np.ndarray] = []
-        self.gains: list[list[tuple[int, int, complex, np.ndarray, np.ndarray]]] = []
-        # per target block: (source block index, bath, coefficient, S_a, S_a' dagger)
-        for key in self.keys:
-            h = h_base.copy()
-            g_loss = np.zeros((d, d), dtype=complex)
-            gain_list = []
-            for nu, table in enumerate(tables):
+        h_prime = [np.diag(np.asarray(levels, dtype=float)).astype(complex) for _ in self.keys]
+        self.dissipators: list[sparse.csr_array] = []
+        for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
+            s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
+            h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0] if include_shift else None
+            sup: dict[tuple[int, int], np.ndarray] = {}
+            for n, key in enumerate(self.keys):
                 j_here = key[nu]
-                h += shifts[nu][j_here]
-                for omega, ops in self.s_omega[nu].items():
+                if h_ls is not None:
+                    h_prime[n] += h_ls[j_here]
+                loss = np.zeros((d, d), dtype=complex)
+                for omega, ops in s_omega.items():
                     # loss: bath window at E + omega absorbs the emitted quantum
                     j_up = table.target_window(j_here, omega)
                     if j_up is not None:
                         g = _gamma_strict(table, j_up, j_here) / table.volumes[j_here]
-                        for a in range(table.n_ops):
-                            for ap in range(table.n_ops):
-                                if g[a, ap] != 0:
-                                    g_loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
+                        for a, ap in zip(*np.nonzero(g)):
+                            loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
                     # gain: rate gamma(E, E - omega)/V_{E-omega}
                     j_dn = table.target_window(j_here, -omega)
-                    if j_dn is None:
+                    src_key = None if j_dn is None else key[:nu] + (j_dn,) + key[nu + 1 :]
+                    if src_key not in key_index:
                         continue
-                    if gain_convention == "conserving":
-                        src = key[:nu] + (j_dn,) + key[nu + 1 :]
-                    else:
-                        if j_up is None:
-                            continue
-                        src = key[:nu] + (j_up,) + key[nu + 1 :]
-                    src_idx = self.key_index.get(src)
-                    if src_idx is None:
-                        continue
+                    src = key_index[src_key]
                     g = _gamma_strict(table, j_here, j_dn) / table.volumes[j_dn]
-                    for a in range(table.n_ops):
-                        for ap in range(table.n_ops):
-                            if g[a, ap] != 0:
-                                gain_list.append(
-                                    (src_idx, nu, g[a, ap], ops[a], ops[ap].conj().T)
-                                )
-            self.h_prime.append(h)
-            self.loss.append(g_loss)
-            self.gains.append(gain_list)
+                    gain = sup.setdefault((n, src), np.zeros((d * d, d * d), dtype=complex))
+                    for a, ap in zip(*np.nonzero(g)):
+                        gain += g[a, ap] * np.kron(ops[a], ops[ap].conj())
+                anticommutator = np.kron(loss, eye) + np.kron(eye, loss.T)
+                sup[(n, n)] = sup.get((n, n), 0.0) - 0.5 * anticommutator
+            self.dissipators.append(_packed_operator(sup, n_blocks, d))
+        commutators = {
+            (n, n): -1j * (np.kron(h, eye) - np.kron(eye, h.T)) for n, h in enumerate(h_prime)
+        }
+        self.coherent = _packed_operator(commutators, n_blocks, d)
+        self.markov = sum(self.dissipators, self.coherent)
+
+    def derivative(self, y: np.ndarray, zeta_factors: list[float] | None = None) -> np.ndarray:
+        """d/dt of the packed block vector; zeta_factors scale each bath's dissipator."""
+        if zeta_factors is None:
+            return self.markov @ y
+        dy = self.coherent @ y
+        for f, op in zip(zeta_factors, self.dissipators):
+            dy += f * (op @ y)
+        return dy
 
     def derivative_blocks(
         self, blocks: list[np.ndarray], zeta_factors: list[float] | None = None
     ) -> list[np.ndarray]:
         """d/dt of every block; zeta_factors scale each bath's dissipator."""
-        out = []
-        for n, rho in enumerate(blocks):
-            h = self.h_prime[n]
-            d_rho = -1j * (h @ rho - rho @ h)
-            loss = self.loss[n]
-            if zeta_factors is None:
-                d_rho -= 0.5 * (loss @ rho + rho @ loss)
-                for src_idx, _nu, coef, s_a, s_ap_dag in self.gains[n]:
-                    d_rho += coef * (s_a @ blocks[src_idx] @ s_ap_dag)
-            else:
-                # per-bath envelope: split the loss by bath
-                for nu, zf in enumerate(zeta_factors):
-                    loss_nu = self._loss_by_bath(n, nu)
-                    d_rho -= 0.5 * zf * (loss_nu @ rho + rho @ loss_nu)
-                for src_idx, nu, coef, s_a, s_ap_dag in self.gains[n]:
-                    d_rho += zeta_factors[nu] * coef * (s_a @ blocks[src_idx] @ s_ap_dag)
-            out.append(d_rho)
-        return out
-
-    def _loss_by_bath(self, n: int, nu: int) -> np.ndarray:
-        cache = getattr(self, "_loss_cache", None)
-        if cache is None:
-            cache = {}
-            self._loss_cache = cache
-        if (n, nu) not in cache:
-            key = self.keys[n]
-            d = self.dim
-            table = self.tables[nu]
-            g_loss = np.zeros((d, d), dtype=complex)
-            j_here = key[nu]
-            for omega, ops in self.s_omega[nu].items():
-                j_up = table.target_window(j_here, omega)
-                if j_up is None:
-                    continue
-                g = _gamma_strict(table, j_up, j_here) / table.volumes[j_here]
-                for a in range(table.n_ops):
-                    for ap in range(table.n_ops):
-                        if g[a, ap] != 0:
-                            g_loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
-            cache[(n, nu)] = g_loss
-        return cache[(n, nu)]
+        dy = self.derivative(np.concatenate([b.ravel() for b in blocks]), zeta_factors)
+        return list(dy.reshape(-1, self.dim, self.dim))
 
     def apply(self, state: ConditionedState, zeta_factors=None) -> dict[tuple[int, ...], np.ndarray]:
         blocks = [
@@ -339,15 +303,25 @@ class EmmeGenerator:
         return dict(zip(self.keys, derivs))
 
 
+def _generator_for(
+    state: ConditionedState,
+    system: SystemSpec,
+    tables: list[RateTable],
+    levels: np.ndarray | None,
+    include_shift: bool,
+) -> EmmeGenerator:
+    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
+    keys = reachable_keys(set(state.blocks), tables, _omega_sets(system.couplings, lv))
+    return EmmeGenerator(lv, system.couplings, tables, keys, include_shift=include_shift)
+
+
 def emme_generator(
     state: ConditionedState,
     system: SystemSpec,
     tables: list[RateTable],
     *,
     levels: np.ndarray | None = None,
-    gain_convention: str = "conserving",
     include_shift: bool = True,
-    delta_h=None,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """One application of the Markov-secular generator to a state.
 
@@ -355,17 +329,7 @@ def emme_generator(
     but currently absent (treated as zero).  Raises if a reachable
     transition has no rate entry.
     """
-    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    omega_sets = [
-        set(_merge_omegas([s_omega_decomposition(s, lv) for s in ops], len(lv)))
-        for ops in system.couplings
-    ]
-    keys = reachable_keys(set(state.blocks), tables, omega_sets)
-    gen = EmmeGenerator(
-        lv, system.couplings, tables, keys,
-        gain_convention=gain_convention, include_shift=include_shift, delta_h=delta_h,
-    )
-    return gen.apply(state)
+    return _generator_for(state, system, tables, levels, include_shift).apply(state)
 
 
 def redfield_envelope_generator(
@@ -373,23 +337,17 @@ def redfield_envelope_generator(
     system: SystemSpec,
     tables: list[RateTable],
     t: float,
-    **kwargs,
+    *,
+    levels: np.ndarray | None = None,
+    include_shift: bool = True,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Finite-time variant: every dissipation rate is multiplied by zeta(t).
 
     Coincides with the Markov generator as t -> infinity; at t = 0 the
     dissipator vanishes entirely.
     """
-    lv = kwargs.pop("levels", None)
-    lv = system.levels if lv is None else np.asarray(lv, dtype=float)
-    omega_sets = [
-        set(_merge_omegas([s_omega_decomposition(s, lv) for s in ops], len(lv)))
-        for ops in system.couplings
-    ]
-    keys = reachable_keys(set(state.blocks), tables, omega_sets)
-    gen = EmmeGenerator(lv, system.couplings, tables, keys, **kwargs)
-    factors = [zeta(t, table.delta) for table in tables]
-    return gen.apply(state, zeta_factors=factors)
+    gen = _generator_for(state, system, tables, levels, include_shift)
+    return gen.apply(state, zeta_factors=[zeta(t, table.delta) for table in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +377,46 @@ def _grid_segments(system: SystemSpec, t_grid: np.ndarray):
     return pieces
 
 
+def _integrate_segments(
+    system: SystemSpec,
+    t_grid: np.ndarray,
+    y0: np.ndarray,
+    segment_rhs: Callable[[ProtocolSegment], Callable[[float, np.ndarray], np.ndarray]],
+    rtol: float,
+    atol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate y' = segment_rhs(seg)(t, y) across the protocol on the grid.
+
+    The state carries across quenches continuously; a grid point on a quench
+    is recorded with the segment that starts there.  Returns the recorded
+    times, the states (one row per time) and the level energies in force.
+    """
+    times: list[float] = []
+    states: list[np.ndarray] = []
+    levels: list[np.ndarray] = []
+    y = y0
+    for seg, t0, t1, grid in _grid_segments(system, t_grid):
+        if grid.size and abs(grid[0] - t0) < 1e-12:
+            times.append(float(grid[0]))
+            states.append(y)
+            levels.append(seg.levels)
+            grid = grid[1:]
+        if t1 > t0:
+            sol = solve_ivp(
+                segment_rhs(seg), (t0, t1), y, method="DOP853",
+                t_eval=np.unique(np.concatenate([grid, [t1]])), rtol=rtol, atol=atol,
+            )
+            if not sol.success:
+                raise NumericalFailure(f"integrator failed: {sol.message}")
+            for m, t_rec in enumerate(sol.t):
+                if grid.size and np.min(np.abs(grid - t_rec)) < 1e-12:
+                    times.append(float(t_rec))
+                    states.append(sol.y[:, m])
+                    levels.append(seg.levels)
+            y = sol.y[:, -1]
+    return np.array(times), np.stack(states), np.stack(levels)
+
+
 def evolve(
     state0: ConditionedState,
     system: SystemSpec,
@@ -426,9 +424,7 @@ def evolve(
     t_grid: np.ndarray,
     variant: str = "markov",
     *,
-    gain_convention: str = "conserving",
     include_shift: bool = True,
-    delta_h=None,
     rtol: float = 1e-11,
     atol: float = 1e-13,
     check_positivity: bool = True,
@@ -450,116 +446,57 @@ def evolve(
 
     omega_union: list[set[float]] = [set() for _ in tables]
     for seg in system.segments(t_grid[0]):
-        for nu, ops in enumerate(system.couplings):
-            dec = _merge_omegas(
-                [s_omega_decomposition(s, seg.levels) for s in ops], system.dim
-            )
-            omega_union[nu] |= set(dec)
+        for nu, omegas in enumerate(_omega_sets(system.couplings, seg.levels)):
+            omega_union[nu] |= omegas
     keys = reachable_keys(set(state0.blocks), tables, omega_union)
 
     d = system.dim
-    n_blocks = len(keys)
     t_origin = t_grid[0]
+    y0 = np.zeros((len(keys), d, d), dtype=complex)
+    for n, key in enumerate(keys):
+        if key in state0.blocks:
+            y0[n] = state0.blocks[key]
 
-    def pack(blocks: dict) -> np.ndarray:
-        y = np.zeros(n_blocks * d * d, dtype=complex)
-        for n, key in enumerate(keys):
-            if key in blocks:
-                y[n * d * d : (n + 1) * d * d] = blocks[key].ravel()
-        return y
-
-    def unpack(y: np.ndarray) -> list[np.ndarray]:
-        return [y[n * d * d : (n + 1) * d * d].reshape(d, d) for n in range(n_blocks)]
-
-    times_out: list[float] = []
-    pops_out: list[np.ndarray] = []
-    levels_out: list[np.ndarray] = []
-    blocks_out: dict[tuple[int, ...], list[np.ndarray]] = {k: [] for k in keys}
-
-    y = pack(state0.blocks)
-
-    def record(t_rec: float, yy: np.ndarray, levels: np.ndarray):
-        blocks = unpack(yy)
-        times_out.append(float(t_rec))
-        levels_out.append(levels)
-        pops_out.append(np.concatenate([np.real(np.diag(b)) for b in blocks]))
-        for kk, b in zip(keys, blocks):
-            blocks_out[kk].append(b.copy())
-
-    for seg, t0, t1, grid in _grid_segments(system, t_grid):
+    def segment_rhs(seg: ProtocolSegment):
         gen = EmmeGenerator(
-            seg.levels, system.couplings, tables, keys,
-            gain_convention=gain_convention,
-            include_shift=include_shift,
-            delta_h=delta_h,
+            seg.levels, system.couplings, tables, keys, include_shift=include_shift
         )
+        if variant == "markov":
+            return lambda t, y: gen.markov @ y
+        return lambda t, y: gen.derivative(y, [zeta(t - t_origin, tb.delta) for tb in tables])
 
-        def rhs(t, yy, gen=gen):
-            blocks = unpack(yy)
-            if variant == "redfield":
-                factors = [zeta(t - t_origin, tb.delta) for tb in tables]
-            else:
-                factors = None
-            derivs = gen.derivative_blocks(blocks, factors)
-            return np.concatenate([b.ravel() for b in derivs])
-
-        record_grid = grid
-        if record_grid.size and abs(record_grid[0] - t0) < 1e-12:
-            # states carry across quenches continuously; the boundary point
-            # is recorded with the segment that starts there
-            record(record_grid[0], y, seg.levels)
-            record_grid = record_grid[1:]
-
-        if t1 > t0:
-            eval_pts = np.unique(np.concatenate([record_grid, [t1]]))
-            sol = solve_ivp(
-                rhs, (t0, t1), y, method="DOP853",
-                t_eval=eval_pts, rtol=rtol, atol=atol,
-            )
-            if not sol.success:
-                raise NumericalFailure(f"integrator failed: {sol.message}")
-            for m, t_rec in enumerate(sol.t):
-                if record_grid.size and np.min(np.abs(record_grid - t_rec)) < 1e-12:
-                    record(t_rec, sol.y[:, m], seg.levels)
-            y = sol.y[:, -1]
-
-    times = np.array(times_out)
-    populations = np.stack(pops_out)
-    joint_index = [(k, key) for key in keys for k in range(d)]
-    # pack() ordered populations as all levels of block 0, then block 1, ...
+    times, states, levels = _integrate_segments(
+        system, t_grid, y0.ravel(), segment_rhs, rtol, atol
+    )
+    blocks = states.reshape(len(times), len(keys), d, d)
     if check_positivity:
-        for key, series in blocks_out.items():
-            for m, b in enumerate(series):
-                w = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-                if w.min() < -POSITIVITY_TOL:
-                    raise NumericalFailure(
-                        f"block {key} lost positivity at t={times[m]:g} "
-                        f"(min eigenvalue {w.min():.3e}); tighten rtol/atol "
-                        f"(currently {rtol:g}/{atol:g})"
-                    )
+        hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
+        w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
+        bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
+        if bad.size:
+            n, m = bad[0]
+            raise NumericalFailure(
+                f"block {keys[n]} lost positivity at t={times[m]:g} "
+                f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
+                f"(currently {rtol:g}/{atol:g})"
+            )
 
     rate_model = PopulationRateModel(
         system, tables, keys, variant=variant, t_origin=t_origin
     )
-
-    traj = Trajectory(
+    return Trajectory(
         solver=solver_name or f"emme-{variant}",
         times=times,
-        joint_index=joint_index,
-        populations=populations,
-        level_energies=np.stack(levels_out),
+        # populations are ordered as all levels of block 0, then block 1, ...
+        joint_index=[(k, key) for key in keys for k in range(d)],
+        populations=np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy(),
+        level_energies=levels,
         bath_centers=[tb.centers for tb in tables],
         bath_volumes=[tb.volumes for tb in tables],
-        blocks={k: np.stack(v) for k, v in blocks_out.items()},
+        blocks={key: blocks[:, n] for n, key in enumerate(keys)},
         pop_rate=rate_model.dpdt,
-        meta={
-            "variant": variant,
-            "gain_convention": gain_convention,
-            "rtol": rtol,
-            "atol": atol,
-        },
+        meta={"variant": variant, "rtol": rtol, "atol": atol},
     )
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +508,10 @@ class PopulationRateModel:
 
     Mirrors the diagonal of the block generator exactly: jumps
     (eps_q, E_j) -> (eps_k, E_i) occur at rate W_kq(E_i, E_j) / V_j, with
-    window moves in one bath component at a time.
+    window moves in one bath component at a time.  Each protocol segment
+    holds one rate matrix M_nu per bath, and the matrix at time t is
+    sum_nu f_nu(t) M_nu with f_nu = 1 in the Markov form and zeta_nu(t) in
+    the finite-time form.
     """
 
     def __init__(
@@ -582,81 +522,48 @@ class PopulationRateModel:
         variant: str = "markov",
         t_origin: float = 0.0,
     ):
-        self.system = system
         self.tables = tables
         self.keys = list(keys)
         self.variant = variant
         self.t_origin = t_origin
         self.joint_index = [(k, key) for key in keys for k in range(system.dim)]
-        self.state_pos = {s: n for n, s in enumerate(self.joint_index)}
-        self._matrices: list[tuple[float, np.ndarray]] = []
-        for seg in system.segments(t_origin):
-            self._matrices.append((seg.t_start, self._build_matrix(seg.levels)))
+        self._segments = [
+            (seg.t_start, [
+                self._bath_matrix(nu, ops, seg.levels) for nu, ops in enumerate(system.couplings)
+            ])
+            for seg in system.segments(t_origin)
+        ]
 
-    def _build_matrix(self, levels: np.ndarray) -> np.ndarray:
-        n = len(self.joint_index)
-        mat = np.zeros((n, n))
-        for nu, table in enumerate(self.tables):
-            w_table = transition_rates(
-                table, self.system.couplings[nu], levels
-            )
-            for (k, q, i, j), w in w_table.items():
-                if w == 0.0:
+    def _bath_matrix(self, nu: int, s_ops: list[np.ndarray], levels: np.ndarray) -> np.ndarray:
+        table = self.tables[nu]
+        pos = {s: n for n, s in enumerate(self.joint_index)}
+        mat = np.zeros((len(pos), len(pos)))
+        for (k, q, i, j), w in transition_rates(table, s_ops, levels).items():
+            if w == 0.0:
+                continue
+            rate = w / table.volumes[j]
+            for key in self.keys:
+                if key[nu] != j:
                     continue
-                for key in self.keys:
-                    if key[nu] != j:
-                        continue
-                    tgt_key = key[:nu] + (i,) + key[nu + 1 :]
-                    if tgt_key not in self.state_pos_keyset():
-                        continue
-                    row = self.state_pos[(k, tgt_key)]
-                    col = self.state_pos[(q, key)]
-                    rate = w / table.volumes[j]
-                    mat[row, col] += rate
-                    mat[col, col] -= rate
+                tgt_key = key[:nu] + (i,) + key[nu + 1 :]
+                if (k, tgt_key) not in pos:
+                    continue
+                row = pos[(k, tgt_key)]
+                col = pos[(q, key)]
+                mat[row, col] += rate
+                mat[col, col] -= rate
         return mat
-
-    def state_pos_keyset(self):
-        if not hasattr(self, "_keyset"):
-            self._keyset = set(self.keys)
-        return self._keyset
 
     def matrix(self, t: float) -> np.ndarray:
-        mat = self._matrices[0][1]
-        for t_start, m in self._matrices:
+        mats = self._segments[0][1]
+        for t_start, m in self._segments:
             if t_start <= t + 1e-12:
-                mat = m
-        if self.variant == "redfield":
-            # single common envelope per bath would require splitting the
-            # matrix; with one bath the scalar factor is exact, with several
-            # the factors are applied per bath at build time below
+                mats = m
+        if self.variant == "markov":
+            factors = [1.0] * len(mats)
+        else:
             factors = [zeta(t - self.t_origin, tb.delta) for tb in self.tables]
-            if len(set(factors)) == 1:
-                return factors[0] * mat
-            return self._matrix_with_factors(t, factors)
-        return mat
-
-    def _matrix_with_factors(self, t: float, factors: list[float]) -> np.ndarray:
-        levels = self.system.levels_at(t)
-        n = len(self.joint_index)
-        mat = np.zeros((n, n))
-        for nu, table in enumerate(self.tables):
-            w_table = transition_rates(table, self.system.couplings[nu], levels)
-            for (k, q, i, j), w in w_table.items():
-                if w == 0.0:
-                    continue
-                for key in self.keys:
-                    if key[nu] != j:
-                        continue
-                    tgt_key = key[:nu] + (i,) + key[nu + 1 :]
-                    if tgt_key not in self.state_pos_keyset():
-                        continue
-                    row = self.state_pos[(k, tgt_key)]
-                    col = self.state_pos[(q, key)]
-                    rate = factors[nu] * w / table.volumes[j]
-                    mat[row, col] += rate
-                    mat[col, col] -= rate
-        return mat
+        return sum(f * m for f, m in zip(factors, mats))
 
     def dpdt(self, t: float, p: np.ndarray) -> np.ndarray:
         return self.matrix(t) @ p
@@ -669,13 +576,9 @@ def population_rate_equation(
     levels: np.ndarray | None = None,
 ) -> dict[tuple[int, tuple[int, ...]], float]:
     """dp/dt of the joint populations under the classical rate equation."""
-    keys = sorted({key for (_, key) in populations})
     lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    omega_sets = [
-        set(_merge_omegas([s_omega_decomposition(s, lv) for s in ops], system.dim))
-        for ops in system.couplings
-    ]
-    keys = reachable_keys(set(keys), tables, omega_sets)
+    omega_sets = _omega_sets(system.couplings, lv)
+    keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
     sys_at = SystemSpec(lv, system.couplings, None)
     model = PopulationRateModel(sys_at, tables, keys)
     p = np.array([populations.get(s, 0.0) for s in model.joint_index])
@@ -755,21 +658,10 @@ def stationary_populations(
     fully connected.
     """
     lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    omega_sets = [
-        set(_merge_omegas([s_omega_decomposition(s, lv) for s in ops], system.dim))
-        for ops in system.couplings
-    ]
+    omega_sets = _omega_sets(system.couplings, lv)
     keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
-    sys_at = SystemSpec(lv, system.couplings, None)
-    model = PopulationRateModel(sys_at, tables, keys)
-    mat = model.matrix(0.0)
-    n = len(model.joint_index)
-    adj = [set() for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            if r != c and mat[r, c] > 0:
-                adj[r].add(c)
-                adj[c].add(r)
+    model = PopulationRateModel(SystemSpec(lv, system.couplings, None), tables, keys)
+    _, labels = connected_components(model.matrix(0.0) > 0, directed=False)
     p0 = np.array([populations.get(s, 0.0) for s in model.joint_index])
     weights = np.array(
         [
@@ -778,23 +670,7 @@ def stationary_populations(
         ],
         dtype=float,
     )
-    out = np.zeros(n)
-    unvisited = set(range(n))
-    while unvisited:
-        start = unvisited.pop()
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for other in adj[node]:
-                if other in unvisited:
-                    unvisited.discard(other)
-                    comp.add(other)
-                    frontier.append(other)
-        idx = sorted(comp)
-        prob = p0[idx].sum()
-        w = weights[idx]
-        out[idx] = prob * w / w.sum()
+    out = np.bincount(labels, p0)[labels] * weights / np.bincount(labels, weights)[labels]
     return dict(zip(model.joint_index, out))
 
 

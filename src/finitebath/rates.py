@@ -1,14 +1,15 @@
 """Microcanonical bath correlation functions and dissipation rates.
 
-Four routes to the same rate table are provided:
+Three routes to the same rate table are provided:
 
 * exact quadrature of the microcanonical correlation function of a sampled
   coupling matrix (one-sided Fourier transform, truncated and tapered),
 * the heuristic trace formula (2 pi lam^2 / delta) tr[B'+ Pi_E B Pi_E'],
 * the random-matrix ensemble closed form
-  (2 pi lam^2 / delta) V_E V_E' (|b(E,E')|^2 + a^2),
-* a smooth-function ansatz for the coupling matrix elements
-  (2 pi lam^2 / delta) V_E V_E' F(Ebar, E-E') / V_Ebar.
+  (2 pi lam^2 / delta) V_E V_E' (|b(E,E')|^2 + a^2).
+
+A smooth-function ansatz for the coupling matrix elements gives single
+entries (2 pi lam^2 / delta) V_E V_E' F(Ebar, E-E') / V_Ebar (``gamma_eth``).
 
 The finite-time envelope zeta(t), its running integral Xi(t), and the
 closed-form one-sided transform of the sinc^2 kernel (``breve_h``) live here
@@ -531,31 +532,6 @@ def rate_table_quadrature(
     )
 
 
-def rate_table_eth(
-    profile: EthProfile,
-    windows: list[EnergyWindow],
-    lam: float,
-    n_ops: int = 1,
-    resonance_tol: float | None = None,
-) -> RateTable:
-    centers = np.array([w.center for w in windows])
-    volumes = np.array([w.volume for w in windows])
-    delta = windows[0].width
-    gamma: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
-            g = _hermitian_pair_matrix(
-                lambda a, ap: gamma_eth(profile, windows, (i, j), lam, (a, ap)), n_ops
-            )
-            gamma[(i, j)] = g
-            gamma[(j, i)] = g.conj()
-    return RateTable(
-        centers, volumes, delta, gamma, "eth",
-        resonance_tol if resonance_tol is not None else delta / 2.0,
-        n_ops, None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Lamb shift and transition rates
 
@@ -564,15 +540,13 @@ def lamb_shift(
     table: RateTable,
     s_omega: dict[float, list[np.ndarray]],
     h_system: np.ndarray,
-    delta_h: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Energy-dependent shift Hamiltonians per window.
 
     H_LS(E) = - sum_{E', omega, a, a'} A^{aa'}(E', E; -omega) / V_E
-    S^{a'}_omega^dag S^a_omega, and H'_S(E) = H_S + dHbar(E) + H_LS(E).
-    Both commute with H_S.  ``s_omega`` maps each frequency to the list of
-    per-operator jump components; ``delta_h`` holds the block-diagonal shifts
-    from splitting the interaction (zero when absent).
+    S^{a'}_omega^dag S^a_omega, and H'_S(E) = H_S + H_LS(E).  Both commute
+    with H_S.  ``s_omega`` maps each frequency to the list of per-operator
+    jump components.
     """
     n_win = len(table.centers)
     d_s = h_system.shape[0]
@@ -594,12 +568,7 @@ def lamb_shift(
                                 * (ops[ap].conj().T @ ops[a])
                             )
             h_ls[j] = -acc / table.volumes[j]
-    h_prime = []
-    for j in range(n_win):
-        h = h_system.astype(complex) + h_ls[j]
-        if delta_h is not None:
-            h = h + np.diag(np.diag(delta_h[j]))
-        h_prime.append(h)
+    h_prime = [h_system.astype(complex) + h for h in h_ls]
     return h_ls, h_prime
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.bms import BmsRates, bms_generator, bms_rates_from_table, choose_reference_temperature, evolve_bms
-from finitebath.emme import SystemSpec, s_omega_decomposition
+from finitebath.emme import ProtocolSegment, SystemSpec, s_omega_decomposition
 from finitebath.errors import ConfigurationError
 from finitebath.rates import rate_table_rmt
 
@@ -104,3 +104,28 @@ def test_trajectory_contract_reduced_only():
     assert traj.bath_centers == []
     assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-10)
     assert np.array_equal(traj.times, t)
+
+
+def quench_system(t_quench):
+    return SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(t_quench, [0.0, 2.0])],
+    )
+
+
+def test_segment_starting_on_last_grid_point_is_recorded():
+    rates = BmsRates(1.0, {1.0: 0.1, 2.0: 0.1})
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    t = np.linspace(0.0, 10.0, 11)
+    traj = evolve_bms(rho0, quench_system(10.0), rates, t)
+    assert np.array_equal(traj.times, t)
+    assert np.array_equal(traj.level_energies[-1], [0.0, 2.0])
+    assert np.array_equal(traj.level_energies[-2], [0.0, 1.0])
+
+
+def test_quench_off_the_grid_is_a_configuration_error():
+    rates = BmsRates(1.0, {1.0: 0.1, 2.0: 0.1})
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(ConfigurationError, match="align"):
+        evolve_bms(rho0, quench_system(3.3), rates, np.linspace(0.0, 10.0, 11))

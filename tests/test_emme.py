@@ -178,27 +178,20 @@ def test_missing_rate_entry_is_a_configuration_error():
         emme_generator(state, spin(), [broken])
 
 
-def test_inverted_gain_convention_breaks_shell_conservation():
-    # the two printed index conventions differ; the non-conserving one is
-    # kept only as a diagnostic and must fail exactly where expected
+def test_gain_convention_conserves_shells():
+    # each gain is fed by the block whose bath energy is lower by the emitted
+    # quantum, so no probability leaks between total-energy shells
     table = make_bath([100, 200, 400])
     system = spin()
     state = ConditionedState({(1,): excited_block()})
     levels = system.levels
-    for convention, expect_zero in (("conserving", True), ("inverted", False)):
-        deriv = emme_generator(
-            state, system, [table], gain_convention=convention, include_shift=False
-        )
-        dp = {(k, key): block[k, k].real for key, block in deriv.items() for k in range(2)}
-        d_shell = {}
-        for (k, key), v in dp.items():
-            e_tot = round(levels[k] + table.centers[key[0]], 9)
-            d_shell[e_tot] = d_shell.get(e_tot, 0.0) + v
-        biggest = max(abs(v) for v in d_shell.values())
-        if expect_zero:
-            assert biggest <= 1e-15
-        else:
-            assert biggest > 1e-4  # the printed variant leaks between shells
+    deriv = emme_generator(state, system, [table], include_shift=False)
+    dp = {(k, key): block[k, k].real for key, block in deriv.items() for k in range(2)}
+    d_shell = {}
+    for (k, key), v in dp.items():
+        e_tot = round(levels[k] + table.centers[key[0]], 9)
+        d_shell[e_tot] = d_shell.get(e_tot, 0.0) + v
+    assert max(abs(v) for v in d_shell.values()) <= 1e-15
 
 
 def test_redfield_generator_limits():
@@ -417,6 +410,34 @@ def test_two_bath_generator_is_additive():
     deriv1 = emme_generator(state1, system_one, [t1], include_shift=False)
     for key1, block in deriv1.items():
         assert np.max(np.abs(deriv2[(key1[0], 0)] - block)) == 0.0
+
+
+def test_two_bath_unequal_widths_pop_rate_matches_generator_diagonal():
+    # window widths 0.5 and 0.8 give the two baths different envelopes
+    # zeta_nu(t); the rate equation must scale each bath by its own
+    t1 = make_bath([40, 60, 90])
+    wins2 = build_spectrum(
+        BathSpec([EnergyWindow(float(c), 0.8, v) for c, v in enumerate([30, 50, 70])])
+    )
+    t2 = rate_table_rmt(CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=1), wins2)
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X], [SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 2.0])],
+    )
+    state = ConditionedState({(0, 0): excited_block()})
+    t = np.linspace(0.0, 10.0, 21)
+    traj = evolve(state, system, [t1, t2], t, variant="redfield")
+    pos = {s: n for n, s in enumerate(traj.joint_index)}
+    for m in (3, 9, 10, 16, 20):  # both segments, the quench point included
+        blocks = ConditionedState({key: series[m] for key, series in traj.blocks.items()})
+        deriv = redfield_envelope_generator(
+            blocks, system, [t1, t2], t[m], levels=traj.level_energies[m]
+        )
+        dp = traj.pop_rate(t[m], traj.populations[m])
+        for key, block in deriv.items():
+            for k in range(2):
+                assert abs(block[k, k].real - dp[pos[(k, key)]]) <= 1e-12
 
 
 def test_two_bath_stationary_matches_volume_products():
