@@ -37,10 +37,6 @@ class EnergyWindow:
     def hi(self) -> float:
         return self.center + self.width / 2.0
 
-    def density_of_states(self) -> float:
-        """g(E) = V_E / delta."""
-        return self.volume / self.width
-
 
 @dataclass
 class BathSpec:

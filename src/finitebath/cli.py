@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -319,21 +318,14 @@ class ScenarioRun:
 # output files
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """One row per time; 2-D columns contribute one CSV column per array column."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory):
-    names = traj.column_names()
-    with open(path, "w") as fh:
-        fh.write(",".join(["t"] + names) + "\n")
-        for n, t in enumerate(traj.times):
-            row = [t] + list(traj.populations[n])
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+    _write_csv(path, ["t"] + traj.column_names(), [traj.times, traj.populations])
 
 
 def write_joined_csv(path: Path, trajs: dict[str, Trajectory]):
@@ -343,46 +335,32 @@ def write_joined_csv(path: Path, trajs: dict[str, Trajectory]):
             base = traj.times
         elif len(base) != len(traj.times) or np.max(np.abs(base - traj.times)) > 1e-9:
             raise ConfigurationError("solvers disagree on the time grid; refusing to join")
-    cols, header = [], ["t"]
-    for solver, traj in trajs.items():
-        for m, name in enumerate(traj.column_names()):
-            header.append(f"{solver}:{name}")
-            cols.append(traj.populations[:, m])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for n, t in enumerate(base):
-            row = [t] + [c[n] for c in cols]
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+    header = ["t"] + [
+        f"{solver}:{name}" for solver, traj in trajs.items() for name in traj.column_names()
+    ]
+    _write_csv(path, header, [base] + [traj.populations for traj in trajs.values()])
 
 
 def write_thermo_csv(path: Path, ledger: ThermoLedger):
-    n_baths = len(ledger.records[0].u_b)
+    baths = range(ledger.u_b.shape[1])
     header = ["t", "u", "u_s"]
-    header += [f"u_b{nu}" for nu in range(n_baths)]
-    header += ["w"] + [f"q{nu}" for nu in range(n_baths)]
+    header += [f"u_b{nu}" for nu in baths]
+    header += ["w"] + [f"q{nu}" for nu in baths]
     header += ["s_obs", "s_obs_s", "s_obs_b", "i_cg"]
-    header += [f"t_star{nu}" for nu in range(n_baths)]
+    header += [f"t_star{nu}" for nu in baths]
     header += ["entropy_production_rate", "first_law_residual"]
     header += ["clausius_lhs1", "clausius_lhs2", "clausius_delta_s_obs"]
     cl = ledger.clausius
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for n, r in enumerate(ledger.records):
-            row = [r.t, r.u, r.u_s, *r.u_b, r.w, *r.q,
-                   r.s_obs, r.s_obs_s, r.s_obs_b, r.i_cg, *r.t_star,
-                   r.entropy_production_rate, r.first_law_residual]
-            if cl is not None:
-                row += [cl.lhs1[n], cl.lhs2[n], cl.delta_s_obs[n]]
-            else:
-                row += [math.nan] * 3
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+    _write_csv(path, header, [
+        ledger.t, ledger.u, ledger.u_s, ledger.u_b, ledger.w, ledger.q,
+        ledger.s_obs, ledger.s_obs_s, ledger.s_obs_b, ledger.i_cg, ledger.t_star,
+        ledger.entropy_production_rate, ledger.first_law_residual,
+        cl.lhs1, cl.lhs2, cl.delta_s_obs,
+    ])
 
 
 def write_mi_csv(path: Path, traj: Trajectory):
-    with open(path, "w") as fh:
-        fh.write("t,mutual_information\n")
-        for t, v in zip(traj.mi_times, traj.mi):
-            fh.write(f"{_fmt(float(t))},{_fmt(float(v))}\n")
+    _write_csv(path, ["t", "mutual_information"], [traj.mi_times, traj.mi])
 
 
 def run(cfg: dict, out_dir: str | Path, name: str = "scenario") -> int:

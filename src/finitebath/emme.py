@@ -68,8 +68,14 @@ class SystemSpec:
         return len(self.couplings)
 
     def segments(self, t0: float = 0.0) -> list[ProtocolSegment]:
+        """Protocol segments of a run starting at t0; the first must start by t0."""
         if self.protocol is None:
             return [ProtocolSegment(t0, self.levels)]
+        if self.protocol[0].t_start > t0 + 1e-12:
+            raise ConfigurationError(
+                f"protocol starts at t={self.protocol[0].t_start}, after the first "
+                f"time t={t0}; no levels are defined before it"
+            )
         return self.protocol
 
 
@@ -83,9 +89,6 @@ class ConditionedState:
 
     blocks: dict[tuple[int, ...], np.ndarray]
     time: float = 0.0
-
-    def copy(self) -> "ConditionedState":
-        return ConditionedState({k: v.copy() for k, v in self.blocks.items()}, self.time)
 
     def trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks.values()))

@@ -4,7 +4,8 @@ Energies, work and heat for piecewise-constant driving, observational
 entropy and its system/bath marginals, entropy production rate, effective
 bath temperatures, the Clausius chain of inequalities, and coarse-grained
 mutual information.  All quantities are classical functionals of the joint
-populations p(eps_k, E) and the window volumes.
+populations p(eps_k, E) and the window volumes.  The entropy functions act
+on the last axis, so one call evaluates a whole (T, N) population series.
 """
 
 from __future__ import annotations
@@ -13,30 +14,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .trajectory import Trajectory
 
 P_FLOOR = 1e-300
-DEFAULT_BETA_MAX = 50.0
+BETA_MAX = 50.0  # effective temperatures are searched in (-BETA_MAX, BETA_MAX)
+BISECTIONS = 64  # halvings of that bracket; the last ones stall at adjacent floats
 
 
 # ---------------------------------------------------------------------------
-# entropies on plain arrays
+# entropies on plain arrays (last axis = coarse-grained states)
 
 
-def observational_entropy(p: np.ndarray, log_volumes: np.ndarray) -> float:
+def observational_entropy(p: np.ndarray, log_volumes) -> np.ndarray:
     """S_obs = sum_i p_i (-log p_i + log V_i) with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(np.sum(p[mask] * (-np.log(p[mask]) + np.asarray(log_volumes)[mask])))
+    occupied = p > 0
+    log_ratio = np.where(occupied, log_volumes - np.log(np.where(occupied, p, 1.0)), 0.0)
+    return np.sum(p * log_ratio, axis=-1)
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    return observational_entropy(p, 0.0)
 
 
 def relative_entropy_cg(p: np.ndarray, q: np.ndarray) -> float:
@@ -57,19 +57,18 @@ def relative_entropy_cg(p: np.ndarray, q: np.ndarray) -> float:
 
 def mutual_information_cg(
     p_joint: np.ndarray, p_sys: np.ndarray, p_bath: np.ndarray, pair_index
-) -> float:
+) -> np.ndarray:
     """I_cg = sum p(k,E) log[p(k,E) / (p(k) p(E))] >= 0.
 
     ``pair_index`` maps each joint entry to its (system, bath) marginal
     slots.
     """
-    total = 0.0
-    for n, (ks, bs) in enumerate(pair_index):
-        p = p_joint[n]
-        if p <= 0:
-            continue
-        total += p * math.log(p / (p_sys[ks] * p_bath[bs]))
-    return total
+    p = np.asarray(p_joint, dtype=float)
+    k_of, b_of = np.asarray(pair_index).T
+    product = np.asarray(p_sys)[..., k_of] * np.asarray(p_bath)[..., b_of]
+    occupied = p > 0
+    ratio = np.where(occupied, p / np.where(occupied, product, 1.0), 1.0)
+    return np.sum(p * np.log(ratio), axis=-1)
 
 
 def gibbs_joint(
@@ -109,91 +108,95 @@ class EffectiveTemperature:
     the volume-weighted mean energy (infinite temperature), +inf when the
     energy sits at the bottom of the spectrum (T -> 0+) and -inf at the top
     (T -> 0-).  Negative beta means a population-inverted effective state.
+    ``beta`` is a scalar or an array, shaped like the bath energies solved.
     """
 
-    beta: float
+    beta: float | np.ndarray
 
     @property
-    def temperature(self) -> float:
-        if self.beta == 0.0:
-            return math.inf
-        if math.isinf(self.beta):
-            return math.copysign(0.0, self.beta)
-        return 1.0 / self.beta
-
-    @property
-    def is_marker(self) -> bool:
-        return math.isinf(self.beta)
+    def temperature(self) -> float | np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.divide(1.0, self.beta)
 
 
-def _canonical_energy(beta: float, centers: np.ndarray, log_v: np.ndarray) -> float:
-    w = log_v - beta * centers
-    w = w - w.max()
-    p = np.exp(w)
-    return float(np.sum(centers * p) / np.sum(p))
-
-
-def effective_temperature(
-    centers: np.ndarray,
-    volumes: np.ndarray,
-    u_b: float,
-    beta_max: float = DEFAULT_BETA_MAX,
-) -> EffectiveTemperature:
-    """Solve sum_E E V_E e^{-E/T} / Z_B = U_B for T.
-
-    The canonical energy is strictly decreasing in beta, so the root is
-    unique; the search brackets beta in (-beta_max, beta_max) and returns
-    the edge markers beyond it.  Raises if U_B lies outside the spectrum.
-    """
+def _band(centers, volumes) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and log volumes of the windows that hold states."""
     centers = np.asarray(centers, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
     keep = volumes > 0
-    centers, volumes = centers[keep], volumes[keep]
+    return centers[keep], np.log(volumes[keep])
+
+
+def _canonical_weights(beta, centers, log_v) -> tuple[np.ndarray, np.ndarray]:
+    """Weights V_E e^{-beta E} scaled by their maximum, and that log maximum."""
+    w = log_v - np.asarray(beta)[..., None] * centers
+    top = w.max(axis=-1, keepdims=True)
+    return np.exp(w - top), top[..., 0]
+
+
+def _canonical_energy(beta, centers, log_v) -> np.ndarray:
+    p, _ = _canonical_weights(beta, centers, log_v)
+    return np.sum(centers * p, axis=-1) / np.sum(p, axis=-1)
+
+
+def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> EffectiveTemperature:
+    """Solve sum_E E V_E e^{-E/T} / Z_B = U_B for T, for one or many U_B.
+
+    The canonical energy is strictly decreasing in beta, so the root is
+    unique; every U_B is bisected at once on (-BETA_MAX, BETA_MAX), and the
+    edge markers are returned beyond it.  Raises if a U_B lies outside the
+    spectrum.
+    """
+    centers, log_v = _band(centers, volumes)
     if centers.size < 2:
         raise ConfigurationError(
             "at least two windows with volume are needed for an effective temperature"
         )
+    u = np.asarray(u_b, dtype=float)
     e_min, e_max = centers.min(), centers.max()
     scale = max(abs(e_min), abs(e_max), 1.0)
-    if u_b < e_min - 1e-9 * scale or u_b > e_max + 1e-9 * scale:
+    outside = (u < e_min - 1e-9 * scale) | (u > e_max + 1e-9 * scale)
+    if np.any(outside):
         raise ConfigurationError(
-            f"bath energy {u_b} outside the attainable range [{e_min}, {e_max}]"
+            f"bath energy {u[outside].flat[0]} outside the attainable range [{e_min}, {e_max}]"
         )
-    log_v = np.log(volumes)
-    f = lambda beta: _canonical_energy(beta, centers, log_v) - u_b
-    f_hi = f(beta_max)   # lowest attainable canonical energy
-    f_lo = f(-beta_max)  # highest
-    if f_hi >= 0:
-        return EffectiveTemperature(math.inf)
-    if f_lo <= 0:
-        return EffectiveTemperature(-math.inf)
-    beta = brentq(f, -beta_max, beta_max, xtol=1e-14, rtol=1e-14)
-    if abs(beta) < 1e-12:
-        # snap to the infinite-temperature marker at the weighted-mean energy
-        beta = 0.0
-    return EffectiveTemperature(float(beta))
+    lo = np.full(u.shape, -BETA_MAX)
+    hi = np.full(u.shape, BETA_MAX)
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        too_hot = _canonical_energy(mid, centers, log_v) > u
+        lo = np.where(too_hot, mid, lo)
+        hi = np.where(too_hot, hi, mid)
+    beta = 0.5 * (lo + hi)
+    # snap to the infinite-temperature marker at the weighted-mean energy
+    beta = np.where(np.abs(beta) < 1e-12, 0.0, beta)
+    # U(+-BETA_MAX) can round past the band edge, so the edges themselves are markers too
+    top = min(e_max, _canonical_energy(-BETA_MAX, centers, log_v))
+    bottom = max(e_min, _canonical_energy(BETA_MAX, centers, log_v))
+    beta = np.where(u >= top, -math.inf, beta)
+    beta = np.where(u <= bottom, math.inf, beta)
+    return EffectiveTemperature(beta[()])
+
+
+def gibbs_bath_entropy(centers: np.ndarray, volumes: np.ndarray, beta) -> np.ndarray:
+    """Observational entropy of the canonical bath marginal at inverse temperature beta.
+
+    S = beta U(beta) + log Z(beta); the edge markers beta = +-inf give the
+    lowest/highest band entropy log V.  ``beta`` may be an array.
+    """
+    centers, log_v = _band(centers, volumes)
+    beta = np.asarray(beta, dtype=float)
+    finite = np.isfinite(beta)
+    b = np.where(finite, beta, 0.0)
+    p, top = _canonical_weights(b, centers, log_v)
+    z = np.sum(p, axis=-1)
+    u = np.sum(centers * p, axis=-1) / z
+    edge = np.where(beta > 0, log_v[np.argmin(centers)], log_v[np.argmax(centers)])
+    return np.where(finite, b * u + (top + np.log(z)), edge)
 
 
 # ---------------------------------------------------------------------------
 # ledger over a trajectory
-
-
-@dataclass
-class ThermoRecord:
-    t: float
-    u: float
-    u_s: float
-    u_b: tuple[float, ...]
-    w: float
-    q: tuple[float, ...]
-    s_obs: float
-    s_obs_s: float
-    s_obs_b: float
-    i_cg: float
-    t_star: tuple[float, ...]
-    beta_star: tuple[float, ...]
-    entropy_production_rate: float
-    first_law_residual: float
 
 
 @dataclass
@@ -202,19 +205,16 @@ class ClausiusResult:
 
     Flags record assumption violations (initial correlations, edge effective
     temperatures) that the chain's derivation formally requires; the numbers
-    are reported regardless.  ``start_index`` is 0 unless no effective
-    temperature exists at all.
+    are reported regardless.
     """
 
     lhs1: np.ndarray
     lhs2: np.ndarray
     delta_s_obs: np.ndarray
-    start_index: int
     flags: list[str] = field(default_factory=list)
 
     def holds_pointwise(self, tol: float = 1e-9) -> bool:
-        sl = slice(self.start_index, None)
-        a, b, c = self.lhs1[sl], self.lhs2[sl], self.delta_s_obs[sl]
+        a, b, c = self.lhs1, self.lhs2, self.delta_s_obs
         return bool(
             np.all(a >= b - tol) and np.all(b >= c - tol) and np.all(c >= -tol)
         )
@@ -222,35 +222,57 @@ class ClausiusResult:
 
 @dataclass
 class ThermoLedger:
-    records: list[ThermoRecord]
-    clausius: ClausiusResult | None
+    """One column per quantity, one row per trajectory time.
+
+    Per-bath columns (``u_b``, ``q``, ``beta_star``, ``t_star``) are shaped
+    (T, n_baths), the others (T,).
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    u_s: np.ndarray
+    u_b: np.ndarray
+    w: np.ndarray
+    q: np.ndarray
+    s_obs: np.ndarray
+    s_obs_s: np.ndarray
+    s_obs_b: np.ndarray
+    i_cg: np.ndarray
+    beta_star: np.ndarray
+    entropy_production_rate: np.ndarray
+    first_law_residual: np.ndarray
+    clausius: ClausiusResult
     flags: list[str]
 
+    @property
+    def t_star(self) -> np.ndarray:
+        return EffectiveTemperature(self.beta_star).temperature
+
     def array(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return getattr(self, name)
 
 
 def _grid_arrays(traj: Trajectory):
-    """Index machinery for the joint populations of a trajectory."""
-    n_baths = len(traj.bath_centers)
+    """Index machinery for the joint populations of a trajectory.
+
+    Returns the system level of each joint entry, each bath's window energy
+    per joint entry, the joint log volumes, the joint-bath key id of each
+    entry, and the log volume of each key (keys in sorted order).
+    """
     k_of = np.array([k for (k, _) in traj.joint_index])
-    win_of = [
-        np.array([key[nu] for (_, key) in traj.joint_index]) for nu in range(n_baths)
-    ]
-    e_b = [traj.bath_centers[nu][win_of[nu]] for nu in range(n_baths)]
-    log_v = np.zeros(len(traj.joint_index))
-    for nu in range(n_baths):
-        log_v += np.log(traj.bath_volumes[nu][win_of[nu]])
-    # joint-bath key ids for the bath marginal over all baths at once
-    keys = sorted({key for (_, key) in traj.joint_index})
-    key_id = {key: n for n, key in enumerate(keys)}
-    bs = np.array([key_id[key] for (_, key) in traj.joint_index])
+    windows = np.array([key for (_, key) in traj.joint_index]).reshape(len(k_of), -1)
+    e_b = [traj.bath_centers[nu][windows[:, nu]] for nu in range(windows.shape[1])]
+    keys, key_of = np.unique(windows, axis=0, return_inverse=True)
     log_v_key = np.zeros(len(keys))
-    for key, n in key_id.items():
-        log_v_key[n] = sum(
-            math.log(traj.bath_volumes[nu][j]) for nu, j in enumerate(key)
-        )
-    return k_of, win_of, e_b, log_v, bs, len(keys), log_v_key
+    for nu in range(windows.shape[1]):
+        log_v_key += np.log(traj.bath_volumes[nu][keys[:, nu]])
+    key_of = key_of.reshape(-1)
+    return k_of, e_b, log_v_key[key_of], key_of, log_v_key
+
+
+def _marginal(pops: np.ndarray, slot: np.ndarray, n_slots: int) -> np.ndarray:
+    """Sum the last axis of ``pops`` into ``n_slots`` bins by ``slot``."""
+    return pops @ np.eye(n_slots)[slot]
 
 
 def energies_and_first_law(traj: Trajectory):
@@ -264,38 +286,22 @@ def energies_and_first_law(traj: Trajectory):
     """
     if not traj.bath_centers:
         raise ConfigurationError("trajectory carries no bath bookkeeping")
-    times = traj.times
     pops = traj.populations
-    k_of, _, e_b, *_ = _grid_arrays(traj)
-    n_baths = len(traj.bath_centers)
-    d_s = traj.n_levels
-    n_t = len(times)
     eps_t = traj.level_energies
+    k_of, e_b, *_ = _grid_arrays(traj)
 
-    u_s = np.array([np.sum(eps_t[n][k_of] * pops[n]) for n in range(n_t)])
-    u_b = np.stack(
-        [np.array([np.sum(e_b[nu] * pops[n]) for nu in range(n_baths)]) for n in range(n_t)]
-    )
+    u_s = np.sum(eps_t[:, k_of] * pops, axis=1)
+    u_b = np.stack([np.sum(e * pops, axis=1) for e in e_b], axis=1)
     u = u_s + u_b.sum(axis=1)
-
-    w = np.zeros(n_t)
-    acc = 0.0
-    for n in range(1, n_t):
-        if not np.array_equal(eps_t[n], eps_t[n - 1]):
-            p_k = np.zeros(d_s)
-            np.add.at(p_k, k_of, pops[n])
-            acc += float(np.sum((eps_t[n] - eps_t[n - 1]) * p_k))
-        w[n] = acc
+    p_k = _marginal(pops, k_of, traj.n_levels)
+    jumps = np.sum(np.diff(eps_t, axis=0) * p_k[1:], axis=1)
+    w = np.concatenate([[0.0], np.cumsum(jumps)])
     q = -(u_b - u_b[0])
     residual = (u_s - u_s[0]) - w - q.sum(axis=1)
     return u, u_s, u_b, w, q, residual
 
 
-def build_ledger(
-    traj: Trajectory,
-    beta_max: float = DEFAULT_BETA_MAX,
-    include_clausius: bool = True,
-) -> ThermoLedger:
+def build_ledger(traj: Trajectory) -> ThermoLedger:
     """Compute the full thermodynamic ledger along a trajectory.
 
     Work accumulates as discrete jumps at protocol quenches, heat as the
@@ -310,131 +316,55 @@ def build_ledger(
         )
     times = traj.times
     pops = traj.populations
-    k_of, _, e_b, log_v, bs, n_keys, log_v_key = _grid_arrays(traj)
-    n_baths = len(traj.bath_centers)
-    d_s = traj.n_levels
-    n_t = len(times)
-    pair_index = list(zip(k_of, bs))
+    k_of, _, log_v, key_of, log_v_key = _grid_arrays(traj)
 
     u, u_s, u_b, w, q, first_law = energies_and_first_law(traj)
 
-    s_obs = np.array([observational_entropy(pops[n], log_v) for n in range(n_t)])
-    s_obs_s = np.zeros(n_t)
-    s_obs_b = np.zeros(n_t)
-    i_cg = np.zeros(n_t)
-    betas = np.zeros((n_t, n_baths))
-    for n in range(n_t):
-        p_sys = np.zeros(d_s)
-        np.add.at(p_sys, k_of, pops[n])
-        p_key = np.zeros(n_keys)
-        np.add.at(p_key, bs, pops[n])
-        s_obs_s[n] = shannon_entropy(p_sys)
-        s_obs_b[n] = observational_entropy(p_key, log_v_key)
-        i_cg[n] = mutual_information_cg(pops[n], p_sys, p_key, pair_index)
-        for nu in range(n_baths):
-            betas[n, nu] = effective_temperature(
-                traj.bath_centers[nu], traj.bath_volumes[nu], u_b[n, nu], beta_max
-            ).beta
+    p_sys = _marginal(pops, k_of, traj.n_levels)
+    p_key = _marginal(pops, key_of, len(log_v_key))
+    s_obs = observational_entropy(pops, log_v)
+    s_obs_s = shannon_entropy(p_sys)
+    s_obs_b = observational_entropy(p_key, log_v_key)
+    i_cg = mutual_information_cg(pops, p_sys, p_key, np.stack([k_of, key_of], axis=1))
+    betas = np.stack([
+        effective_temperature(centers, volumes, u).beta
+        for centers, volumes, u in zip(traj.bath_centers, traj.bath_volumes, u_b.T)
+    ], axis=1)
 
-    # entropy production rate from dS_obs/dt via the rate equation
-    sigma = np.zeros(n_t)
+    # entropy production rate dS_obs/dt, from the rate equation when available
     if traj.pop_rate is not None:
-        for n in range(n_t):
-            dp = traj.pop_rate(times[n], pops[n])
-            sigma[n] = float(
-                np.sum(dp * (log_v - np.log(np.maximum(pops[n], P_FLOOR))))
-            )
+        dp_dt = np.stack([traj.pop_rate(t, p) for t, p in zip(times, pops)])
     else:
         dp_dt = np.gradient(pops, times, axis=0)
-        for n in range(n_t):
-            sigma[n] = float(
-                np.sum(dp_dt[n] * (log_v - np.log(np.maximum(pops[n], P_FLOOR))))
-            )
+    sigma = np.sum(dp_dt * (log_v - np.log(np.maximum(pops, P_FLOOR))), axis=1)
 
     flags: list[str] = []
     if i_cg[0] > 1e-10:
         flags.append("initial state carries system-bath correlations")
-    if any(math.isinf(b) for b in betas[0]):
+    if np.any(np.isinf(betas[0])):
         flags.append(
             "initial bath state sits at an edge effective temperature (T*=0); "
             "the thermal-initial-state assumption behind the entropy-flow "
             "inequality holds only in the coarse-grained sense"
         )
 
-    clausius = None
-    if include_clausius:
-        clausius = clausius_chain(
-            times, s_obs_s - s_obs_s[0], s_obs_b - s_obs_b[0],
-            s_obs - s_obs[0], traj, betas, e_b, flags,
-        )
-
-    records = []
-    for n in range(n_t):
-        t_stars = tuple(EffectiveTemperature(b).temperature for b in betas[n])
-        records.append(
-            ThermoRecord(
-                t=float(times[n]),
-                u=float(u[n]),
-                u_s=float(u_s[n]),
-                u_b=tuple(u_b[n]),
-                w=float(w[n]),
-                q=tuple(q[n]),
-                s_obs=float(s_obs[n]),
-                s_obs_s=float(s_obs_s[n]),
-                s_obs_b=float(s_obs_b[n]),
-                i_cg=float(i_cg[n]),
-                t_star=t_stars,
-                beta_star=tuple(betas[n]),
-                entropy_production_rate=float(sigma[n]),
-                first_law_residual=float(first_law[n]),
-            )
-        )
-    return ThermoLedger(records, clausius, flags)
-
-
-def entropy_production_rate(
-    traj: Trajectory, n: int, log_volumes: np.ndarray | None = None
-) -> float:
-    """dS_obs/dt at grid point n, from the rate equation when available."""
-    if log_volumes is None:
-        _, _, _, log_volumes, *_ = _grid_arrays(traj)
-    p = traj.populations[n]
-    if traj.pop_rate is not None:
-        dp = traj.pop_rate(traj.times[n], p)
-    else:
-        dp = np.gradient(traj.populations, traj.times, axis=0)[n]
-    return float(np.sum(dp * (log_volumes - np.log(np.maximum(p, P_FLOOR)))))
-
-
-def gibbs_bath_entropy(centers: np.ndarray, volumes: np.ndarray, beta: float) -> float:
-    """Observational entropy of the canonical bath marginal at inverse temperature beta.
-
-    S = beta U(beta) + log Z(beta); the edge markers beta = +-inf give the
-    lowest/highest band entropy log V.
-    """
-    centers = np.asarray(centers, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
-    keep = volumes > 0
-    centers, volumes = centers[keep], volumes[keep]
-    if math.isinf(beta):
-        idx = int(np.argmin(centers)) if beta > 0 else int(np.argmax(centers))
-        return float(np.log(volumes[idx]))
-    w = np.log(volumes) - beta * centers
-    m = w.max()
-    z = np.sum(np.exp(w - m))
-    log_z = m + math.log(z)
-    u = float(np.sum(centers * np.exp(w - m)) / z)
-    return beta * u + log_z
+    clausius = clausius_chain(
+        traj, betas, s_obs_s - s_obs_s[0], s_obs_b - s_obs_b[0], s_obs - s_obs[0], flags,
+    )
+    return ThermoLedger(
+        t=times, u=u, u_s=u_s, u_b=u_b, w=w, q=q,
+        s_obs=s_obs, s_obs_s=s_obs_s, s_obs_b=s_obs_b, i_cg=i_cg,
+        beta_star=betas, entropy_production_rate=sigma, first_law_residual=first_law,
+        clausius=clausius, flags=flags,
+    )
 
 
 def clausius_chain(
-    times: np.ndarray,
+    traj: Trajectory,
+    betas: np.ndarray,
     d_s_obs_s: np.ndarray,
     d_s_obs_b: np.ndarray,
     d_s_obs: np.ndarray,
-    traj: Trajectory,
-    betas: np.ndarray,
-    e_b: list[np.ndarray],
     flags: list[str],
 ) -> ClausiusResult:
     """Assemble lhs1 = dS^S - int sum_nu Qdot_nu / T*_nu and lhs2 = dS^S + dS^B.
@@ -447,16 +377,10 @@ def clausius_chain(
     the integrand diverges integrably) and on saturated two-band baths
     (where quadrature noise would mask the equality lhs1 = lhs2).
     """
-    n_t = len(times)
-    n_baths = betas.shape[1]
-    integral = np.zeros(n_t)
-    for nu in range(n_baths):
-        s0 = gibbs_bath_entropy(traj.bath_centers[nu], traj.bath_volumes[nu], betas[0, nu])
-        for n in range(n_t):
-            s_n = gibbs_bath_entropy(
-                traj.bath_centers[nu], traj.bath_volumes[nu], betas[n, nu]
-            )
-            integral[n] -= s_n - s0  # int Qdot/T* = -(Delta S along the Gibbs family)
+    integral = np.zeros(len(betas))
+    for centers, volumes, beta in zip(traj.bath_centers, traj.bath_volumes, betas.T):
+        s = gibbs_bath_entropy(centers, volumes, beta)
+        integral -= s - s[0]  # int Qdot/T* = -(Delta S along the Gibbs family)
     lhs1 = d_s_obs_s - integral
     lhs2 = d_s_obs_s + d_s_obs_b
-    return ClausiusResult(lhs1, lhs2, d_s_obs, 0, flags)
+    return ClausiusResult(lhs1, lhs2, d_s_obs, flags)

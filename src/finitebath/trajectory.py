@@ -49,10 +49,3 @@ class Trajectory:
             else:
                 names.append(f"p_k{k}")
         return names
-
-    def system_populations(self) -> np.ndarray:
-        """Marginal p(eps_k) as a (T, d_S) array."""
-        out = np.zeros((len(self.times), self.n_levels))
-        for n, (k, _) in enumerate(self.joint_index):
-            out[:, k] += self.populations[:, n]
-        return out

@@ -170,6 +170,11 @@ def test_main_exit_codes(tmp_path):
     cfg_path.write_text(json.dumps(mini_config(solvers=[])))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
+    late = mini_config(solvers=["emme-markov"])
+    late["system"]["protocol"] = [{"t_start": 5.0, "levels": [0.0, 1.0]}]
+    cfg_path.write_text(json.dumps(late))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o1")]) == 2
+
     big = mini_config(solvers=["exact"], dim_cap=10)
     cfg_path.write_text(json.dumps(big))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o2")]) == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
+from finitebath.bms import BmsRates, evolve_bms
 from finitebath.emme import (
     ConditionedState,
     EmmeGenerator,
@@ -22,9 +23,10 @@ from finitebath.emme import (
     stationary_populations,
 )
 from finitebath.errors import ConfigurationError, NumericalFailure
+from finitebath.exact import prepare_initial, run_exact
 from finitebath.rates import RateTable, rate_table_rmt, transition_rates, xi_integral, zeta
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, two_band_realization
 
 DELTA = 0.5
 
@@ -474,3 +476,21 @@ def test_reachable_keys_closure():
     # a gap that resolves nowhere keeps the initial key only
     keys = reachable_keys({(0,)}, [table], [{7.7}])
     assert keys == [(0,)]
+
+
+def test_protocol_starting_after_the_grid_is_a_configuration_error():
+    # no levels are defined before the first segment, so every solver must refuse
+    system = SystemSpec(
+        np.array([0.0, 1.0]), [[SIGMA_X]], [ProtocolSegment(5.0, [0.0, 1.0])]
+    )
+    t = np.linspace(0.0, 10.0, 11)
+    block = np.zeros((2, 2), dtype=complex)
+    block[1, 1] = 1.0
+    with pytest.raises(ConfigurationError, match="protocol starts"):
+        evolve(ConditionedState({(0,): block}), system, [make_bath([40, 60])], t)
+    with pytest.raises(ConfigurationError, match="protocol starts"):
+        evolve_bms(block, system, BmsRates(1.0, {1.0: 0.1}), t)
+    real = two_band_realization(v0=3, v1=4, seed=2)
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    with pytest.raises(ConfigurationError, match="protocol starts"):
+        run_exact(system, real, ens, t)
