@@ -222,38 +222,3 @@ def sample_coupling(
     if spec is None:
         spec = BathSpec(windows)
     return BathRealization(spec, windows, list(couplings), matrices)
-
-
-def microcanonical_average(
-    operator: np.ndarray, windows: list[EnergyWindow], which: int
-) -> complex:
-    """tr[O Pi_E] / V_E for the window with index ``which``."""
-    if not 0 <= which < len(windows):
-        raise ConfigurationError(f"unknown window index {which}")
-    sl = window_slices(windows)[which]
-    return complex(np.trace(operator[sl, sl]) / windows[which].volume)
-
-
-def split_interaction(
-    b_int: np.ndarray,
-    s_op: np.ndarray,
-    lam: float,
-    windows: list[EnergyWindow],
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Split lam * S (x) B_int into block-diagonal shifts and a traceless rest.
-
-    Returns the per-window system shifts dH(E) = lam <B_int>_E S and the
-    coupling operator B = B_int - sum_E <B_int>_E Pi_E.  The decomposition
-    reconstructs the interaction exactly:
-    lam S (x) B_int = sum_E dH(E) (x) Pi_E + lam S (x) B.
-    """
-    if not np.allclose(b_int, b_int.conj().T, atol=1e-12):
-        raise ConfigurationError("interaction bath operator must be Hermitian")
-    slices = window_slices(windows)
-    shifts = []
-    rest = b_int.astype(complex).copy()
-    for w, sl in zip(windows, slices):
-        avg = np.trace(b_int[sl, sl]) / w.volume
-        shifts.append(lam * avg * s_op)
-        rest[sl, sl] -= avg * np.eye(w.volume)
-    return shifts, rest

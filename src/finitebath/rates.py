@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.special import sici
 
-from .bath import BathRealization, EnergyWindow
+from .bath import BathRealization, EnergyWindow, window_slices
 from .errors import ConfigurationError, NumericalFailure
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -71,42 +72,65 @@ class CorrelationFunction:
         return self.delta * self.tau_b
 
 
+def correlation_functions(
+    realization: BathRealization,
+    keys: list[tuple[int, int, int, int]],
+    tau_grid: np.ndarray,
+) -> dict[tuple[int, int, int, int], CorrelationFunction]:
+    """Direct double sums over microlevels for many keys in one pass over tau.
+
+    A key (i, j, alpha, alpha') selects the window pair (i, j) and the
+    sampled coupling matrices of the operator pair (alpha, alpha').  The tau
+    grid is walked in chunks; per chunk, each window's phase table
+    exp(i E_p tau) is built once and shared by every key that uses the
+    window, and exp(-i E_p tau) is its conjugate.
+    """
+    n_win = len(realization.windows)
+    for i, j, _, _ in keys:
+        if not (0 <= i < n_win and 0 <= j < n_win):
+            raise ConfigurationError(f"unknown window pair {(i, j)}")
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    slices = window_slices(realization.windows)
+    used = {w for key in keys for w in key[:2]}
+    values = {key: np.empty(tau_grid.size, dtype=complex) for key in keys}
+    chunk = 256
+    for lo in range(0, tau_grid.size, chunk):
+        t = tau_grid[lo : lo + chunk]
+        phase = {
+            w: np.exp(1j * np.outer(t, realization.windows[w].microlevels))
+            for w in used
+        }
+        for (i, j, a, ap), out in values.items():
+            b_a = realization.matrices[a][slices[i], slices[j]]
+            b_ap = realization.matrices[ap][slices[i], slices[j]]
+            weights = b_ap.conj() * b_a
+            out[lo : lo + chunk] = np.sum(
+                (phase[i] @ weights) * phase[j].conj(), axis=1
+            )
+    lam = realization.lam
+    corrs = {}
+    for (i, j, a, ap), vals in values.items():
+        v_right = realization.windows[j].volume
+        vals *= lam**2 / v_right
+        corrs[(i, j, a, ap)] = CorrelationFunction(
+            tau_grid, vals, (i, j), (a, ap), v_right, realization.delta, lam
+        )
+    return corrs
+
+
 def correlation_exact(
     realization: BathRealization,
     pair: tuple[int, int],
     tau_grid: np.ndarray,
     ops: tuple[int, int] = (0, 0),
 ) -> CorrelationFunction:
-    """Direct double sum over microlevels for one window pair.
+    """``correlation_functions`` for one window pair and one operator pair.
 
     The (alpha, alpha') = ``ops`` pair selects which sampled coupling
     matrices enter; (0, 0) is the single-operator case.
     """
-    i, j = pair
-    if not (0 <= i < len(realization.windows) and 0 <= j < len(realization.windows)):
-        raise ConfigurationError(f"unknown window pair {pair}")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    sl_i = realization.window_slice(i)
-    sl_j = realization.window_slice(j)
-    b_a = realization.matrices[ops[0]][sl_i, sl_j]
-    b_ap = realization.matrices[ops[1]][sl_i, sl_j]
-    weights = b_ap.conj() * b_a
-    e_i = realization.windows[i].microlevels
-    e_j = realization.windows[j].microlevels
-    v_right = realization.windows[j].volume
-    lam = realization.lam
-
-    values = np.empty(tau_grid.size, dtype=complex)
-    chunk = 256
-    for lo in range(0, tau_grid.size, chunk):
-        t = tau_grid[lo : lo + chunk]
-        phase_i = np.exp(1j * np.outer(t, e_i))
-        phase_j = np.exp(-1j * np.outer(t, e_j))
-        values[lo : lo + chunk] = np.sum((phase_i @ weights) * phase_j, axis=1)
-    values *= lam**2 / v_right
-    return CorrelationFunction(
-        tau_grid, values, pair, ops, v_right, realization.delta, lam
-    )
+    key = (*pair, *ops)
+    return correlation_functions(realization, [key], tau_grid)[key]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +345,8 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> QuadratureResul
         return QuadratureResult(0.0 + 0.0j, 0.0, 0.0)
     if np.min(np.abs(corr.values)) > 0.5 * c0:
         raise NumericalFailure(
-            "correlation function never decays (pure phase, e.g. V=1 windows); "
+            f"correlation function of window pair {corr.pair}, operator pair "
+            f"{corr.ops} never decays (pure phase, e.g. V=1 windows); "
             "the Markov approximation is invalid for this pair"
         )
     if np.min(np.abs(corr.values)) > 0.05 * c0:
@@ -482,30 +507,29 @@ def rate_table_quadrature(
     centers = realization.centers
     if tau_grid is None:
         tau_grid = default_tau_grid(delta)
+    n_win = len(windows)
+    keys = [(i, j, a, ap) for i in range(n_win) for j in range(n_win) if i != j
+            for a in range(n_ops) for ap in range(n_ops)]
+    corrs = correlation_functions(realization, keys, tau_grid)
+
+    @lru_cache(maxsize=None)
+    def big_gamma(i: int, j: int, omega: float) -> np.ndarray:
+        # Gamma^{aa'}(E_i, E_j; omega), memoized and read-only: the table and
+        # every lamb_shift call share one transform per (i, j, omega)
+        g = _hermitian_pair_matrix(
+            lambda a, ap: gamma_quadrature(corrs[(i, j, a, ap)], omega).gamma_full,
+            n_ops,
+        )
+        g.flags.writeable = False
+        return g
+
     gamma: dict[tuple[int, int], np.ndarray] = {}
-    corrs: dict[tuple[int, int, int, int], CorrelationFunction] = {}
     diagnostics = {}
-    for i in range(len(windows)):
-        for j in range(len(windows)):
-            if i == j:
-                continue
-            for a in range(n_ops):
-                for ap in range(n_ops):
-                    corrs[(i, j, a, ap)] = correlation_exact(
-                        realization, (i, j), tau_grid, (a, ap)
-                    )
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
+    for i in range(n_win):
+        for j in range(i + 1, n_win):
             omega_ij = centers[j] - centers[i]
-
-            def fwd(a, ap):
-                return gamma_quadrature(corrs[(i, j, a, ap)], omega_ij).gamma_full
-
-            def bwd(a, ap):
-                return gamma_quadrature(corrs[(j, i, a, ap)], -omega_ij).gamma_full
-
-            g_fwd = _hermitian_pair_matrix(fwd, n_ops)
-            g_bwd = _hermitian_pair_matrix(bwd, n_ops)
+            g_fwd = big_gamma(i, j, omega_ij)
+            g_bwd = big_gamma(j, i, -omega_ij)
             # gamma^{aa'} = Gamma + Gamma^dagger (operator-pair Hermitian part)
             g1 = g_fwd + g_fwd.conj().T
             g2 = g_bwd + g_bwd.conj().T
@@ -519,10 +543,7 @@ def rate_table_quadrature(
             }
 
     def a_coeff(i: int, j: int, omega: float) -> np.ndarray:
-        def entry(a, ap):
-            return gamma_quadrature(corrs[(i, j, a, ap)], omega).gamma_full
-
-        g = _hermitian_pair_matrix(entry, n_ops)
+        g = big_gamma(i, j, omega)
         return (g - g.conj().T) / 2j
 
     return RateTable(

@@ -5,11 +5,8 @@ from finitebath.bath import (
     BathSpec,
     CouplingSpec,
     EnergyWindow,
-    bath_dimension,
     build_spectrum,
-    microcanonical_average,
     sample_coupling,
-    split_interaction,
     window_slices,
 )
 from finitebath.errors import ConfigurationError
@@ -102,70 +99,11 @@ def test_coupling_hermitian_with_zero_diagonal_blocks():
     real = two_band_realization(v0=40, v1=60, seed=4)
     mat = real.matrices[0]
     assert np.array_equal(mat, mat.conj().T)
-    for j, sl in enumerate(window_slices(real.windows)):
+    for sl in window_slices(real.windows):
         assert np.all(mat[sl, sl] == 0)
-        assert microcanonical_average(mat, real.windows, j) == 0
 
 
 def test_coupling_deterministic_given_seed():
     a = two_band_realization(v0=30, v1=40, seed=9).matrices[0]
     b = two_band_realization(v0=30, v1=40, seed=9).matrices[0]
     assert np.array_equal(a, b)
-
-
-def test_microcanonical_average_identity_and_hb():
-    spec = BathSpec([EnergyWindow(1.0, 0.5, 4)])
-    wins = build_spectrum(spec)
-    eye = np.eye(4, dtype=complex)
-    assert microcanonical_average(eye, wins, 0) == pytest.approx(1.0)
-    h_b = np.diag(wins[0].microlevels).astype(complex)
-    # mean of {0.75, 0.875, 1.0, 1.125}
-    assert microcanonical_average(h_b, wins, 0) == pytest.approx(0.9375)
-    with pytest.raises(ConfigurationError):
-        microcanonical_average(eye, wins, 3)
-
-
-def test_split_interaction_on_block_offdiagonal_coupling():
-    real = two_band_realization(v0=20, v1=30, seed=2)
-    s = np.array([[0.0, 1.0], [1.0, 0.0]])
-    shifts, rest = split_interaction(real.matrices[0], s, real.lam, real.windows)
-    for dh in shifts:
-        assert np.max(np.abs(dh)) == 0
-    assert np.array_equal(rest, real.matrices[0])
-
-
-def test_split_interaction_on_window_projector():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 3), EnergyWindow(1.0, 0.5, 2)])
-    wins = build_spectrum(spec)
-    dim = bath_dimension(wins)
-    proj = np.zeros((dim, dim), dtype=complex)
-    sl0 = window_slices(wins)[0]
-    proj[sl0, sl0] = np.eye(3)
-    s = np.diag([1.0, -1.0])
-    lam = 0.3
-    shifts, rest = split_interaction(proj, s, lam, wins)
-    assert np.allclose(shifts[0], lam * s)
-    assert np.max(np.abs(shifts[1])) == 0
-    assert np.max(np.abs(rest)) == 0
-
-
-def test_split_interaction_reconstructs_and_centers():
-    rng = np.random.default_rng(8)
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 4), EnergyWindow(1.0, 0.5, 5)])
-    wins = build_spectrum(spec)
-    dim = bath_dimension(wins)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    b_int = 0.5 * (raw + raw.conj().T)
-    s = np.array([[0.2, 0.5], [0.5, -0.1]], dtype=complex)
-    lam = 0.7
-    shifts, rest = split_interaction(b_int, s, lam, wins)
-    for j in range(len(wins)):
-        assert abs(microcanonical_average(rest, wins, j)) < 1e-14
-    # reconstruction: lam S (x) B_int = sum_E dH(E) (x) Pi_E + lam S (x) B
-    lhs = lam * np.kron(s, b_int)
-    rhs = lam * np.kron(s, rest)
-    for dh, sl in zip(shifts, window_slices(wins)):
-        pi = np.zeros((dim, dim))
-        pi[sl, sl] = np.eye(sl.stop - sl.start)
-        rhs = rhs + np.kron(dh, pi)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12

@@ -12,6 +12,7 @@ from finitebath.rates import (
     EthProfile,
     breve_h,
     correlation_exact,
+    correlation_functions,
     default_tau_grid,
     gamma_eth,
     gamma_heuristic,
@@ -61,6 +62,82 @@ def test_correlation_single_level_windows_never_decays():
     corr = correlation_exact(real, (0, 1), np.linspace(0, 50, 400))
     assert np.allclose(np.abs(corr.values), np.abs(corr.values[0]))
     assert corr.tau_b == np.inf
+
+
+def _three_window_two_operator_bath(volumes=(11, 17, 23)):
+    spec = BathSpec(
+        [EnergyWindow(float(c), 0.5, v) for c, v in enumerate(volumes)],
+        "random-uniform",
+        seed=5,
+    )
+    wins = build_spectrum(spec)
+    coups = [
+        CouplingSpec(lam=2e-3, block_mean=0.5, variance=1.0, seed=51),
+        CouplingSpec(lam=2e-3, block_mean=0.5j, variance=1.0, seed=52),
+    ]
+    return sample_coupling(coups, wins, spec)
+
+
+ALL_KEYS = [(i, j, a, ap) for i in range(3) for j in range(3) for a in range(2) for ap in range(2)]
+
+
+def test_correlation_functions_equal_single_key_calls_across_chunks():
+    real = _three_window_two_operator_bath()
+    tau = np.linspace(0.0, 60.0, 600)  # three tau chunks, the last one partial
+    corrs = correlation_functions(real, ALL_KEYS, tau)
+    assert list(corrs) == ALL_KEYS
+    for (i, j, a, ap), corr in corrs.items():
+        single = correlation_exact(real, (i, j), tau, (a, ap))
+        assert np.array_equal(corr.values, single.values)
+        assert (corr.pair, corr.ops, corr.volume_right) == ((i, j), (a, ap), real.windows[j].volume)
+
+
+def test_correlation_functions_match_einsum_double_sum():
+    real = _three_window_two_operator_bath()
+    tau = np.linspace(0.0, 60.0, 600)
+    corrs = correlation_functions(real, ALL_KEYS, tau)
+    for (i, j, a, ap), corr in corrs.items():
+        sl_i, sl_j = real.window_slice(i), real.window_slice(j)
+        b_a, b_ap = real.matrices[a][sl_i, sl_j], real.matrices[ap][sl_i, sl_j]
+        gap = np.subtract.outer(real.windows[i].microlevels, real.windows[j].microlevels)
+        # independent oracle: sum_{p,q} conj(B'_pq) B_pq e^{i (E_p - E_q) tau}
+        ref = np.einsum("pq,pq,tpq->t", b_ap.conj(), b_a, np.exp(1j * tau[:, None, None] * gap))
+        ref *= real.lam**2 / real.windows[j].volume
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(corr.values - ref)) <= 1e-12 * max(scale, 1e-300)
+        if i == j:  # block-diagonal couplings vanish
+            assert scale == 0.0
+
+
+def test_correlation_functions_unknown_window_pair():
+    real = _three_window_two_operator_bath()
+    with pytest.raises(ConfigurationError):
+        correlation_functions(real, [(0, 1, 0, 0), (0, 3, 0, 0)], np.linspace(0.0, 1.0, 5))
+
+
+def test_rate_table_quadrature_evaluates_each_transform_once(monkeypatch):
+    import finitebath.rates as rates_mod
+
+    seen = []
+    original = rates_mod.gamma_quadrature
+
+    def counting(corr, omega):
+        seen.append((corr.pair, corr.ops, float(omega)))
+        return original(corr, omega)
+
+    monkeypatch.setattr(rates_mod, "gamma_quadrature", counting)
+    real = _three_window_two_operator_bath((60, 80, 100))
+    table = rate_table_quadrature(real, default_tau_grid(0.5, 400))
+    n_table = len(seen)
+    assert n_table == 3 * 2 * 3  # window pairs x directions x operator-pair upper triangle
+    for i, j, omega in [(0, 1, -1.0), (2, 1, 0.75), (1, 0, -1.0)]:
+        first = table.a_coeff(i, j, omega)
+        again = table.a_coeff(i, j, omega)
+        assert np.array_equal(first, again)
+    # each (i, j, omega) costs its three transforms once; (1, 0, -1.0) is
+    # the table's own resonant entry and costs none
+    assert len(seen) == n_table + 2 * 3
+    assert len(set(seen)) == len(seen)
 
 
 def test_correlation_envelope_matches_sinc_squared():
@@ -180,7 +257,7 @@ def test_gamma_quadrature_refuses_pure_phase():
     wins = build_spectrum(spec)
     real = sample_coupling(CouplingSpec(lam=1.0, block_mean=1.0, variance=0.0), wins, spec)
     corr = correlation_exact(real, (0, 1), np.linspace(0, 60, 500))
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match=r"window pair \(0, 1\), operator pair \(0, 0\)"):
         gamma_quadrature(corr, omega=1.0)
 
 
