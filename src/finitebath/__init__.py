@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``bath``: window layouts, spectra, random coupling matrices
-* ``rates``: correlation functions and the four dissipation-rate routes
+* ``rates``: correlation functions and the three dissipation-rate routes
 * ``emme``: the conditioned-state master equation and its solvers
 * ``exact``: full Hilbert-space benchmark with pure-state ensembles
 * ``bms``: fixed-reference-bath comparison equation

@@ -117,7 +117,6 @@ class BathRealization:
     by convention once constructed.
     """
 
-    spec: BathSpec
     windows: list[EnergyWindow]
     couplings: list[CouplingSpec]
     matrices: list[np.ndarray] = field(repr=False, default_factory=list)
@@ -185,7 +184,6 @@ def build_spectrum(spec: BathSpec) -> list[EnergyWindow]:
 def sample_coupling(
     couplings: CouplingSpec | list[CouplingSpec],
     windows: list[EnergyWindow],
-    spec: BathSpec | None = None,
 ) -> BathRealization:
     """Draw the random coupling matrices for a bath spectrum.
 
@@ -219,6 +217,4 @@ def sample_coupling(
                 mat[slices[i], slices[j]] = block
                 mat[slices[j], slices[i]] = block.conj().T
         matrices.append(mat)
-    if spec is None:
-        spec = BathSpec(windows)
-    return BathRealization(spec, windows, list(couplings), matrices)
+    return BathRealization(windows, list(couplings), matrices)

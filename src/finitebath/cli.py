@@ -210,8 +210,7 @@ class ScenarioRun:
     def realizations(self):
         if self._realizations is None:
             self._realizations = [
-                sample_coupling(self.scenario.couplings[nu], self.windows[nu],
-                                self.scenario.bath_specs[nu])
+                sample_coupling(self.scenario.couplings[nu], self.windows[nu])
                 for nu in range(len(self.windows))
             ]
         return self._realizations

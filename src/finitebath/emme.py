@@ -6,13 +6,12 @@ jump operators resolved by the resonance rule.  The generator of each
 protocol segment is assembled once as sparse operators on the packed blocks.
 Both the Markov form and the finite-time variant (all dissipation rates
 multiplied by the envelope zeta(t)) are provided, together with the
-autonomous population rate equation, equilibrium states, and a closed-form
+autonomous population rate equation, stationary states, and a closed-form
 oracle for the two-level case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,17 +110,6 @@ class ConditionedState:
                 )
         if abs(self.trace() - 1.0) > trace_tol:
             raise NumericalFailure(f"state trace {self.trace():.12f} deviates from 1")
-
-
-@dataclass
-class ShellDistribution:
-    """Probability of each conserved total-energy shell."""
-
-    values: dict[float, float]
-
-    def __post_init__(self):
-        if any(p < -1e-12 for p in self.values.values()):
-            raise ConfigurationError("shell probabilities must be nonnegative")
 
 
 def s_omega_decomposition(s_op: np.ndarray, levels: np.ndarray) -> dict[float, np.ndarray]:
@@ -297,61 +285,6 @@ class EmmeGenerator:
         dy = self.derivative(np.concatenate([b.ravel() for b in blocks]), zeta_factors)
         return list(dy.reshape(-1, self.dim, self.dim))
 
-    def apply(self, state: ConditionedState, zeta_factors=None) -> dict[tuple[int, ...], np.ndarray]:
-        blocks = [
-            state.blocks.get(key, np.zeros((self.dim, self.dim), dtype=complex))
-            for key in self.keys
-        ]
-        derivs = self.derivative_blocks(blocks, zeta_factors)
-        return dict(zip(self.keys, derivs))
-
-
-def _generator_for(
-    state: ConditionedState,
-    system: SystemSpec,
-    tables: list[RateTable],
-    levels: np.ndarray | None,
-    include_shift: bool,
-) -> EmmeGenerator:
-    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    keys = reachable_keys(set(state.blocks), tables, _omega_sets(system.couplings, lv))
-    return EmmeGenerator(lv, system.couplings, tables, keys, include_shift=include_shift)
-
-
-def emme_generator(
-    state: ConditionedState,
-    system: SystemSpec,
-    tables: list[RateTable],
-    *,
-    levels: np.ndarray | None = None,
-    include_shift: bool = True,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """One application of the Markov-secular generator to a state.
-
-    Returns d/dt of each block, including blocks reachable from the state
-    but currently absent (treated as zero).  Raises if a reachable
-    transition has no rate entry.
-    """
-    return _generator_for(state, system, tables, levels, include_shift).apply(state)
-
-
-def redfield_envelope_generator(
-    state: ConditionedState,
-    system: SystemSpec,
-    tables: list[RateTable],
-    t: float,
-    *,
-    levels: np.ndarray | None = None,
-    include_shift: bool = True,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Finite-time variant: every dissipation rate is multiplied by zeta(t).
-
-    Coincides with the Markov generator as t -> infinity; at t = 0 the
-    dissipator vanishes entirely.
-    """
-    gen = _generator_for(state, system, tables, levels, include_shift)
-    return gen.apply(state, zeta_factors=[zeta(t, table.delta) for table in tables])
-
 
 # ---------------------------------------------------------------------------
 # time evolution
@@ -430,8 +363,6 @@ def evolve(
     include_shift: bool = True,
     rtol: float = 1e-11,
     atol: float = 1e-13,
-    check_positivity: bool = True,
-    solver_name: str | None = None,
 ) -> Trajectory:
     """Integrate the conditioned-state master equation over a time grid.
 
@@ -472,23 +403,22 @@ def evolve(
         system, t_grid, y0.ravel(), segment_rhs, rtol, atol
     )
     blocks = states.reshape(len(times), len(keys), d, d)
-    if check_positivity:
-        hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
-        w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
-        bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
-        if bad.size:
-            n, m = bad[0]
-            raise NumericalFailure(
-                f"block {keys[n]} lost positivity at t={times[m]:g} "
-                f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
-                f"(currently {rtol:g}/{atol:g})"
-            )
+    hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
+    w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
+    bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
+    if bad.size:
+        n, m = bad[0]
+        raise NumericalFailure(
+            f"block {keys[n]} lost positivity at t={times[m]:g} "
+            f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
+            f"(currently {rtol:g}/{atol:g})"
+        )
 
     rate_model = PopulationRateModel(
         system, tables, keys, variant=variant, t_origin=t_origin
     )
     return Trajectory(
-        solver=solver_name or f"emme-{variant}",
+        solver=f"emme-{variant}",
         times=times,
         # populations are ordered as all levels of block 0, then block 1, ...
         joint_index=[(k, key) for key in keys for k in range(d)],
@@ -572,81 +502,6 @@ class PopulationRateModel:
         return self.matrix(t) @ p
 
 
-def population_rate_equation(
-    populations: dict[tuple[int, tuple[int, ...]], float],
-    system: SystemSpec,
-    tables: list[RateTable],
-    levels: np.ndarray | None = None,
-) -> dict[tuple[int, tuple[int, ...]], float]:
-    """dp/dt of the joint populations under the classical rate equation."""
-    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    omega_sets = _omega_sets(system.couplings, lv)
-    keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
-    sys_at = SystemSpec(lv, system.couplings, None)
-    model = PopulationRateModel(sys_at, tables, keys)
-    p = np.array([populations.get(s, 0.0) for s in model.joint_index])
-    dp = model.matrix(0.0) @ p
-    return dict(zip(model.joint_index, dp))
-
-
-# ---------------------------------------------------------------------------
-# shells, equilibrium, temperature
-
-
-def shell_probability(
-    populations: dict[tuple[int, tuple[int, ...]], float],
-    levels: np.ndarray,
-    bath_centers: list[np.ndarray],
-) -> ShellDistribution:
-    """P(E_tot) = sum over joint states with eps_k + sum_nu E_nu = E_tot."""
-    shells: dict[float, float] = {}
-    for (k, key), p in populations.items():
-        if p == 0.0:
-            continue
-        e_tot = float(levels[k]) + sum(
-            float(bath_centers[nu][j]) for nu, j in enumerate(key)
-        )
-        e_tot = round(e_tot, 9)
-        shells[e_tot] = shells.get(e_tot, 0.0) + p
-    return ShellDistribution(shells)
-
-
-def equilibrium_state(
-    shell: ShellDistribution,
-    centers: np.ndarray,
-    volumes: np.ndarray,
-    levels: np.ndarray,
-    tol: float | None = None,
-) -> dict[tuple[int, tuple[int, ...]], float]:
-    """Stationary populations for a single bath, volume-weighted per shell.
-
-    p_eq(eps_k, E_tot - eps_k) = P(E_tot) V_{E_tot-eps_k} / sum_q
-    V_{E_tot-eps_q}; windows missing from the layout count as V = 0.
-    """
-    centers = np.asarray(centers, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
-    if tol is None:
-        tol = 1e-9
-    out: dict[tuple[int, tuple[int, ...]], float] = {}
-    for e_tot, prob in shell.values.items():
-        members = []
-        for k, eps in enumerate(levels):
-            target = e_tot - eps
-            hits = np.nonzero(np.abs(centers - target) <= tol)[0]
-            if hits.size:
-                members.append((k, int(hits[0]), volumes[hits[0]]))
-        total = sum(v for (_, _, v) in members)
-        if total == 0:
-            if prob > 0:
-                raise ConfigurationError(
-                    f"shell E_tot={e_tot} has probability {prob} but no volume"
-                )
-            continue
-        for k, j, v in members:
-            out[(k, (j,))] = out.get((k, (j,)), 0.0) + prob * v / total
-    return out
-
-
 def stationary_populations(
     populations: dict[tuple[int, tuple[int, ...]], float],
     system: SystemSpec,
@@ -657,8 +512,8 @@ def stationary_populations(
 
     Works for any number of baths; the weight of a joint state is the product
     of its window volumes, and each ergodic component keeps its initial
-    probability.  Reduces to the single-bath shell formula when the shell is
-    fully connected.
+    probability.  For one bath and a fully connected shell this is
+    p(eps_k, E_tot - eps_k) = P(E_tot) V_{E_tot-eps_k} / sum_q V_{E_tot-eps_q}.
     """
     lv = system.levels if levels is None else np.asarray(levels, dtype=float)
     omega_sets = _omega_sets(system.couplings, lv)
@@ -675,6 +530,10 @@ def stationary_populations(
     )
     out = np.bincount(labels, p0)[labels] * weights / np.bincount(labels, weights)[labels]
     return dict(zip(model.joint_index, out))
+
+
+# ---------------------------------------------------------------------------
+# closed-form two-level oracle
 
 
 def analytic_spin_solution(
@@ -764,26 +623,3 @@ def spin_oracle_trajectory(
         bath_volumes=[table.volumes],
         meta={"variant": variant},
     )
-
-
-def microcanonical_temperature(
-    centers: np.ndarray, volumes: np.ndarray, energy: float
-) -> float:
-    """Boltzmann temperature dE / d(log V) at a window center.
-
-    Centered finite difference of S_mic(E) = log V_E on the window grid;
-    one-sided at the edges.  Returns +inf when the entropy difference is
-    zero and a negative value when volumes decrease with energy.
-    """
-    centers = np.asarray(centers, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
-    if len(centers) < 2:
-        raise ConfigurationError("at least two windows are needed for a temperature")
-    i = int(np.argmin(np.abs(centers - energy)))
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(centers) - 1)
-    d_s = math.log(volumes[hi]) - math.log(volumes[lo])
-    d_e = centers[hi] - centers[lo]
-    if d_s == 0.0:
-        return math.inf
-    return d_e / d_s

@@ -37,10 +37,6 @@ class FullModel:
     """
 
     sectors: list[tuple[np.ndarray, np.ndarray]]
-    levels: np.ndarray
-    windows: list[EnergyWindow]
-    d_s: int
-    d_b: int
 
 
 @dataclass
@@ -136,7 +132,7 @@ def assemble(
                     if s_op[k, l] != 0:
                         h[rows, cols] += lam * (s_op[k, l] * b_op[slices[i], slices[j]])
         sectors.append((index, h))
-    return FullModel(sectors, levels, windows, d_s, d_b)
+    return FullModel(sectors)
 
 
 def prepare_initial(
@@ -237,27 +233,56 @@ def _occupied(index: np.ndarray, members: np.ndarray) -> bool:
     return bool(np.any(members[index] != 0))
 
 
+def _levels_key(levels: np.ndarray) -> tuple:
+    return tuple(np.round(levels, 12))
+
+
 def propagate(
     ensemble: FullEnsemble,
-    model: FullModel,
+    system: SystemSpec,
+    realization: BathRealization,
     t_grid: np.ndarray,
+    dim_cap: int,
+    occupied: list[np.ndarray],
 ):
-    """Yield (t, member matrix) along a grid for a single static segment.
+    """Yield (t, levels in force, member matrix) along a grid through the protocol.
 
-    Only the sectors the members occupy are diagonalized.  The scheme is
-    exact diagonalization, so norms are preserved to roundoff; a drift
-    beyond 1e-8 aborts.
+    ``occupied`` lists the sector components (see :func:`sector_components`)
+    the members occupy; only those are assembled and diagonalized, once per
+    distinct level set.  At a quench the members are carried to the boundary
+    and the Hamiltonian is switched.  The scheme is exact diagonalization, so
+    norms are preserved to roundoff; a drift beyond 1e-8 aborts.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ConfigurationError("time grid must be strictly increasing")
-    occupied = [sec for sec in model.sectors if _occupied(sec[0], ensemble.members)]
-    prop = _SegmentPropagator(occupied, model.d_s * model.d_b)
+    segs = system.segments(t_grid[0])
+    boundaries = [seg.t_start for seg in segs[1:]] + [np.inf]
+    dim = system.dim * bath_dimension(realization.windows)
+    props: dict[tuple, _SegmentPropagator] = {}
+
+    def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
+        key = _levels_key(levels)
+        if key not in props:
+            model = assemble(levels, system.couplings[0], realization, dim_cap, occupied)
+            props[key] = _SegmentPropagator(model.sectors, dim)
+        return props[key]
+
+    seg_idx = 0
+    seg_t0 = t_grid[0]
+    prop = propagator_for(segs[0].levels)
     phi0 = prop.prepare(ensemble.members)
     for t in t_grid:
-        psi = prop.at(phi0, t - t_grid[0])
+        while t >= boundaries[seg_idx] - 1e-12 and np.isfinite(boundaries[seg_idx]):
+            # carry the state across the quench, then switch the Hamiltonian
+            psi_b = prop.at(phi0, boundaries[seg_idx] - seg_t0)
+            seg_t0 = boundaries[seg_idx]
+            seg_idx += 1
+            prop = propagator_for(segs[seg_idx].levels)
+            phi0 = prop.prepare(psi_b)
+        psi = prop.at(phi0, t - seg_t0)
         _check_norms(psi, t)
-        yield t, psi
+        yield t, segs[seg_idx].levels, psi
 
 
 def _check_norms(psi: np.ndarray, t: float):
@@ -326,7 +351,6 @@ def run_exact(
     *,
     mi_stride: int = 0,
     dim_cap: int = DEFAULT_DIM_CAP,
-    solver_name: str = "exact",
 ) -> Trajectory:
     """Full benchmark run: propagate, coarse-grain, optionally track mutual information.
 
@@ -345,48 +369,23 @@ def run_exact(
             stacklevel=2,
         )
 
-    segs = system.segments(t_grid[0])
-    boundaries = [seg.t_start for seg in segs[1:]] + [np.inf]
     d_s = system.dim
     d_b = bath_dimension(realization.windows)
     # the split depends on S and B only, so it holds for every segment
     components = sector_components(system.couplings[0], realization)
     occupied = [c for c in components if _occupied(c, ensemble.members)]
-    props: dict[tuple, _SegmentPropagator] = {}
-
-    def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
-        key = tuple(np.round(levels, 12))
-        if key not in props:
-            model = assemble(levels, system.couplings[0], realization, dim_cap, occupied)
-            props[key] = _SegmentPropagator(model.sectors, d_s * d_b)
-        return props[key]
-
     n_win = len(realization.windows)
 
     pops_out = np.zeros((t_grid.size, d_s * n_win))
     levels_out = np.zeros((t_grid.size, d_s))
     blocks_out = {(j,): np.zeros((t_grid.size, d_s, d_s), dtype=complex) for j in range(n_win)}
     mi_times, mi_vals = [], []
-
-    seg_idx = 0
-    seg_t0 = t_grid[0]
-    prop = propagator_for(segs[0].levels)
-    phi0 = prop.prepare(ensemble.members)
-
-    for n, t in enumerate(t_grid):
-        while t >= boundaries[seg_idx] - 1e-12 and np.isfinite(boundaries[seg_idx]):
-            # carry the state across the quench, then switch the Hamiltonian
-            psi_b = prop.at(phi0, boundaries[seg_idx] - seg_t0)
-            seg_t0 = boundaries[seg_idx]
-            seg_idx += 1
-            prop = propagator_for(segs[seg_idx].levels)
-            phi0 = prop.prepare(psi_b)
-        psi = prop.at(phi0, t - seg_t0)
-        _check_norms(psi, t)
+    walk = propagate(ensemble, system, realization, t_grid, dim_cap, occupied)
+    for n, (t, levels, psi) in enumerate(walk):
         pops, blocks = coarse_grain(psi, ensemble.weights, d_s, realization.windows)
         # trajectory columns: all levels of window 0, then window 1, ...
         pops_out[n] = pops.T.ravel()
-        levels_out[n] = segs[seg_idx].levels
+        levels_out[n] = levels
         for j in range(n_win):
             blocks_out[(j,)][n] = blocks[j]
         if mi_stride and n % mi_stride == 0:
@@ -396,10 +395,15 @@ def run_exact(
                     psi, ensemble.weights, d_s, d_b, ensemble.subspace_entropy
                 )
             )
+    # the walker diagonalizes once per distinct level set the grid reaches
+    n_level_sets = len({
+        _levels_key(seg.levels) for seg in system.segments(t_grid[0])
+        if seg.t_start <= t_grid[-1] + 1e-12
+    })
 
     joint_index = [(k, (j,)) for j in range(n_win) for k in range(d_s)]
     return Trajectory(
-        solver=solver_name,
+        solver="exact",
         times=t_grid,
         joint_index=joint_index,
         populations=pops_out,
@@ -415,8 +419,6 @@ def run_exact(
             "dimension": d_s * d_b,
             "sector_dims": [int(c.size) for c in components],
             # one entry per diagonalized block, over all distinct segments
-            "diag_dims": [
-                int(index.size) for prop in props.values() for index, _, _ in prop.eig
-            ],
+            "diag_dims": [int(c.size) for c in occupied] * n_level_sets,
         },
     )

@@ -8,9 +8,6 @@ Three routes to the same rate table are provided:
 * the random-matrix ensemble closed form
   (2 pi lam^2 / delta) V_E V_E' (|b(E,E')|^2 + a^2).
 
-A smooth-function ansatz for the coupling matrix elements gives single
-entries (2 pi lam^2 / delta) V_E V_E' F(Ebar, E-E') / V_Ebar (``gamma_eth``).
-
 The finite-time envelope zeta(t), its running integral Xi(t), and the
 closed-form one-sided transform of the sinc^2 kernel (``breve_h``) live here
 as well, since they control both the finite-time variant of the master
@@ -198,7 +195,7 @@ def xi_integral(t, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# the four rate constructions
+# the three rate constructions
 
 
 def gamma_heuristic(
@@ -238,65 +235,6 @@ def gamma_rmt(
         * windows[lo].volume
         * windows[hi].volume
         * b
-    )
-    return val.real if ops[0] == ops[1] else complex(val)
-
-
-@dataclass
-class EthProfile:
-    """Smooth-plus-random ansatz data for the coupling matrix elements.
-
-    ``f(ebar, omega)`` must be smooth, decay for large |omega|, and satisfy
-    f(ebar, -omega) = conj(f(ebar, omega)).  ``cross_correlation`` holds the
-    correlations of the erratic numbers between operator indices; identity by
-    default (no physical value is assumed).
-    """
-
-    f: Callable[[float, float], complex]
-    cross_correlation: np.ndarray | None = None
-
-    def big_f(self, ebar: float, omega: float, ops: tuple[int, int]) -> complex:
-        fa = self.f(ebar, omega)
-        r = 1.0
-        if self.cross_correlation is not None:
-            r = self.cross_correlation[ops[1], ops[0]]
-        return np.conj(fa) * fa * r
-
-
-def interpolate_volume(windows: list[EnergyWindow], energy: float) -> float:
-    """Log-linear interpolation of window volumes at an arbitrary energy.
-
-    Volumes grow exponentially with energy in generic many-body baths, so the
-    interpolation is linear in log V.  Raises outside the span of centers.
-    """
-    centers = np.array([w.center for w in windows])
-    vols = np.array([float(w.volume) for w in windows])
-    if energy < centers[0] - 1e-12 or energy > centers[-1] + 1e-12:
-        raise ConfigurationError(
-            f"energy {energy} outside the interpolation range of the spectrum"
-        )
-    return float(np.exp(np.interp(energy, centers, np.log(vols))))
-
-
-def gamma_eth(
-    profile: EthProfile,
-    windows: list[EnergyWindow],
-    pair: tuple[int, int],
-    lam: float,
-    ops: tuple[int, int] = (0, 0),
-) -> complex:
-    """(2 pi lam^2/delta) V_E V_E' F(Ebar, E-E') / V_Ebar with Ebar = (E+E')/2."""
-    i, j = pair
-    e, ep = windows[i].center, windows[j].center
-    ebar = 0.5 * (e + ep)
-    v_bar = interpolate_volume(windows, ebar)
-    lo, hi = min(pair), max(pair)
-    val = (
-        rate_prefactor(lam, windows[i].width)
-        * windows[lo].volume
-        * windows[hi].volume
-        * profile.big_f(ebar, e - ep, ops)
-        / v_bar
     )
     return val.real if ops[0] == ops[1] else complex(val)
 
@@ -388,7 +326,8 @@ class RateTable:
     for constructions that only determine the real part.
 
     A transition (E, E', omega) is admitted iff |E' - E - omega| <=
-    ``resonance_tol``; the default delta/2 makes the target window unique.
+    ``resonance_tol``; every table construction sets delta/2, which makes the
+    target window unique.
     """
 
     centers: np.ndarray
@@ -434,11 +373,7 @@ def _hermitian_pair_matrix(fill, n_ops: int) -> np.ndarray:
     return g
 
 
-def rate_table_rmt(
-    couplings,
-    windows: list[EnergyWindow],
-    resonance_tol: float | None = None,
-) -> RateTable:
+def rate_table_rmt(couplings, windows: list[EnergyWindow]) -> RateTable:
     """Ensemble-exact rate table; also carries the closed-form dispersive part."""
     specs = couplings if isinstance(couplings, (list, tuple)) else [couplings]
     n_ops = len(specs)
@@ -459,17 +394,10 @@ def rate_table_rmt(
         xi = (centers[j] - centers[i] - omega) / delta
         return gamma.get((i, j), np.zeros((n_ops, n_ops))) * breve_h(xi).imag
 
-    return RateTable(
-        centers, volumes, delta, gamma, "rmt",
-        resonance_tol if resonance_tol is not None else delta / 2.0,
-        n_ops, a_coeff,
-    )
+    return RateTable(centers, volumes, delta, gamma, "rmt", delta / 2.0, n_ops, a_coeff)
 
 
-def rate_table_heuristic(
-    realization: BathRealization,
-    resonance_tol: float | None = None,
-) -> RateTable:
+def rate_table_heuristic(realization: BathRealization) -> RateTable:
     """Single-realization table from the trace formula; no dispersive part."""
     windows = realization.windows
     n_ops = len(realization.matrices)
@@ -483,16 +411,13 @@ def rate_table_heuristic(
             gamma[(i, j)] = g
             gamma[(j, i)] = g.conj()
     return RateTable(
-        realization.centers, realization.volumes, delta, gamma, "heuristic",
-        resonance_tol if resonance_tol is not None else delta / 2.0,
-        n_ops, None,
+        realization.centers, realization.volumes, delta, gamma, "heuristic", delta / 2.0, n_ops,
     )
 
 
 def rate_table_quadrature(
     realization: BathRealization,
     tau_grid: np.ndarray | None = None,
-    resonance_tol: float | None = None,
 ) -> RateTable:
     """Table from one-sided quadrature at resonance, omega = E_j - E_i.
 
@@ -547,8 +472,7 @@ def rate_table_quadrature(
         return (g - g.conj().T) / 2j
 
     return RateTable(
-        centers, realization.volumes, delta, gamma, "exact-quadrature",
-        resonance_tol if resonance_tol is not None else delta / 2.0,
+        centers, realization.volumes, delta, gamma, "exact-quadrature", delta / 2.0,
         n_ops, a_coeff, diagnostics,
     )
 

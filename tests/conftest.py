@@ -18,9 +18,9 @@ def two_band_windows(v0=400, v1=600, delta=0.5, kind="regular", seed=None):
 
 def two_band_realization(v0=400, v1=600, delta=0.5, kind="regular",
                          lam=3e-3, a2=1.0, b=0.0, seed=11):
-    spec, wins = two_band_windows(v0, v1, delta, kind, seed=seed)
+    _, wins = two_band_windows(v0, v1, delta, kind, seed=seed)
     coup = CouplingSpec(lam=lam, block_mean=b, variance=a2, seed=seed + 1000)
-    return sample_coupling(coup, wins, spec)
+    return sample_coupling(coup, wins)
 
 
 @pytest.fixture

@@ -221,7 +221,7 @@ def test_criterion_4_conservation_and_structure(fig2_row1, fig2_row2, quench_emm
     sym_ok = True
     psd_ok = True
     rng = np.random.default_rng(0)
-    real = sample_coupling(coups, wins, spec)
+    real = sample_coupling(coups, wins)
     from finitebath.rates import rate_table_heuristic
 
     for table in (rate_table_rmt(coups, wins), rate_table_heuristic(real)):
@@ -258,7 +258,7 @@ def test_criterion_5_rate_construction_consistency():
         )
         wins_s = build_spectrum(bath)
         coup = CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=1000 + seed)
-        real = sample_coupling(coup, wins_s, bath)
+        real = sample_coupling(coup, wins_s)
         worst_heu = max(worst_heu, abs(gamma_heuristic(real, (0, 1)) - g_rmt) / g_rmt)
         corr = correlation_exact(real, (0, 1), default_tau_grid(DELTA))
         res = gamma_quadrature(corr, omega=1.0)

@@ -6,19 +6,13 @@ from finitebath.bms import BmsRates, evolve_bms
 from finitebath.emme import (
     ConditionedState,
     EmmeGenerator,
+    PopulationRateModel,
     ProtocolSegment,
-    ShellDistribution,
     SystemSpec,
     analytic_spin_solution,
-    emme_generator,
-    equilibrium_state,
     evolve,
-    microcanonical_temperature,
-    population_rate_equation,
-    redfield_envelope_generator,
     reachable_keys,
     s_omega_decomposition,
-    shell_probability,
     spin_oracle_trajectory,
     stationary_populations,
 )
@@ -50,6 +44,32 @@ def excited_block():
     b = np.zeros((2, 2), dtype=complex)
     b[1, 1] = 1.0
     return b
+
+
+def state_keys(populated, system, tables, levels):
+    omegas = [
+        {w for s in ops for w in s_omega_decomposition(s, levels)} for ops in system.couplings
+    ]
+    return reachable_keys(set(populated), tables, omegas)
+
+
+def generator_derivs(state, system, tables, t=None, levels=None, include_shift=True):
+    """d/dt of every reachable block: Markov generator, or the finite-time one at t."""
+    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
+    keys = state_keys(state.blocks, system, tables, lv)
+    gen = EmmeGenerator(lv, system.couplings, tables, keys, include_shift=include_shift)
+    zero = np.zeros((system.dim, system.dim), dtype=complex)
+    factors = None if t is None else [zeta(t, table.delta) for table in tables]
+    derivs = gen.derivative_blocks([state.blocks.get(k, zero) for k in keys], factors)
+    return dict(zip(keys, derivs))
+
+
+def rate_equation(pops, system, tables):
+    """dp/dt of the joint populations under the population rate model."""
+    keys = state_keys({key for (_, key) in pops}, system, tables, system.levels)
+    model = PopulationRateModel(system, tables, keys)
+    p = np.array([pops.get(s, 0.0) for s in model.joint_index])
+    return dict(zip(model.joint_index, model.matrix(0.0) @ p))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +108,7 @@ def test_zero_rates_leave_populations_constant():
     table = make_bath([10, 20])
     zeroed = table.scale(0.0)
     state = ConditionedState({(0,): excited_block()})
-    deriv = emme_generator(state, spin(), [zeroed], include_shift=False)
+    deriv = generator_derivs(state, spin(), [zeroed], include_shift=False)
     for block in deriv.values():
         assert np.max(np.abs(np.diag(block))) == 0
 
@@ -103,7 +123,7 @@ def test_generator_matches_two_band_explicit_form():
         rho = raw @ raw.conj().T
         blocks[key] = rho / (2 * np.trace(rho).real)
     state = ConditionedState({k: v.copy() for k, v in blocks.items()})
-    deriv = emme_generator(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [table], include_shift=False)
 
     g = table.gamma[(0, 1)][0, 0].real
     v0, v1 = 400, 600
@@ -137,9 +157,9 @@ def test_generator_diagonal_equals_rate_equation():
         rho = raw @ raw.conj().T
         blocks[(j,)] = rho / (3 * np.trace(rho).real)
     state = ConditionedState(blocks)
-    deriv = emme_generator(state, system, [table])
+    deriv = generator_derivs(state, system, [table])
     pops = state.populations()
-    dp = population_rate_equation(pops, system, [table])
+    dp = rate_equation(pops, system, [table])
     scale = max(abs(v) for v in dp.values())
     for (k, key), val in dp.items():
         assert abs(deriv[key][k, k].real - val) <= 1e-12 * max(scale, 1.0)
@@ -150,20 +170,19 @@ def test_rate_equation_trivial_for_single_level_and_window():
     wins = build_spectrum(spec)
     table = rate_table_rmt(CouplingSpec(lam=1e-2, block_mean=0.0, variance=1.0, seed=0), wins)
     system = SystemSpec(np.array([0.0]), [[np.array([[1.0]], dtype=complex)]])
-    dp = population_rate_equation({(0, (0,)): 1.0}, system, [table])
+    dp = rate_equation({(0, (0,)): 1.0}, system, [table])
     assert dp[(0, (0,))] == 0.0
 
 
 def test_equilibrium_is_generator_fixed_point():
     table = make_bath([400, 600])
     system = spin()
-    shell = ShellDistribution({1.0: 1.0})
-    p_eq = equilibrium_state(shell, table.centers, table.volumes, system.levels)
+    p_eq = stationary_populations({(1, (0,)): 1.0}, system, [table])
     blocks = {}
     for (k, key), p in p_eq.items():
         blocks.setdefault(key, np.zeros((2, 2), dtype=complex))[k, k] = p
     state = ConditionedState(blocks)
-    deriv = emme_generator(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [table], include_shift=False)
     g = table.gamma[(0, 1)][0, 0].real
     for block in deriv.values():
         assert np.max(np.abs(np.diag(block))) <= 1e-12 * g
@@ -177,7 +196,7 @@ def test_missing_rate_entry_is_a_configuration_error():
     )
     state = ConditionedState({(0,): excited_block()})
     with pytest.raises(ConfigurationError, match="window pair"):
-        emme_generator(state, spin(), [broken])
+        generator_derivs(state, spin(), [broken])
 
 
 def test_gain_convention_conserves_shells():
@@ -187,7 +206,7 @@ def test_gain_convention_conserves_shells():
     system = spin()
     state = ConditionedState({(1,): excited_block()})
     levels = system.levels
-    deriv = emme_generator(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [table], include_shift=False)
     dp = {(k, key): block[k, k].real for key, block in deriv.items() for k in range(2)}
     d_shell = {}
     for (k, key), v in dp.items():
@@ -200,11 +219,11 @@ def test_redfield_generator_limits():
     table = make_bath([400, 600])
     system = spin()
     state = ConditionedState({(0,): excited_block()})
-    at_zero = redfield_envelope_generator(state, system, [table], t=0.0, include_shift=False)
+    at_zero = generator_derivs(state, system, [table], t=0.0, include_shift=False)
     for block in at_zero.values():
         assert np.max(np.abs(np.diag(block))) == 0.0  # dissipator off at t = 0
-    late = redfield_envelope_generator(state, system, [table], t=500.0, include_shift=False)
-    markov = emme_generator(state, system, [table], include_shift=False)
+    late = generator_derivs(state, system, [table], t=500.0, include_shift=False)
+    markov = generator_derivs(state, system, [table], include_shift=False)
     z = zeta(500.0, DELTA)
     for key in markov:
         assert np.max(np.abs(late[key] - markov[key])) <= (1 - z) * np.max(
@@ -226,16 +245,16 @@ def test_redfield_generator_is_commutator_plus_scaled_dissipator():
     state = ConditionedState(blocks)
     t_probe = 3.7
     z = zeta(t_probe, DELTA)
-    rf = redfield_envelope_generator(state, system, [table], t=t_probe, include_shift=False)
-    mk = emme_generator(state, system, [table], include_shift=False)
-    comm = emme_generator(state, system, [table.scale(0.0)], include_shift=False)
+    rf = generator_derivs(state, system, [table], t=t_probe, include_shift=False)
+    mk = generator_derivs(state, system, [table], include_shift=False)
+    comm = generator_derivs(state, system, [table.scale(0.0)], include_shift=False)
     for key in mk:
         want = comm[key] + z * (mk[key] - comm[key])
         assert np.max(np.abs(rf[key] - want)) < 1e-13
     # the dispersive (level-shift) part is not a dissipation rate and is not
     # modulated by the envelope
-    rf_s = redfield_envelope_generator(state, system, [table], t=t_probe)
-    mk_s = emme_generator(state, system, [table])
+    rf_s = generator_derivs(state, system, [table], t=t_probe)
+    mk_s = generator_derivs(state, system, [table])
     for key in mk:
         assert np.max(np.abs((rf_s[key] - rf[key]) - (mk_s[key] - mk[key]))) < 1e-13
 
@@ -291,52 +310,19 @@ def test_constant_trajectory_for_zero_generator():
 
 
 # ---------------------------------------------------------------------------
-# shells, equilibrium, detailed balance
+# stationary states, detailed balance
 
 
-def test_shell_probability_initial_and_conservation():
-    table = make_bath([400, 600])
+def test_stationary_populations_volume_ratios():
     system = spin()
-    state = ConditionedState({(0,): excited_block()})
-    shells = shell_probability(state.populations(), system.levels, [table.centers])
-    assert shells.values == {1.0: 1.0}
-    t = np.linspace(0.0, 60.0, 61)
-    traj = evolve(state, system, [table], t)
-    for n in range(len(t)):
-        pops = dict(zip(traj.joint_index, traj.populations[n]))
-        sh = shell_probability(pops, system.levels, [table.centers])
-        assert abs(sh.values.get(1.0, 0.0) - 1.0) <= 1e-8
-        assert abs(sum(sh.values.values()) - 1.0) <= 1e-8
-
-
-def test_shell_probability_uniform_gives_multiplicities():
-    centers = np.array([0.0, 1.0, 2.0])
-    levels = np.array([0.0, 1.0])
-    pops = {(k, (j,)): 1.0 / 6.0 for k in range(2) for j in range(3)}
-    shells = shell_probability(pops, levels, [centers])
-    # shell spectrum 0,1,2,3 with multiplicities 1,2,2,1
-    assert shells.values[0.0] == pytest.approx(1 / 6)
-    assert shells.values[1.0] == pytest.approx(2 / 6)
-    assert shells.values[2.0] == pytest.approx(2 / 6)
-    assert shells.values[3.0] == pytest.approx(1 / 6)
-
-
-def test_equilibrium_state_volume_ratios():
-    levels = np.array([0.0, 1.0])
-    shell = ShellDistribution({1.0: 1.0})
-    p = equilibrium_state(shell, np.array([0.0, 1.0]), np.array([400.0, 600.0]), levels)
+    p0 = {(1, (0,)): 1.0}
+    p = stationary_populations(p0, system, [make_bath([400, 600])])
     assert p[(1, (0,))] == pytest.approx(0.4)
     assert p[(0, (1,))] == pytest.approx(0.6)
-    p_inv = equilibrium_state(shell, np.array([0.0, 1.0]), np.array([600.0, 400.0]), levels)
+    p_inv = stationary_populations(p0, system, [make_bath([600, 400])])
     assert p_inv[(1, (0,))] == pytest.approx(0.6)  # population inversion
-    p_eq = equilibrium_state(shell, np.array([0.0, 1.0]), np.array([300.0, 300.0]), levels)
+    p_eq = stationary_populations(p0, system, [make_bath([300, 300])])
     assert p_eq[(1, (0,))] == pytest.approx(0.5)
-
-
-def test_equilibrium_state_empty_shell_errors():
-    shell = ShellDistribution({7.0: 0.5})
-    with pytest.raises(ConfigurationError):
-        equilibrium_state(shell, np.array([0.0, 1.0]), np.array([10.0, 10.0]), np.array([0.0, 1.0]))
 
 
 def test_local_detailed_balance_exact_ratio():
@@ -348,20 +334,6 @@ def test_local_detailed_balance_exact_ratio():
         fwd = val / table.volumes[j]
         bwd = w[(q, k, j, i)] / table.volumes[i]
         assert fwd / bwd == table.volumes[i] / table.volumes[j]
-
-
-def test_microcanonical_temperature_values():
-    centers = np.array([0.0, 1.0])
-    assert microcanonical_temperature(centers, np.array([400.0, 600.0]), 0.0) == pytest.approx(
-        1.0 / np.log(1.5)
-    )
-    assert microcanonical_temperature(centers, np.array([400.0, 600.0]), 0.0) == pytest.approx(
-        2.466, abs=5e-4
-    )
-    assert microcanonical_temperature(centers, np.array([600.0, 400.0]), 0.0) == pytest.approx(
-        -1.0 / np.log(1.5)
-    )
-    assert microcanonical_temperature(centers, np.array([500.0, 500.0]), 0.0) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +377,9 @@ def test_two_bath_generator_is_additive():
     system_one = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
     blocks2 = {(0, 0): excited_block()}
     state2 = ConditionedState(blocks2)
-    deriv2 = emme_generator(
-        state2, system_two, [t1, t2.scale(0.0)], include_shift=False
-    )
+    deriv2 = generator_derivs(state2, system_two, [t1, t2.scale(0.0)], include_shift=False)
     state1 = ConditionedState({(0,): excited_block()})
-    deriv1 = emme_generator(state1, system_one, [t1], include_shift=False)
+    deriv1 = generator_derivs(state1, system_one, [t1], include_shift=False)
     for key1, block in deriv1.items():
         assert np.max(np.abs(deriv2[(key1[0], 0)] - block)) == 0.0
 
@@ -433,9 +403,7 @@ def test_two_bath_unequal_widths_pop_rate_matches_generator_diagonal():
     pos = {s: n for n, s in enumerate(traj.joint_index)}
     for m in (3, 9, 10, 16, 20):  # both segments, the quench point included
         blocks = ConditionedState({key: series[m] for key, series in traj.blocks.items()})
-        deriv = redfield_envelope_generator(
-            blocks, system, [t1, t2], t[m], levels=traj.level_energies[m]
-        )
+        deriv = generator_derivs(blocks, system, [t1, t2], t=t[m], levels=traj.level_energies[m])
         dp = traj.pop_rate(t[m], traj.populations[m])
         for key, block in deriv.items():
             for k in range(2):

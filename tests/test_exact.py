@@ -23,11 +23,17 @@ def tiny_realization(b=0.6, v0=1, v1=1):
     spec = BathSpec([EnergyWindow(0.0, 0.5, v0), EnergyWindow(1.0, 0.5, v1)])
     wins = build_spectrum(spec)
     coup = CouplingSpec(lam=0.05, block_mean=b, variance=0.0, seed=1)
-    return sample_coupling(coup, wins, spec)
+    return sample_coupling(coup, wins)
 
 
 def spin():
     return SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
+
+
+def walk(ens, real, t_grid):
+    """The exact walker for a static spin over the components the ensemble occupies."""
+    occupied = [c for c in sector_components([SIGMA_X], real) if np.any(ens.members[c])]
+    return propagate(ens, spin(), real, t_grid, exact.DEFAULT_DIM_CAP, occupied)
 
 
 def test_assemble_uncoupled_spectrum_is_sum_of_levels():
@@ -102,25 +108,25 @@ def test_prepare_initial_typicality_members_live_in_subspace():
 
 def test_propagate_identity_at_origin_and_frozen_when_uncoupled():
     real = two_band_realization(v0=4, v1=5, lam=0.0, seed=4)
-    model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 8.0, 5)
     pops = []
-    for t, psi in propagate(ens, model, t_grid):
+    for t, _, psi in walk(ens, real, t_grid):
         if t == 0.0:
             assert np.allclose(psi, ens.members, atol=1e-12)
         p, _ = coarse_grain(psi, ens.weights, 2, real.windows)
         pops.append(p)
     assert np.allclose(pops[0], pops[-1], atol=1e-12)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        next(walk(ens, real, t_grid[::-1]))
 
 
 def test_propagate_rabi_oscillation_against_two_level_oracle():
     real = tiny_realization(b=0.6)
     lam, b = 0.05, 0.6
-    model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 40.0, 81)
-    for t, psi in propagate(ens, model, t_grid):
+    for t, _, psi in walk(ens, real, t_grid):
         p, _ = coarse_grain(psi, ens.weights, 2, real.windows)
         assert p[1, 0] == pytest.approx(np.cos(lam * b * t) ** 2, abs=1e-10)
 
@@ -130,7 +136,7 @@ def test_propagate_conserves_norm_and_energy():
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
     ens = prepare_initial("typicality", real.windows, 0, 1, 2, members=3, seed=8)
     e0 = None
-    for t, psi in propagate(ens, model, np.linspace(0.0, 50.0, 6)):
+    for t, _, psi in walk(ens, real, np.linspace(0.0, 50.0, 6)):
         assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
         energy = sum(
             np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
@@ -156,8 +162,7 @@ def test_mutual_information_zero_for_product_and_bounded():
     d_b = sum(w.volume for w in real.windows)
     mi0 = quantum_mutual_information(ens.members, ens.weights, 2, d_b, ens.subspace_entropy)
     assert abs(mi0) < 1e-10
-    model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    for t, psi in propagate(ens, model, np.array([0.0, 30.0, 80.0])):
+    for t, _, psi in walk(ens, real, np.array([0.0, 30.0, 80.0])):
         mi = quantum_mutual_information(psi, ens.weights, 2, d_b, ens.subspace_entropy)
         assert -1e-10 <= mi <= 2 * np.log(2) + 1e-10
 
@@ -270,7 +275,7 @@ def three_window_realization():
                      EnergyWindow(2.0, 0.5, 18)])
     coup = CouplingSpec(lam=0.05, block_mean={(0, 1): 0.4, (1, 2): 0.3 + 0.1j},
                         variance=0.0, seed=5)
-    return sample_coupling(coup, build_spectrum(spec), spec)
+    return sample_coupling(coup, build_spectrum(spec))
 
 
 SECTOR_CASES = {

@@ -9,16 +9,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.rates import (
-    EthProfile,
     breve_h,
     correlation_exact,
     correlation_functions,
     default_tau_grid,
-    gamma_eth,
     gamma_heuristic,
     gamma_quadrature,
     gamma_rmt,
-    interpolate_volume,
     lamb_shift,
     rate_table_heuristic,
     rate_table_quadrature,
@@ -58,7 +55,7 @@ def test_correlation_at_zero_matches_brute_force_trace():
 def test_correlation_single_level_windows_never_decays():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 1), EnergyWindow(1.0, 0.5, 1)])
     wins = build_spectrum(spec)
-    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=1.0, variance=0.0), wins, spec)
+    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=1.0, variance=0.0), wins)
     corr = correlation_exact(real, (0, 1), np.linspace(0, 50, 400))
     assert np.allclose(np.abs(corr.values), np.abs(corr.values[0]))
     assert corr.tau_b == np.inf
@@ -75,7 +72,7 @@ def _three_window_two_operator_bath(volumes=(11, 17, 23)):
         CouplingSpec(lam=2e-3, block_mean=0.5, variance=1.0, seed=51),
         CouplingSpec(lam=2e-3, block_mean=0.5j, variance=1.0, seed=52),
     ]
-    return sample_coupling(coups, wins, spec)
+    return sample_coupling(coups, wins)
 
 
 ALL_KEYS = [(i, j, a, ap) for i in range(3) for j in range(3) for a in range(2) for ap in range(2)]
@@ -156,7 +153,7 @@ def test_correlation_envelope_matches_sinc_squared():
 def test_gamma_heuristic_zero_coupling():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 3), EnergyWindow(1.0, 0.5, 4)])
     wins = build_spectrum(spec)
-    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins, spec)
+    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins)
     assert gamma_heuristic(real, (0, 1)) == 0.0
 
 
@@ -199,36 +196,6 @@ def test_gamma_rmt_symmetric_under_window_exchange():
     assert table.gamma[(0, 1)][0, 0] == table.gamma[(1, 0)][0, 0]
 
 
-def test_gamma_eth_zero_and_uniform_profiles():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 50), EnergyWindow(1.0, 0.5, 50)])
-    wins = build_spectrum(spec)
-    assert gamma_eth(EthProfile(lambda e, w: 0.0), wins, (0, 1), lam=1e-2) == 0.0
-    g = gamma_eth(EthProfile(lambda e, w: 1.0), wins, (0, 1), lam=1e-2)
-    # V_E = V_E' = V_Ebar = 50: the volumes cancel down to a single factor
-    assert g == pytest.approx(2 * np.pi * 1e-4 / 0.5 * 50, rel=1e-12)
-
-
-def test_gamma_eth_with_coarse_profile_equals_heuristic():
-    b0 = 0.25
-    real = two_band_realization(v0=100, v1=400, a2=0.0, b=b0, seed=2)
-    wins = real.windows
-
-    def f(ebar, omega):
-        return b0 * np.sqrt(interpolate_volume(wins, ebar))
-
-    g_eth = gamma_eth(EthProfile(f), wins, (0, 1), lam=real.lam)
-    g_heu = gamma_heuristic(real, (0, 1))
-    assert g_eth == pytest.approx(g_heu, rel=1e-12)
-
-
-def test_interpolate_volume_log_linear_and_range():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 100), EnergyWindow(1.0, 0.5, 400)])
-    wins = build_spectrum(spec)
-    assert interpolate_volume(wins, 0.5) == pytest.approx(200.0, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        interpolate_volume(wins, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # quadrature route
 
@@ -246,7 +213,7 @@ def test_gamma_quadrature_resonant_and_suppressed():
 def test_gamma_quadrature_zero_correlation():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 3), EnergyWindow(1.0, 0.5, 4)])
     wins = build_spectrum(spec)
-    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins, spec)
+    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins)
     corr = correlation_exact(real, (0, 1), default_tau_grid(0.5, 100))
     res = gamma_quadrature(corr, omega=1.0)
     assert res.gamma == 0.0 and res.gamma_full == 0.0
@@ -255,7 +222,7 @@ def test_gamma_quadrature_zero_correlation():
 def test_gamma_quadrature_refuses_pure_phase():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 1), EnergyWindow(1.0, 0.5, 1)])
     wins = build_spectrum(spec)
-    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=1.0, variance=0.0), wins, spec)
+    real = sample_coupling(CouplingSpec(lam=1.0, block_mean=1.0, variance=0.0), wins)
     corr = correlation_exact(real, (0, 1), np.linspace(0, 60, 500))
     with pytest.raises(NumericalFailure, match=r"window pair \(0, 1\), operator pair \(0, 0\)"):
         gamma_quadrature(corr, omega=1.0)
@@ -422,7 +389,7 @@ def test_gamma_matrix_positive_semidefinite_bochner():
         CouplingSpec(lam=2e-3, block_mean=0.1, variance=1.0, seed=31),
         CouplingSpec(lam=2e-3, block_mean=0.2j, variance=1.0, seed=32),
     ]
-    real = sample_coupling(coups, wins, spec)
+    real = sample_coupling(coups, wins)
     rng = np.random.default_rng(0)
     for table in (rate_table_heuristic(real), rate_table_rmt(coups, wins)):
         for (i, j), g in table.gamma.items():

@@ -9,10 +9,9 @@ from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.emme import (
     ConditionedState,
     ProtocolSegment,
-    ShellDistribution,
     SystemSpec,
-    equilibrium_state,
     evolve,
+    stationary_populations,
 )
 from finitebath.errors import ConfigurationError
 from finitebath.rates import rate_table_rmt
@@ -59,9 +58,8 @@ def test_observational_entropy_point_mass():
 
 
 def test_observational_entropy_of_equilibrium_shell():
-    levels = np.array([0.0, 1.0])
-    shell = ShellDistribution({1.0: 1.0})
-    p_eq = equilibrium_state(shell, np.array([0.0, 1.0]), np.array([400.0, 600.0]), levels)
+    system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
+    p_eq = stationary_populations({(1, (0,)): 1.0}, system, [make_table([400, 600])])
     p = np.array([p_eq[(1, (0,))], p_eq[(0, (1,))]])
     log_v = np.log(np.array([400.0, 600.0]))
     assert observational_entropy(p, log_v) == pytest.approx(np.log(1000.0), rel=1e-12)
@@ -268,8 +266,7 @@ def test_entropy_production_nonnegative_and_zero_cases():
 def test_entropy_production_vanishes_at_equilibrium():
     table = make_table([400, 600])
     system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
-    shell = ShellDistribution({1.0: 1.0})
-    p_eq = equilibrium_state(shell, table.centers, table.volumes, system.levels)
+    p_eq = stationary_populations({(1, (0,)): 1.0}, system, [table])
     blocks = {}
     for (k, key), p in p_eq.items():
         blocks.setdefault(key, np.zeros((2, 2), dtype=complex))[k, k] = p
