@@ -44,6 +44,8 @@ class BathSpec:
 
     spectrum_kind is "regular" (equidistant grid inside each window) or
     "random-uniform" (i.i.d. uniform levels inside each window, sorted).
+    Every check runs here, so a spec that constructs can always be built
+    into a spectrum, whether or not a route ever does.
     """
 
     windows: list[EnergyWindow]
@@ -55,6 +57,11 @@ class BathSpec:
             raise ConfigurationError(
                 f"unknown spectrum kind {self.spectrum_kind!r}"
             )
+        if self.spectrum_kind == "random-uniform" and self.seed is None:
+            raise ConfigurationError("random-uniform spectrum requires a seed")
+        for w in self.windows:
+            if w.volume < 1:
+                raise ConfigurationError(f"window at {w.center} has volume < 1")
         centers = [w.center for w in self.windows]
         if any(c2 <= c1 for c1, c2 in zip(centers, centers[1:])):
             raise ConfigurationError("window centers must be strictly increasing")
@@ -131,7 +138,8 @@ class BathRealization:
 
     @property
     def volumes(self) -> np.ndarray:
-        return np.array([w.volume for w in self.windows])
+        # float64: exact below 2**53, and products and logs cannot overflow
+        return np.array([w.volume for w in self.windows], dtype=float)
 
     @property
     def delta(self) -> float:
@@ -166,13 +174,9 @@ def build_spectrum(spec: BathSpec) -> list[EnergyWindow]:
     [center - delta/2, center + delta/2) and sort them; the result is
     deterministic for a given seed.
     """
-    if spec.spectrum_kind == "random-uniform" and spec.seed is None:
-        raise ConfigurationError("random-uniform spectrum requires a seed")
     rng = np.random.default_rng(spec.seed)
     out = []
     for w in spec.windows:
-        if w.volume < 1:
-            raise ConfigurationError(f"window at {w.center} has volume < 1")
         if spec.spectrum_kind == "regular":
             levels = w.lo + np.arange(w.volume) * (w.width / w.volume)
         else:

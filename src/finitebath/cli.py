@@ -31,7 +31,7 @@ from .bath import (
 from .bms import bms_rates_from_table, choose_reference_temperature, evolve_bms
 from .emme import ConditionedState, ProtocolSegment, SystemSpec, evolve, spin_oracle_trajectory
 from .errors import ConfigurationError, DimensionCapExceeded, FiniteBathError, NumericalFailure
-from .exact import prepare_initial, run_exact
+from .exact import check_dimension, prepare_initial, run_exact
 from .presets import preset as get_preset
 from .presets import presets, scale_volumes
 from .rates import correlation_exact, default_tau_grid, rate_table_heuristic, rate_table_quadrature, rate_table_rmt
@@ -195,11 +195,18 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
 
 
 class ScenarioRun:
-    """Shared state for one scenario: spectra, realizations, rate tables."""
+    """Shared state for one scenario: windows, realizations, rate tables.
+
+    ``windows`` are the coarse-grained spec windows (centers, widths,
+    volumes) and carry no microlevels.  The microscopic spectrum is built
+    only with a sampled realization, which the ``exact`` solver and the
+    ``heuristic`` and ``quadrature`` rate routes need; an ``rmt`` run
+    costs the same at any bath volume.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.windows = [build_spectrum(spec) for spec in scenario.bath_specs]
+        self.windows = [spec.windows for spec in scenario.bath_specs]
         self._realizations = None
         self._tables = None
         self.trajectories: dict[str, Trajectory] = {}
@@ -210,8 +217,8 @@ class ScenarioRun:
     def realizations(self):
         if self._realizations is None:
             self._realizations = [
-                sample_coupling(self.scenario.couplings[nu], self.windows[nu])
-                for nu in range(len(self.windows))
+                sample_coupling(couplings, build_spectrum(spec))
+                for spec, couplings in zip(self.scenario.bath_specs, self.scenario.couplings)
             ]
         return self._realizations
 
@@ -249,6 +256,7 @@ class ScenarioRun:
         elif solver == "exact":
             if len(self.windows) != 1:
                 raise ConfigurationError("the exact benchmark supports a single bath")
+            check_dimension(sc.system.dim, self.windows[0], sc.dim_cap)
             ens = prepare_initial(
                 sc.ensemble_kind, self.windows[0], sc.initial_windows[0],
                 sc.initial_level, sc.system.dim,

@@ -183,24 +183,30 @@ def _gamma_strict(table: RateTable, i: int, j: int) -> np.ndarray:
     return g
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing d x d matrices, broadcast over any leading axis.
+
+    One broadcast multiply forms the same elementwise products a[i, j] *
+    b[k, l] as np.kron, so the result is bit-identical to it.
+    """
+    d = a.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (d * d, d * d))
+
+
 def _packed_operator(
-    blocks: dict[tuple[int, int], np.ndarray], n_blocks: int, d: int
+    rows: np.ndarray, cols: np.ndarray, sups: np.ndarray, n_blocks: int, d: int
 ) -> sparse.csr_array:
     """CSR operator on the packed block vector from dense superoperator blocks.
 
     Block n of the packed vector holds the row-major ravel of rho_n at offset
-    n d^2; ``blocks[(n, m)]`` is the d^2 x d^2 map from block m into d/dt of
-    block n.
+    n d^2; ``sups[b]`` is the d^2 x d^2 map from block ``cols[b]`` into d/dt
+    of block ``rows[b]``, and no (row, col) pair repeats.
     """
     d2 = d * d
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, complex)]
-    for (n, m), sup in blocks.items():
-        r, c = np.nonzero(sup)
-        rows.append(n * d2 + r)
-        cols.append(m * d2 + c)
-        vals.append(sup[r, c])
-    ij = (np.concatenate(rows), np.concatenate(cols))
-    return sparse.csr_array((np.concatenate(vals), ij), shape=(n_blocks * d2, n_blocks * d2))
+    b, r, c = np.nonzero(sups)
+    ij = (rows[b] * d2 + r, cols[b] * d2 + c)
+    return sparse.csr_array((sups[b, r, c], ij), shape=(n_blocks * d2, n_blocks * d2))
 
 
 class EmmeGenerator:
@@ -212,7 +218,8 @@ class EmmeGenerator:
     ``dissipators[nu]`` holds bath nu's loss anticommutator and its gains,
     each gain fed by the block whose bath energy is lower by the emitted
     quantum, which conserves the coarse-grained total energy.  ``markov`` is
-    their sum.
+    their sum.  A bath's superoperator blocks depend only on its window, so
+    each is built once per window (or window pair) and shared by the blocks.
     """
 
     def __init__(
@@ -231,42 +238,65 @@ class EmmeGenerator:
         self.dim = d
         eye = np.eye(d)
         n_blocks = len(self.keys)
+        windows = np.array(self.keys, dtype=int).reshape(n_blocks, len(tables))
 
-        h_prime = [np.diag(np.asarray(levels, dtype=float)).astype(complex) for _ in self.keys]
+        h_prime = np.tile(np.diag(np.asarray(levels, dtype=float)).astype(complex), (n_blocks, 1, 1))
         self.dissipators: list[sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
-            h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0] if include_shift else None
-            sup: dict[tuple[int, int], np.ndarray] = {}
-            for n, key in enumerate(self.keys):
-                j_here = key[nu]
-                if h_ls is not None:
-                    h_prime[n] += h_ls[j_here]
+            if include_shift:
+                h_ls = np.array(lamb_shift(table, s_omega, np.zeros((d, d)))[0])
+                h_prime = h_prime + h_ls[windows[:, nu]]
+            sources = {}  # window -> the source window of each frequency's gain, or None
+
+            def gain(j: int, j_dn: int) -> np.ndarray:
+                # rate gamma(E, E - omega)/V_{E-omega}, over the frequencies fed from j_dn
+                out = np.zeros((d * d, d * d), dtype=complex)
+                g = _gamma_strict(table, j, j_dn) / table.volumes[j_dn]
+                for ops, src in zip(s_omega.values(), sources[j]):
+                    if src == j_dn:
+                        for a, ap in zip(*np.nonzero(g)):
+                            out += g[a, ap] * _kron(ops[a], ops[ap].conj())
+                return out
+
+            def diagonal(j: int) -> np.ndarray:
                 loss = np.zeros((d, d), dtype=complex)
                 for omega, ops in s_omega.items():
                     # loss: bath window at E + omega absorbs the emitted quantum
-                    j_up = table.target_window(j_here, omega)
+                    j_up = table.target_window(j, omega)
                     if j_up is not None:
-                        g = _gamma_strict(table, j_up, j_here) / table.volumes[j_here]
+                        g = _gamma_strict(table, j_up, j) / table.volumes[j]
                         for a, ap in zip(*np.nonzero(g)):
                             loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
-                    # gain: rate gamma(E, E - omega)/V_{E-omega}
-                    j_dn = table.target_window(j_here, -omega)
-                    src_key = None if j_dn is None else key[:nu] + (j_dn,) + key[nu + 1 :]
-                    if src_key not in key_index:
+                anticommutator = _kron(loss, eye) + _kron(eye, loss.T)
+                return (gain(j, j) if j in sources[j] else 0.0) - 0.5 * anticommutator
+
+            sups: list[np.ndarray] = []
+            position: dict[tuple[int, int], int] = {}
+            rows, cols, ids = [], [], []
+            for n, key in enumerate(self.keys):
+                j = key[nu]
+                if j not in sources:
+                    sources[j] = [table.target_window(j, -omega) for omega in s_omega]
+                for j_src in dict.fromkeys([j] + sources[j]):
+                    if j_src is None:
                         continue
-                    src = key_index[src_key]
-                    g = _gamma_strict(table, j_here, j_dn) / table.volumes[j_dn]
-                    gain = sup.setdefault((n, src), np.zeros((d * d, d * d), dtype=complex))
-                    for a, ap in zip(*np.nonzero(g)):
-                        gain += g[a, ap] * np.kron(ops[a], ops[ap].conj())
-                anticommutator = np.kron(loss, eye) + np.kron(eye, loss.T)
-                sup[(n, n)] = sup.get((n, n), 0.0) - 0.5 * anticommutator
-            self.dissipators.append(_packed_operator(sup, n_blocks, d))
-        commutators = {
-            (n, n): -1j * (np.kron(h, eye) - np.kron(eye, h.T)) for n, h in enumerate(h_prime)
-        }
-        self.coherent = _packed_operator(commutators, n_blocks, d)
+                    src = key_index.get(key[:nu] + (j_src,) + key[nu + 1 :])
+                    if src is None:
+                        continue
+                    if (j, j_src) not in position:
+                        position[(j, j_src)] = len(sups)
+                        sups.append(diagonal(j) if j_src == j else gain(j, j_src))
+                    rows.append(n)
+                    cols.append(src)
+                    ids.append(position[(j, j_src)])
+            self.dissipators.append(_packed_operator(
+                np.array(rows, dtype=int), np.array(cols, dtype=int),
+                np.array(sups).reshape(-1, d * d, d * d)[ids], n_blocks, d,
+            ))
+        commutators = -1j * (_kron(h_prime, eye) - _kron(eye, h_prime.swapaxes(-1, -2)))
+        block = np.arange(n_blocks)
+        self.coherent = _packed_operator(block, block, commutators, n_blocks, d)
         self.markov = sum(self.dissipators, self.coherent)
 
     def derivative(self, y: np.ndarray, zeta_factors: list[float] | None = None) -> np.ndarray:

@@ -86,6 +86,13 @@ def sector_components(
     return [np.flatnonzero(basis_labels == c) for c in range(n_comp)]
 
 
+def check_dimension(d_s: int, windows: list[EnergyWindow], dim_cap: int):
+    """Refuse a total dimension d_s * d_b above the cap, before anything of that size exists."""
+    dim = d_s * bath_dimension(windows)
+    if dim > dim_cap:
+        raise DimensionCapExceeded(f"total dimension {dim} exceeds the cap {dim_cap}")
+
+
 def assemble(
     levels: np.ndarray,
     s_ops: list[np.ndarray],
@@ -102,11 +109,8 @@ def assemble(
     """
     levels = np.asarray(levels, dtype=float)
     d_s = len(levels)
+    check_dimension(d_s, realization.windows, dim_cap)
     d_b = bath_dimension(realization.windows)
-    if d_s * d_b > dim_cap:
-        raise DimensionCapExceeded(
-            f"total dimension {d_s * d_b} exceeds the cap {dim_cap}"
-        )
     if components is None:
         components = sector_components(s_ops, realization)
     lam = realization.lam

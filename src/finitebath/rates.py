@@ -341,9 +341,22 @@ class RateTable:
     diagnostics: dict = field(default_factory=dict)
 
     def target_window(self, j: int, omega: float) -> int | None:
-        """Index of the window at E_j + omega under the resonance rule."""
-        hits = np.nonzero(np.abs(self.centers - (self.centers[j] + omega)) <= self.resonance_tol)[0]
-        return int(hits[0]) if hits.size else None
+        """Index of the window at E_j + omega under the resonance rule.
+
+        The lowest i with |E_i - x| <= tol, x = E_j + omega.  Centers
+        increase and rounding is monotone, so E_i - x is non-decreasing in
+        i and the hits are contiguous: a bisection finds the first i with
+        E_i - x >= -tol, and the steps after it absorb the rounding by which
+        E_i >= x - tol can differ from that predicate.
+        """
+        c, tol = self.centers, self.resonance_tol
+        x = c[j] + omega
+        i = int(np.searchsorted(c, x - tol))
+        while i > 0 and c[i - 1] - x >= -tol:
+            i -= 1
+        while i < c.size and c[i] - x < -tol:
+            i += 1
+        return i if i < c.size and abs(c[i] - x) <= tol else None
 
     def gamma_entry(self, i: int, j: int) -> np.ndarray:
         g = self.gamma.get((i, j))
@@ -379,7 +392,7 @@ def rate_table_rmt(couplings, windows: list[EnergyWindow]) -> RateTable:
     n_ops = len(specs)
     delta = windows[0].width
     centers = np.array([w.center for w in windows])
-    volumes = np.array([w.volume for w in windows])
+    volumes = np.array([w.volume for w in windows], dtype=float)
     gamma: dict[tuple[int, int], np.ndarray] = {}
     for i in range(len(windows)):
         for j in range(i + 1, len(windows)):
@@ -389,10 +402,17 @@ def rate_table_rmt(couplings, windows: list[EnergyWindow]) -> RateTable:
             gamma[(i, j)] = g
             gamma[(j, i)] = g.conj()  # |b|^2 symmetric, cross terms conjugate
 
+    @lru_cache(maxsize=None)
+    def shift_kernel(omega: float) -> np.ndarray:
+        # Im breve_h at xi = (E_j - E_i - omega)/delta for every pair (i, j),
+        # memoized and read-only: lamb_shift asks once per window pair
+        kernel = breve_h((centers[None, :] - centers[:, None] - omega) / delta).imag
+        kernel.flags.writeable = False
+        return kernel
+
     def a_coeff(i: int, j: int, omega: float) -> np.ndarray:
-        # Im of gamma^{aa'}(E_i, E_j) * breve_h at xi = (E_j - E_i - omega)/delta
-        xi = (centers[j] - centers[i] - omega) / delta
-        return gamma.get((i, j), np.zeros((n_ops, n_ops))) * breve_h(xi).imag
+        # Im of gamma^{aa'}(E_i, E_j) * breve_h(xi)
+        return gamma.get((i, j), np.zeros((n_ops, n_ops))) * shift_kernel(omega)[i, j]
 
     return RateTable(centers, volumes, delta, gamma, "rmt", delta / 2.0, n_ops, a_coeff)
 

@@ -44,9 +44,8 @@ def test_random_uniform_deterministic_given_seed():
 
 
 def test_random_uniform_requires_seed():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 5)], "random-uniform")
     with pytest.raises(ConfigurationError):
-        build_spectrum(spec)
+        BathSpec([EnergyWindow(0.0, 0.5, 5)], "random-uniform")
 
 
 def test_window_invariants_over_seeds():
@@ -70,9 +69,14 @@ def test_overlapping_windows_rejected():
 
 
 def test_volume_below_one_rejected():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 0)])
     with pytest.raises(ConfigurationError):
-        build_spectrum(spec)
+        BathSpec([EnergyWindow(0.0, 0.5, 0)])
+
+
+def test_realization_volumes_are_float():
+    real = two_band_realization(v0=3, v1=4, seed=2)
+    assert real.volumes.dtype == np.float64
+    assert np.array_equal(real.volumes, [3.0, 4.0])
 
 
 def test_zero_variance_coupling_is_the_block_mean():

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from finitebath import cli
 from finitebath.cli import build_scenario, main, run
 from finitebath.errors import ConfigurationError
 from finitebath.presets import preset, presets, scale_volumes
@@ -221,3 +223,73 @@ def test_thermo_csv_columns(tmp_path):
                 "i_cg", "t_star0", "entropy_production_rate", "first_law_residual",
                 "clausius_lhs1", "clausius_lhs2", "clausius_delta_s_obs"):
         assert col in header
+
+
+# ---------------------------------------------------------------------------
+# what each route builds of the bath
+
+
+def rmt_config(volumes_per_bath, solvers=("emme-markov", "emme-redfield")):
+    """EMME on ensemble rates; lambda scaled so the rates out of window 0 stay O(1e-3)."""
+    baths = []
+    for volumes in volumes_per_bath:
+        baths.append({
+            "windows": [
+                {"center": float(j), "width": 0.5, "volume": v} for j, v in enumerate(volumes)
+            ],
+            "spectrum": "regular",
+            "coupling": {"lambda": 3e-3 / np.sqrt(volumes[0] / 50.0), "variance": 1.0},
+        })
+    return {
+        "seed": 5,
+        "t_grid": {"t_max": 8.0, "dt": 1.0},
+        "system": {"levels": [0.0, 1.0], "coupling": "sigma_x"},
+        "baths": baths,
+        "initial": {"system_level": 1, "bath_windows": [0] * len(baths)},
+        "solvers": list(solvers),
+        "rates_method": "rmt",
+    }
+
+
+def test_rmt_route_builds_no_spectrum_at_any_volume(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "build_spectrum", lambda spec: calls.append(spec))
+    volumes = [[int(1.8e9 * 1.3 ** (j - 3)) for j in range(4)] for _ in range(2)]
+    assert 9e9 < sum(map(sum, volumes)) < 1.1e10
+    tracemalloc.start()
+    try:
+        assert run(rmt_config(volumes), tmp_path, name="huge") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 50e6
+    lines = (tmp_path / "emme-markov.csv").read_text().splitlines()
+    assert np.isfinite(np.array([l.split(",") for l in lines[1:]], dtype=float)).all()
+
+
+def test_volume_beyond_int64_runs(tmp_path):
+    # 2**63 < 1.2e20: volumes are floats, so logs and products stay finite
+    cfg = rmt_config([[120_000_000_000_000_000_000, 180_000_000_000_000_000_000]],
+                     solvers=["emme-markov", "bms"])
+    assert run(cfg, tmp_path, name="macro") == 0
+    thermo = np.loadtxt(tmp_path / "thermo_emme-markov.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(thermo).all()
+
+
+def test_volume_zero_window_exits_2_on_rmt_route(tmp_path, capsys):
+    cfg = rmt_config([[60, 0]])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "volume < 1" in capsys.readouterr().err
+
+
+def test_exact_dim_cap_checked_before_sampling(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sample_coupling", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "prepare_initial", lambda *a, **k: calls.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(mini_config(solvers=["exact"], dim_cap=119)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert calls == []

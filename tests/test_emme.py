@@ -18,7 +18,14 @@ from finitebath.emme import (
 )
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.exact import prepare_initial, run_exact
-from finitebath.rates import RateTable, rate_table_rmt, transition_rates, xi_integral, zeta
+from finitebath.rates import (
+    RateTable,
+    lamb_shift,
+    rate_table_rmt,
+    transition_rates,
+    xi_integral,
+    zeta,
+)
 
 from conftest import SIGMA_X, two_band_realization
 
@@ -423,6 +430,97 @@ def test_two_bath_stationary_matches_volume_products():
     # per-bath detailed-balance ratios
     assert p_eq[(1, (0, 0))] / p_eq[(0, (1, 0))] == pytest.approx(40 / 60)
     assert p_eq[(1, (0, 0))] / p_eq[(0, (0, 1))] == pytest.approx(30 / 50)
+
+
+def test_three_bath_stationary_volume_products_do_not_overflow():
+    # V^3 = 1e21 > 2**63: integer volume products would wrap around
+    tables = [
+        rate_table_rmt(
+            CouplingSpec(lam=1e-9, variance=1.0, seed=nu),
+            [EnergyWindow(0.0, DELTA, 10**7), EnergyWindow(1.0, DELTA, 3 * 10**7)],
+        )
+        for nu in range(3)
+    ]
+    system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]] * 3)
+    p_eq = stationary_populations({(1, (0, 0, 0)): 1.0}, system, tables)
+    # weights 1e21 for the excited state and 3e21 for each de-excited one
+    assert p_eq[(1, (0, 0, 0))] == pytest.approx(0.1, rel=1e-12)
+    for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        assert p_eq[(0, key)] == pytest.approx(0.3, rel=1e-12)
+
+
+def dense_generator(levels, couplings, tables, keys):
+    """Coherent part and per-bath dissipators as dense matrices, built with np.kron.
+
+    Block n of the packed vector is the row-major ravel of rho_n; gains are
+    accumulated per (block, source) in frequency order, then the loss
+    anticommutator is subtracted from the diagonal block.
+    """
+    d = len(levels)
+    d2, eye = d * d, np.eye(d)
+    index = {k: n for n, k in enumerate(keys)}
+
+    def block(mat, n, m):
+        return mat[n * d2 : (n + 1) * d2, m * d2 : (m + 1) * d2]
+
+    h = [np.diag(levels).astype(complex) for _ in keys]
+    dissipators = []
+    for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
+        pieces = [s_omega_decomposition(s, levels) for s in s_ops]
+        s_omega = {
+            w: [p.get(w, np.zeros((d, d), dtype=complex)) for p in pieces]
+            for w in sorted({w for p in pieces for w in p})
+        }
+        h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
+        mat = np.zeros((len(keys) * d2,) * 2, dtype=complex)
+        for n, key in enumerate(keys):
+            j = key[nu]
+            h[n] += h_ls[j]
+            loss = np.zeros((d, d), dtype=complex)
+            for omega, ops in s_omega.items():
+                j_up = table.target_window(j, omega)
+                if j_up is not None:
+                    g = table.gamma_entry(j_up, j) / table.volumes[j]
+                    for a, ap in zip(*np.nonzero(g)):
+                        loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
+                j_dn = table.target_window(j, -omega)
+                src = None if j_dn is None else index.get(key[:nu] + (j_dn,) + key[nu + 1 :])
+                if src is not None:
+                    g = table.gamma_entry(j, j_dn) / table.volumes[j_dn]
+                    for a, ap in zip(*np.nonzero(g)):
+                        block(mat, n, src)[...] += g[a, ap] * np.kron(ops[a], ops[ap].conj())
+            block(mat, n, n)[...] = block(mat, n, n) - 0.5 * (
+                np.kron(loss, eye) + np.kron(eye, loss.T)
+            )
+        dissipators.append(mat)
+    coherent = np.zeros((len(keys) * d2,) * 2, dtype=complex)
+    for n, hn in enumerate(h):
+        block(coherent, n, n)[...] = -1j * (np.kron(hn, eye) - np.kron(eye, hn.T))
+    return coherent, dissipators
+
+
+def test_generator_equals_dense_kron_reference():
+    # 3 levels, 2 operators, 2 baths; the diagonal of s2 and the 0.2 gap
+    # resolve to the window itself, and the gaps 1.0 and 1.2 to the same one
+    levels = np.array([0.0, 1.0, 1.2])
+    s1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    s2 = np.array([[0.5, 0, 1j], [0, -0.5, 0.3], [-1j, 0.3, 0]], dtype=complex)
+    tables = [
+        rate_table_rmt(
+            [CouplingSpec(lam=3e-3, block_mean=b, variance=1.0, seed=0),
+             CouplingSpec(lam=3e-3, block_mean=0.2j, variance=0.5, seed=1, operator_label=1)],
+            [EnergyWindow(float(c), DELTA, v) for c, v in enumerate(volumes)],
+        )
+        for b, volumes in ((0.4, [30, 50, 80, 120]), (-0.1 + 0.3j, [20, 45, 70]))
+    ]
+    couplings = [[s1, s2], [s2, s1]]
+    keys = state_keys({(0, 0)}, SystemSpec(levels, couplings), tables, levels)
+    gen = EmmeGenerator(levels, couplings, tables, keys)
+    coherent, dissipators = dense_generator(levels, couplings, tables, keys)
+    assert len(keys) == 12
+    assert np.array_equal(gen.coherent.toarray(), coherent)
+    for op, ref in zip(gen.dissipators, dissipators):
+        assert np.array_equal(op.toarray(), ref)
 
 
 def test_conditioned_state_invariant_checks():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
 # the oscillatory quadrature oracle for the closed-form kernel reports
@@ -9,6 +11,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarn
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.rates import (
+    RateTable,
     breve_h,
     correlation_exact,
     correlation_functions,
@@ -315,6 +318,60 @@ def test_xi_integral_long_time_behavior():
     for t in (1e3, 1e4):
         expect = -(2.0 / (np.pi * delta)) * (1.0 + np.euler_gamma + np.log(delta * t))
         assert xi_integral(t, delta) - t == pytest.approx(expect, abs=1e-5)
+
+
+def test_rmt_table_from_spec_windows_matches_scalar_kernel():
+    # the rmt route reads centers and volumes only: no microlevels are built
+    windows = [EnergyWindow(float(c), 0.5, v) for c, v in enumerate([40, 90, 150, 260])]
+    specs = [
+        CouplingSpec(lam=3e-3, block_mean=0.4 + 0.2j, variance=1.0, seed=1),
+        CouplingSpec(lam=3e-3, block_mean=-0.3, variance=0.5, seed=2, operator_label=1),
+    ]
+    table = rate_table_rmt(specs, windows)
+    assert table.volumes.dtype == np.float64
+    assert np.array_equal(table.volumes, [40.0, 90.0, 150.0, 260.0])
+    for omega in (-2.0, -1.0, 0.0, 1.0, 0.7):
+        for i in range(4):
+            for j in range(4):
+                xi = (table.centers[j] - table.centers[i] - omega) / table.delta
+                gamma = table.gamma.get((i, j), np.zeros((2, 2)))
+                assert np.array_equal(table.a_coeff(i, j, omega), gamma * breve_h(xi).imag)
+
+
+@st.composite
+def resonance_layouts(draw):
+    """(centers, tol, j, omega): strictly increasing centers and a jump from window j.
+
+    Half the draws space the windows exactly delta apart with omega on a
+    multiple of delta/2 and tol = delta/2, so that x = E_j + omega falls on
+    window centers and on the midpoints between them.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        delta = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0, 0.7]))
+        centers = draw(st.integers(-20, 20)) * delta + delta * np.arange(n)
+        tol = delta / 2.0
+        omega = draw(st.integers(-2 * n - 2, 2 * n + 2)) * delta / 2.0
+    else:
+        gaps = draw(st.lists(st.floats(1e-9, 3.0), min_size=n - 1, max_size=n - 1))
+        centers = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+        tol = draw(st.floats(0.0, 4.0))
+        omega = draw(st.floats(-30.0, 30.0))
+    centers = np.unique(centers)  # cumulative sums can round onto one value
+    j = draw(st.integers(0, centers.size - 1))
+    return centers, tol, j, omega
+
+
+@settings(max_examples=400, deadline=None)
+@given(resonance_layouts())
+@example((np.array([0.0, 1.0, 2.0]), 0.5, 0, 0.5))
+@example((np.array([0.0, 1.0, 2.0]), 0.5, 2, -1.5))
+def test_target_window_is_first_brute_force_hit(layout):
+    centers, tol, j, omega = layout
+    table = RateTable(centers, np.ones(centers.size), 2.0 * tol, {}, "rmt", tol)
+    x = centers[j] + omega
+    hits = [i for i in range(centers.size) if abs(centers[i] - x) <= tol]
+    assert table.target_window(j, omega) == (hits[0] if hits else None)
 
 
 # ---------------------------------------------------------------------------
