@@ -25,7 +25,6 @@ from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
-TRACE_TOL = 1e-8
 
 
 @dataclass
@@ -89,27 +88,12 @@ class ConditionedState:
     blocks: dict[tuple[int, ...], np.ndarray]
     time: float = 0.0
 
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
-
     def populations(self) -> dict[tuple[int, tuple[int, ...]], float]:
         out = {}
         for key, block in self.blocks.items():
             for k in range(block.shape[0]):
                 out[(k, key)] = block[k, k].real
         return out
-
-    def check(self, pos_tol: float = POSITIVITY_TOL, trace_tol: float = TRACE_TOL):
-        for key, block in self.blocks.items():
-            if np.max(np.abs(block - block.conj().T)) > 1e-10:
-                raise NumericalFailure(f"block {key} not Hermitian")
-            w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-            if w.min() < -pos_tol:
-                raise NumericalFailure(
-                    f"block {key} has negative eigenvalue {w.min():.3e}"
-                )
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise NumericalFailure(f"state trace {self.trace():.12f} deviates from 1")
 
 
 def s_omega_decomposition(s_op: np.ndarray, levels: np.ndarray) -> dict[float, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -358,6 +358,11 @@ class RateTable:
             i += 1
         return i if i < c.size and abs(c[i] - x) <= tol else None
 
+    @cached_property
+    def gamma_max(self) -> float:
+        """Largest |gamma| entry over all window pairs; a table is not changed once built."""
+        return max((np.max(np.abs(g)) for g in self.gamma.values()), default=0.0)
+
     def gamma_entry(self, i: int, j: int) -> np.ndarray:
         g = self.gamma.get((i, j))
         if g is None:
@@ -554,9 +559,6 @@ def transition_rates(
     """
     d_s = len(levels)
     out: dict[tuple[int, int, int, int], float] = {}
-    scale = max(
-        (np.max(np.abs(g)) for g in table.gamma.values()), default=0.0
-    )
     for k in range(d_s):
         for q in range(d_s):
             s_kq = np.array([s[k, q] for s in s_ops])
@@ -573,7 +575,7 @@ def transition_rates(
                     continue
                 g = table.gamma_entry(i, j)
                 w = complex(s_kq.conj() @ g.T @ s_kq)
-                if w.real < -1e-12 * max(scale, 1.0):
+                if w.real < -1e-12 * max(table.gamma_max, 1.0):
                     raise NumericalFailure(
                         f"negative transition rate W[{key}] = {w.real:g}"
                     )

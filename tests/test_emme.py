@@ -523,16 +523,11 @@ def test_generator_equals_dense_kron_reference():
         assert np.array_equal(op.toarray(), ref)
 
 
-def test_conditioned_state_invariant_checks():
-    good = ConditionedState({(0,): np.diag([0.3, 0.2]).astype(complex),
-                             (1,): np.diag([0.5, 0.0]).astype(complex)})
-    good.check()
-    bad_pos = ConditionedState({(0,): np.diag([1.2, -0.2]).astype(complex)})
-    with pytest.raises(NumericalFailure, match="negative eigenvalue"):
-        bad_pos.check()
-    bad_trace = ConditionedState({(0,): np.diag([0.3, 0.3]).astype(complex)})
-    with pytest.raises(NumericalFailure, match="trace"):
-        bad_trace.check()
+def test_evolve_refuses_a_block_that_is_not_positive():
+    table = make_bath([10, 20])
+    state = ConditionedState({(0,): np.diag([1.2, -0.2]).astype(complex)})
+    with pytest.raises(NumericalFailure, match=r"block \(0,\) lost positivity at t=0 "):
+        evolve(state, spin(), [table], np.linspace(0.0, 1.0, 3))
 
 
 def test_reachable_keys_closure():

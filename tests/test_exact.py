@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
 from finitebath import exact
@@ -167,11 +169,73 @@ def test_mutual_information_zero_for_product_and_bounded():
         assert -1e-10 <= mi <= 2 * np.log(2) + 1e-10
 
 
+def von_neumann(rho):
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-300]
+    return float(-np.sum(w * np.log(w)))
+
+
+def dense_mutual_information(psi, weights, d_s, d_b):
+    """Reference (I, S(rho)) from the full density matrix and explicit partial traces."""
+    rho = (psi * weights) @ psi.conj().T
+    rho4 = rho.reshape(d_s, d_b, d_s, d_b)
+    rho_s = np.einsum("aibi->ab", rho4)
+    rho_b = np.einsum("aiaj->ij", rho4)
+    s_rho = von_neumann(rho)
+    return von_neumann(rho_s) + von_neumann(rho_b) - s_rho, s_rho
+
+
+def random_members(rng, d_s, d_b, m):
+    psi = rng.standard_normal((d_s * d_b, m)) + 1j * rng.standard_normal((d_s * d_b, m))
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+@pytest.mark.parametrize("d_s, d_b, m", [
+    (2, 30, 5),   # Gram matrix 10 x 10 against d_b = 30
+    (2, 10, 5),   # d_s m = d_b
+    (2, 12, 9),   # rho_B 12 x 12 against d_s m = 18
+    (3, 20, 4),
+    (3, 7, 6),
+])
+def test_mutual_information_matches_dense_partial_traces(d_s, d_b, m):
+    rng = np.random.default_rng(d_s * 1000 + d_b * 10 + m)
+    psi = random_members(rng, d_s, d_b, m).reshape(d_s, d_b, m)
+    psi[1:, :, 0] = 0.0          # member 0 lives on system level 0 only
+    psi[:, : d_b // 2, 1] = 0.0  # member 1 misses the lower half of the bath
+    psi = psi.reshape(d_s * d_b, m)
+    psi /= np.linalg.norm(psi, axis=0)
+    weights = rng.random(m) ** 2
+    weights[-1] = 0.0
+    weights /= weights.sum()
+    ref, s_rho = dense_mutual_information(psi, weights, d_s, d_b)
+    mi = quantum_mutual_information(psi, weights, d_s, d_b, s_rho)
+    assert abs(mi - ref) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d_s=st.integers(2, 4),
+    d_b=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 1e-3),
+)
+def test_mutual_information_gram_route_matches_dense_reference(d_s, d_b, seed, weights):
+    weights = np.array(weights) / np.sum(weights)
+    psi = random_members(np.random.default_rng(seed), d_s, d_b, weights.size)
+    ref, s_rho = dense_mutual_information(psi, weights, d_s, d_b)
+    mi = quantum_mutual_information(psi, weights, d_s, d_b, s_rho)
+    assert abs(mi - ref) <= 1e-12
+    assert -1e-12 <= mi <= 2 * np.log(min(d_s, d_b)) + 1e-12
+
+
 def test_quantum_mi_upper_bounds_coarse_grained_mi():
     real = two_band_realization(v0=20, v1=30, seed=9)
     system = spin()
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     traj = run_exact(system, real, ens, np.linspace(0.0, 120.0, 25), mi_stride=1)
+    # 20 members of a 2-level system against d_b = 50: the Gram matrix is 40 x 40
+    assert traj.meta["mi_samples"] == 25
+    assert traj.meta["mi_gram_dim"] == 40
     k_of = np.array([k for (k, _) in traj.joint_index])
     b_of = np.array([key[0] for (_, key) in traj.joint_index])
     pair_index = list(zip(k_of, b_of))
@@ -222,6 +286,7 @@ def test_run_exact_quench_protocol_continuity():
     )
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     traj = run_exact(system, real, ens, np.linspace(0.0, 20.0, 41))
+    assert traj.meta["mi_samples"] == 0 and traj.meta["mi_gram_dim"] == 0
     assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-10)
     n_q = int(np.argmin(np.abs(traj.times - 10.0)))
     assert np.allclose(traj.level_energies[n_q], [0.0, 2.0])

@@ -430,6 +430,41 @@ def test_transition_rates_zero_matrix_element():
     assert all(k == q for (k, q, _, _) in w)  # only dephasing-like entries
 
 
+class CountingGamma(dict):
+    """A gamma dict that counts the scans over all of its entries."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def test_transition_rates_scan_gamma_once_per_table():
+    spec, wins = _fig2_bath()
+    table = rate_table_rmt(spec, wins)
+    expected = transition_rates(rate_table_rmt(spec, wins), [SIGMA_X], np.array([0.0, 1.0]))
+    table.gamma = CountingGamma(table.gamma)
+    for levels in ([0.0, 1.0], [0.0, 1.0], [0.0, 2.0]):
+        transition_rates(table, [SIGMA_X], np.array(levels))
+    assert table.gamma.scans == 1
+    assert transition_rates(table, [SIGMA_X], np.array([0.0, 1.0])) == expected
+
+
+def test_transition_rates_refuse_negative_rates_beyond_table_roundoff():
+    def table(gamma):
+        return RateTable(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5,
+                         {k: np.array([[g]], dtype=complex) for k, g in gamma.items()},
+                         "rmt", 0.25)
+
+    # -1e-11 is roundoff next to a 100 entry elsewhere in the table: clipped to 0
+    w = transition_rates(table({(0, 1): -1e-11, (1, 0): -1e-11, (0, 0): 100.0}),
+                         [SIGMA_X], np.array([0.0, 1.0]))
+    assert w == {(0, 1, 1, 0): 0.0, (1, 0, 0, 1): 0.0}
+    with pytest.raises(NumericalFailure, match=r"negative transition rate W\[\(0, 1, 1, 0\)\]"):
+        transition_rates(table({(0, 1): -1e-11, (1, 0): -1e-11}), [SIGMA_X], np.array([0.0, 1.0]))
+
+
 def test_transition_rates_exact_symmetry_all_entries():
     real = two_band_realization(v0=50, v1=80, seed=23)
     table = rate_table_heuristic(real)
