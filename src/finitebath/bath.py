@@ -145,9 +145,6 @@ class BathRealization:
     def delta(self) -> float:
         return self.windows[0].width
 
-    def window_slice(self, i: int) -> slice:
-        return window_slices(self.windows)[i]
-
     def microlevels(self) -> np.ndarray:
         return np.concatenate([w.microlevels for w in self.windows])
 

@@ -20,6 +20,10 @@ from .rates import RateTable
 from .thermo import effective_temperature
 from .trajectory import Trajectory
 
+# integrator tolerances of the comparison equation
+RTOL = 1e-10
+ATOL = 1e-12
+
 
 @dataclass
 class BmsRates:
@@ -83,7 +87,7 @@ def bms_rates_from_table(
         j_up = table.target_window(initial_window, omega)
         if j_up is None:
             continue
-        g = table.gamma_entry(j_up, initial_window)[0, 0].real
+        g = table.gamma[j_up, initial_window, 0, 0].real
         down[omega] = g / table.volumes[j_up]
     return BmsRates(t_can, down)
 
@@ -119,8 +123,6 @@ def evolve_bms(
     system: SystemSpec,
     rates: BmsRates,
     t_grid: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> Trajectory:
     """Reduced-state trajectory under the comparison equation.
 
@@ -137,7 +139,7 @@ def evolve_bms(
 
     times, states, levels = _integrate_segments(
         system, np.asarray(t_grid, dtype=float), np.asarray(rho0, dtype=complex).ravel(),
-        segment_rhs, rtol, atol,
+        segment_rhs, RTOL, ATOL,
     )
     return Trajectory(
         solver="bms",

@@ -154,19 +154,6 @@ def reachable_keys(
     return sorted(seen)
 
 
-def _gamma_strict(table: RateTable, i: int, j: int) -> np.ndarray:
-    """Rate entry for a reachable transition; zero only on the block diagonal."""
-    g = table.gamma.get((i, j))
-    if g is None:
-        if i == j:
-            return np.zeros((table.n_ops, table.n_ops), dtype=complex)
-        raise ConfigurationError(
-            f"rate table has no entry for the reachable window pair "
-            f"(E={table.centers[i]:g}, E'={table.centers[j]:g})"
-        )
-    return g
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of the trailing d x d matrices, broadcast over any leading axis.
 
@@ -229,14 +216,14 @@ class EmmeGenerator:
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
             if include_shift:
-                h_ls = np.array(lamb_shift(table, s_omega, np.zeros((d, d)))[0])
+                h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
                 h_prime = h_prime + h_ls[windows[:, nu]]
             sources = {}  # window -> the source window of each frequency's gain, or None
 
             def gain(j: int, j_dn: int) -> np.ndarray:
                 # rate gamma(E, E - omega)/V_{E-omega}, over the frequencies fed from j_dn
                 out = np.zeros((d * d, d * d), dtype=complex)
-                g = _gamma_strict(table, j, j_dn) / table.volumes[j_dn]
+                g = table.gamma[j, j_dn] / table.volumes[j_dn]
                 for ops, src in zip(s_omega.values(), sources[j]):
                     if src == j_dn:
                         for a, ap in zip(*np.nonzero(g)):
@@ -249,7 +236,7 @@ class EmmeGenerator:
                     # loss: bath window at E + omega absorbs the emitted quantum
                     j_up = table.target_window(j, omega)
                     if j_up is not None:
-                        g = _gamma_strict(table, j_up, j) / table.volumes[j]
+                        g = table.gamma[j_up, j] / table.volumes[j]
                         for a, ap in zip(*np.nonzero(g)):
                             loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
                 anticommutator = _kron(loss, eye) + _kron(eye, loss.T)
@@ -615,7 +602,7 @@ def spin_oracle_trajectory(
             done.add((j, jp))
             idx_gnd = joint_index.index((0, (jp,)))
             p0_pair = (pops0.get((1, key), 0.0), pops0.get((0, (jp,)), 0.0))
-            gamma = float(np.real(table.gamma_entry(j, jp)[0, 0]))
+            gamma = float(table.gamma[j, jp, 0, 0].real)
             sol = analytic_spin_solution(
                 table.volumes[j], table.volumes[jp], gamma, p0_pair, t_grid, xi
             )

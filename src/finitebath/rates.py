@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -195,55 +195,7 @@ def xi_integral(t, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# the three rate constructions
-
-
-def gamma_heuristic(
-    realization: BathRealization,
-    pair: tuple[int, int],
-    ops: tuple[int, int] = (0, 0),
-) -> complex:
-    """(2 pi lam^2 / delta) tr[B'^dag Pi_E B Pi_E'] from a sampled realization."""
-    i, j = pair
-    sl_i = realization.window_slice(i)
-    sl_j = realization.window_slice(j)
-    b_a = realization.matrices[ops[0]][sl_i, sl_j]
-    b_ap = realization.matrices[ops[1]][sl_i, sl_j]
-    tr = np.sum(b_ap.conj() * b_a)
-    val = rate_prefactor(realization.lam, realization.delta) * tr
-    return val.real if ops[0] == ops[1] else complex(val)
-
-
-def gamma_rmt(
-    couplings,
-    windows: list[EnergyWindow],
-    pair: tuple[int, int],
-    ops: tuple[int, int] = (0, 0),
-) -> complex:
-    """Ensemble closed form: (2 pi lam^2 / delta) V_E V_E' (b'* b + a^2 [a=a'])."""
-    specs = couplings if isinstance(couplings, (list, tuple)) else [couplings]
-    i, j = pair
-    c_a, c_ap = specs[ops[0]], specs[ops[1]]
-    b = np.conj(c_ap.block_mean_value(i, j)) * c_a.block_mean_value(i, j)
-    if ops[0] == ops[1]:
-        b = b.real + c_a.variance
-    # multiply volumes in canonical order so the window-exchange symmetry
-    # holds with identical floats
-    lo, hi = min(pair), max(pair)
-    val = (
-        rate_prefactor(c_a.lam, windows[i].width)
-        * windows[lo].volume
-        * windows[hi].volume
-        * b
-    )
-    return val.real if ops[0] == ops[1] else complex(val)
-
-
-@dataclass
-class QuadratureResult:
-    gamma_full: complex  # Gamma(E,E';omega), one-sided transform
-    gamma: float  # 2 Re Gamma
-    lamb: float  # Im Gamma
+# quadrature of one correlation function
 
 
 def _taper_window(tau: np.ndarray, tau_max: float, frac: float = 0.1) -> np.ndarray:
@@ -269,7 +221,7 @@ def first_recurrence(corr: CorrelationFunction) -> float | None:
     return float(corr.tau[below[0] + idx[0]])
 
 
-def gamma_quadrature(corr: CorrelationFunction, omega: float) -> QuadratureResult:
+def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
     """One-sided Fourier transform Gamma(E,E';omega) = V_E' int_0^inf C e^{i omega tau}.
 
     The integral is truncated at tau_max = min(5 * 2 pi / delta, first
@@ -280,7 +232,7 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> QuadratureResul
     """
     c0 = abs(corr.values[0])
     if c0 == 0.0:
-        return QuadratureResult(0.0 + 0.0j, 0.0, 0.0)
+        return 0.0 + 0.0j
     if np.min(np.abs(corr.values)) > 0.5 * c0:
         raise NumericalFailure(
             f"correlation function of window pair {corr.pair}, operator pair "
@@ -304,7 +256,7 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> QuadratureResul
     g = corr.volume_right * (
         simpson(integrand.real, x=tau) + 1j * simpson(integrand.imag, x=tau)
     )
-    return QuadratureResult(complex(g), 2.0 * g.real, float(g.imag))
+    return complex(g)
 
 
 def default_tau_grid(delta: float, n: int = 2000) -> np.ndarray:
@@ -317,28 +269,29 @@ def default_tau_grid(delta: float, n: int = 2000) -> np.ndarray:
 
 @dataclass
 class RateTable:
-    """Dissipation data for one bath: gamma matrices per ordered window pair.
+    """Dissipation data for one bath as arrays over window pairs.
 
-    ``gamma[(i, j)]`` is the (n_ops, n_ops) matrix gamma^{alpha alpha'}(E_i,
-    E_j); it is Hermitian in the operator indices and symmetric under window
-    exchange entry by entry.  ``a_coeff`` (optional) supplies the dispersive
-    coefficients A(E_i, E_j; omega) used for the energy shift; it is absent
-    for constructions that only determine the real part.
+    ``gamma[i, j]`` is the (n_ops, n_ops) matrix gamma^{alpha alpha'}(E_i,
+    E_j); it is Hermitian in the operator indices, ``gamma[j, i]`` is
+    ``gamma[i, j].conj()`` entry by entry, and the window diagonal is zero.
+    ``a_coeff(omega)`` (optional) returns the dispersive coefficients
+    A(E_i, E_j; omega) used for the energy shift as an array of the same
+    shape, also zero on the window diagonal; it is absent for constructions
+    that only determine the real part.
 
     A transition (E, E', omega) is admitted iff |E' - E - omega| <=
-    ``resonance_tol``; every table construction sets delta/2, which makes the
-    target window unique.
+    ``resonance_tol`` = delta/2, which makes the target window unique.
     """
 
     centers: np.ndarray
     volumes: np.ndarray
     delta: float
-    gamma: dict[tuple[int, int], np.ndarray]
-    method: str
-    resonance_tol: float
-    n_ops: int = 1
-    a_coeff: Callable[[int, int, float], np.ndarray] | None = None
-    diagnostics: dict = field(default_factory=dict)
+    gamma: np.ndarray
+    a_coeff: Callable[[float], np.ndarray] | None = None
+
+    @property
+    def resonance_tol(self) -> float:
+        return self.delta / 2.0
 
     def target_window(self, j: int, omega: float) -> int | None:
         """Index of the window at E_j + omega under the resonance rule.
@@ -358,86 +311,76 @@ class RateTable:
             i += 1
         return i if i < c.size and abs(c[i] - x) <= tol else None
 
-    @cached_property
-    def gamma_max(self) -> float:
-        """Largest |gamma| entry over all window pairs; a table is not changed once built."""
-        return max((np.max(np.abs(g)) for g in self.gamma.values()), default=0.0)
 
-    def gamma_entry(self, i: int, j: int) -> np.ndarray:
-        g = self.gamma.get((i, j))
-        if g is None:
-            return np.zeros((self.n_ops, self.n_ops), dtype=complex)
-        return g
-
-    def scale(self, factor: float) -> "RateTable":
-        scaled = {k: factor * v for k, v in self.gamma.items()}
-        a = self.a_coeff
-        a_scaled = None if a is None else (lambda i, j, w: factor * a(i, j, w))
-        return RateTable(
-            self.centers, self.volumes, self.delta, scaled, self.method,
-            self.resonance_tol, self.n_ops, a_scaled, dict(self.diagnostics),
-        )
-
-
-def _hermitian_pair_matrix(fill, n_ops: int) -> np.ndarray:
-    """Assemble an operator-pair matrix from its upper triangle, exactly Hermitian."""
-    g = np.zeros((n_ops, n_ops), dtype=complex)
-    for a in range(n_ops):
-        for ap in range(a, n_ops):
-            val = fill(a, ap)
-            g[a, ap] = val
-            if ap != a:
-                g[ap, a] = np.conj(val)
+def _mirror_upper(g: np.ndarray) -> np.ndarray:
+    """Set the lower operator triangle (last two axes) to the conjugate of the upper one."""
+    below = np.tril_indices(g.shape[-1], -1)
+    g[..., below[0], below[1]] = g[..., below[1], below[0]].conj()
     return g
 
 
 def rate_table_rmt(couplings, windows: list[EnergyWindow]) -> RateTable:
-    """Ensemble-exact rate table; also carries the closed-form dispersive part."""
+    """Ensemble closed form (2 pi lam^2 / delta) V_E V_E' (b'* b + a^2 [a=a']).
+
+    Each upper-triangle entry is prefactor * V_lo * V_hi * b and the lower
+    triangle is its conjugate, so the window-exchange symmetry holds with
+    identical floats.  The table also carries the closed-form dispersive
+    part.
+    """
     specs = couplings if isinstance(couplings, (list, tuple)) else [couplings]
-    n_ops = len(specs)
+    n_win, n_ops = len(windows), len(specs)
     delta = windows[0].width
     centers = np.array([w.center for w in windows])
     volumes = np.array([w.volume for w in windows], dtype=float)
-    gamma: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
-            g = _hermitian_pair_matrix(
-                lambda a, ap: gamma_rmt(specs, windows, (i, j), (a, ap)), n_ops
-            )
-            gamma[(i, j)] = g
-            gamma[(j, i)] = g.conj()  # |b|^2 symmetric, cross terms conjugate
+    lo, hi = np.triu_indices(n_win, 1)
+    means = np.array(
+        [[c.block_mean_value(i, j) for c in specs] for i, j in zip(lo, hi)], dtype=complex
+    ).reshape(lo.size, n_ops)
+    # b^{aa'} = conj(b^{a'}) b^a in real arithmetic, rounded like the scalar
+    # complex product (numpy's vectorized complex multiply may fuse the
+    # multiply-adds)
+    c, m = np.conj(means)[:, None, :], means[:, :, None]
+    b_re = c.real * m.real - c.imag * m.imag
+    b_im = c.real * m.imag + c.imag * m.real
+    ops = np.arange(n_ops)
+    b_re[:, ops, ops] += [spec.variance for spec in specs]
+    pref = np.array([[rate_prefactor(spec.lam, w.width) for spec in specs] for w in windows])
+    scale = pref[lo][:, :, None] * volumes[lo, None, None] * volumes[hi, None, None]
+    upper = np.empty((lo.size, n_ops, n_ops), dtype=complex)
+    upper.real, upper.imag = scale * b_re, scale * b_im
+    gamma = np.zeros((n_win, n_win, n_ops, n_ops), dtype=complex)
+    gamma[lo, hi] = _mirror_upper(upper)
+    gamma[hi, lo] = gamma[lo, hi].conj()
 
-    @lru_cache(maxsize=None)
-    def shift_kernel(omega: float) -> np.ndarray:
-        # Im breve_h at xi = (E_j - E_i - omega)/delta for every pair (i, j),
-        # memoized and read-only: lamb_shift asks once per window pair
+    def a_coeff(omega: float) -> np.ndarray:
+        # Im of gamma^{aa'}(E_i, E_j) * breve_h(xi), xi = (E_j - E_i - omega)/delta
         kernel = breve_h((centers[None, :] - centers[:, None] - omega) / delta).imag
-        kernel.flags.writeable = False
-        return kernel
+        return gamma * kernel[:, :, None, None]
 
-    def a_coeff(i: int, j: int, omega: float) -> np.ndarray:
-        # Im of gamma^{aa'}(E_i, E_j) * breve_h(xi)
-        return gamma.get((i, j), np.zeros((n_ops, n_ops))) * shift_kernel(omega)[i, j]
-
-    return RateTable(centers, volumes, delta, gamma, "rmt", delta / 2.0, n_ops, a_coeff)
+    return RateTable(centers, volumes, delta, gamma, a_coeff)
 
 
 def rate_table_heuristic(realization: BathRealization) -> RateTable:
-    """Single-realization table from the trace formula; no dispersive part."""
-    windows = realization.windows
-    n_ops = len(realization.matrices)
-    delta = realization.delta
-    gamma: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
-            g = _hermitian_pair_matrix(
-                lambda a, ap: gamma_heuristic(realization, (i, j), (a, ap)), n_ops
-            )
-            gamma[(i, j)] = g
-            gamma[(j, i)] = g.conj()
-    return RateTable(
-        realization.centers, realization.volumes, delta, gamma, "heuristic", delta / 2.0, n_ops,
-    )
+    """Single-realization table from the trace formula (2 pi lam^2 / delta) tr[B'^dag Pi_E B Pi_E'].
+
+    One (n_ops, n_ops) block per window pair; there is no dispersive part.
+    """
+    n_win, n_ops = len(realization.windows), len(realization.matrices)
+    pref = rate_prefactor(realization.lam, realization.delta)
+    slices = window_slices(realization.windows)
+    gamma = np.zeros((n_win, n_win, n_ops, n_ops), dtype=complex)
+    for i in range(n_win):
+        for j in range(i + 1, n_win):
+            b = [mat[slices[i], slices[j]] for mat in realization.matrices]
+            g = gamma[i, j]
+            for a, ap in zip(*np.triu_indices(n_ops)):
+                val = pref * np.sum(b[ap].conj() * b[a])
+                # the operator diagonal is real up to the round-off of the
+                # vectorized complex product, which is dropped
+                g[a, ap] = val.real if a == ap else val
+            _mirror_upper(g)
+            gamma[j, i] = g.conj()
+    return RateTable(realization.centers, realization.volumes, realization.delta, gamma)
 
 
 def rate_table_quadrature(
@@ -458,23 +401,22 @@ def rate_table_quadrature(
     if tau_grid is None:
         tau_grid = default_tau_grid(delta)
     n_win = len(windows)
-    keys = [(i, j, a, ap) for i in range(n_win) for j in range(n_win) if i != j
-            for a in range(n_ops) for ap in range(n_ops)]
+    pairs = [(i, j) for i in range(n_win) for j in range(n_win) if i != j]
+    keys = [(i, j, a, ap) for i, j in pairs for a in range(n_ops) for ap in range(n_ops)]
     corrs = correlation_functions(realization, keys, tau_grid)
 
     @lru_cache(maxsize=None)
     def big_gamma(i: int, j: int, omega: float) -> np.ndarray:
         # Gamma^{aa'}(E_i, E_j; omega), memoized and read-only: the table and
-        # every lamb_shift call share one transform per (i, j, omega)
-        g = _hermitian_pair_matrix(
-            lambda a, ap: gamma_quadrature(corrs[(i, j, a, ap)], omega).gamma_full,
-            n_ops,
-        )
+        # every a_coeff call share one transform per (i, j, omega)
+        g = np.zeros((n_ops, n_ops), dtype=complex)
+        for a, ap in zip(*np.triu_indices(n_ops)):
+            g[a, ap] = gamma_quadrature(corrs[(i, j, a, ap)], omega)
+        _mirror_upper(g)
         g.flags.writeable = False
         return g
 
-    gamma: dict[tuple[int, int], np.ndarray] = {}
-    diagnostics = {}
+    gamma = np.zeros((n_win, n_win, n_ops, n_ops), dtype=complex)
     for i in range(n_win):
         for j in range(i + 1, n_win):
             omega_ij = centers[j] - centers[i]
@@ -484,22 +426,17 @@ def rate_table_quadrature(
             g1 = g_fwd + g_fwd.conj().T
             g2 = g_bwd + g_bwd.conj().T
             g = 0.5 * (g1 + g2.conj())
-            if n_ops == 1:
-                g = g.real.astype(complex)
-            gamma[(i, j)] = g
-            gamma[(j, i)] = g.conj()
-            diagnostics[(i, j)] = {
-                "delta_tau_b": corrs[(i, j, 0, 0)].decay_diagnostic,
-            }
+            gamma[i, j] = g.real if n_ops == 1 else g
+            gamma[j, i] = gamma[i, j].conj()
 
-    def a_coeff(i: int, j: int, omega: float) -> np.ndarray:
-        g = big_gamma(i, j, omega)
-        return (g - g.conj().T) / 2j
+    def a_coeff(omega: float) -> np.ndarray:
+        out = np.zeros_like(gamma)
+        for i, j in pairs:
+            g = big_gamma(i, j, omega)
+            out[i, j] = (g - g.conj().T) / 2j
+        return out
 
-    return RateTable(
-        centers, realization.volumes, delta, gamma, "exact-quadrature", delta / 2.0,
-        n_ops, a_coeff, diagnostics,
-    )
+    return RateTable(centers, realization.volumes, delta, gamma, a_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -510,36 +447,24 @@ def lamb_shift(
     table: RateTable,
     s_omega: dict[float, list[np.ndarray]],
     h_system: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Energy-dependent shift Hamiltonians per window.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy-dependent shift Hamiltonians per window, stacked along the first axis.
 
-    H_LS(E) = - sum_{E', omega, a, a'} A^{aa'}(E', E; -omega) / V_E
-    S^{a'}_omega^dag S^a_omega, and H'_S(E) = H_S + H_LS(E).  Both commute
-    with H_S.  ``s_omega`` maps each frequency to the list of per-operator
-    jump components.
+    H_LS(E_j) = -(1/V_j) sum_{omega, a, a'} [sum_{j'} A^{aa'}(E_j', E_j;
+    -omega)] S^{a'}_omega^dag S^a_omega, one sum over j' and one contraction
+    per frequency, and H'_S(E) = H_S + H_LS(E).  Both commute with H_S.
+    ``s_omega`` maps each frequency to the list of per-operator jump
+    components.
     """
-    n_win = len(table.centers)
     d_s = h_system.shape[0]
-    h_ls = [np.zeros((d_s, d_s), dtype=complex) for _ in range(n_win)]
+    acc = np.zeros((len(table.centers), d_s, d_s), dtype=complex)
     if table.a_coeff is not None:
-        for j in range(n_win):
-            acc = np.zeros((d_s, d_s), dtype=complex)
-            for jp in range(n_win):
-                if jp == j:
-                    continue
-                for omega, ops in s_omega.items():
-                    a_mat = table.a_coeff(jp, j, -omega)
-                    for a in range(table.n_ops):
-                        for ap in range(table.n_ops):
-                            if a_mat[a, ap] == 0.0:
-                                continue
-                            acc += (
-                                a_mat[a, ap]
-                                * (ops[ap].conj().T @ ops[a])
-                            )
-            h_ls[j] = -acc / table.volumes[j]
-    h_prime = [h_system.astype(complex) + h for h in h_ls]
-    return h_ls, h_prime
+        for omega, ops in s_omega.items():
+            a_sum = table.a_coeff(-omega).sum(axis=0)  # [j, a, a']
+            products = np.array([[s_ap.conj().T @ s_a for s_ap in ops] for s_a in ops])
+            acc += np.einsum("jab,abxy->jxy", a_sum, products)
+    h_ls = -acc / table.volumes[:, None, None]
+    return h_ls, h_system.astype(complex) + h_ls
 
 
 def transition_rates(
@@ -555,9 +480,10 @@ def transition_rates(
     satisfy |E_i - E_j - (eps_q - eps_k)| <= tol.  The symmetry
     W_{kq}(E_i,E_j) = W_{qk}(E_j,E_i) holds with identical floats because
     each unordered pair is computed once.  Raises if a rate is negative
-    beyond roundoff.
+    beyond roundoff of the largest table entry.
     """
     d_s = len(levels)
+    floor = -1e-12 * max(np.max(np.abs(table.gamma), initial=0.0), 1.0)
     out: dict[tuple[int, int, int, int], float] = {}
     for k in range(d_s):
         for q in range(d_s):
@@ -573,9 +499,8 @@ def transition_rates(
                 if (q, k, j, i) in out:
                     out[key] = out[(q, k, j, i)]
                     continue
-                g = table.gamma_entry(i, j)
-                w = complex(s_kq.conj() @ g.T @ s_kq)
-                if w.real < -1e-12 * max(table.gamma_max, 1.0):
+                w = complex(s_kq.conj() @ table.gamma[i, j].T @ s_kq)
+                if w.real < floor:
                     raise NumericalFailure(
                         f"negative transition rate W[{key}] = {w.real:g}"
                     )

@@ -213,12 +213,6 @@ class ClausiusResult:
     delta_s_obs: np.ndarray
     flags: list[str] = field(default_factory=list)
 
-    def holds_pointwise(self, tol: float = 1e-9) -> bool:
-        a, b, c = self.lhs1, self.lhs2, self.delta_s_obs
-        return bool(
-            np.all(a >= b - tol) and np.all(b >= c - tol) and np.all(c >= -tol)
-        )
-
 
 @dataclass
 class ThermoLedger:

@@ -36,10 +36,6 @@ class Trajectory:
     def n_levels(self) -> int:
         return self.level_energies.shape[1]
 
-    def column(self, k: int, key: tuple[int, ...]) -> np.ndarray:
-        """Population series of one joint state."""
-        return self.populations[:, self.joint_index.index((k, key))]
-
     def column_names(self) -> list[str]:
         names = []
         for k, key in self.joint_index:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,26 @@ def two_band_realization(v0=400, v1=600, delta=0.5, kind="regular",
     _, wins = two_band_windows(v0, v1, delta, kind, seed=seed)
     coup = CouplingSpec(lam=lam, block_mean=b, variance=a2, seed=seed + 1000)
     return sample_coupling(coup, wins)
+
+
+def scaled(table, factor):
+    """The rate table with every rate and dispersive coefficient multiplied by factor."""
+    a = table.a_coeff
+    return dataclasses.replace(
+        table, gamma=factor * table.gamma,
+        a_coeff=None if a is None else (lambda omega: factor * a(omega)),
+    )
+
+
+def population_column(traj, k, key):
+    """Population series of the joint state (level k, bath windows key)."""
+    return traj.populations[:, traj.joint_index.index((k, key))]
+
+
+def clausius_holds(cl, tol=1e-9):
+    """lhs1 >= lhs2 >= Delta S_obs >= 0 at every time of a Clausius chain, up to tol."""
+    a, b, c = cl.lhs1, cl.lhs2, cl.delta_s_obs
+    return bool(np.all(a >= b - tol) and np.all(b >= c - tol) and np.all(c >= -tol))
 
 
 @pytest.fixture

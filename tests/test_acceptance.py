@@ -21,9 +21,8 @@ from finitebath.rates import (
     breve_h,
     correlation_exact,
     default_tau_grid,
-    gamma_heuristic,
     gamma_quadrature,
-    gamma_rmt,
+    rate_table_heuristic,
     rate_table_rmt,
     transition_rates,
 )
@@ -36,7 +35,7 @@ from finitebath.thermo import (
     shannon_entropy,
 )
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, clausius_holds, population_column, scaled
 
 CI_SCALE = os.environ.get("FINITEBATH_ACCEPTANCE", "desk") == "ci"
 FIG2_TOL = 0.08 if CI_SCALE else 0.02
@@ -97,7 +96,7 @@ def quench_exact():
 
 
 def _steady(traj, k, key, averaged):
-    col = traj.column(k, key)
+    col = population_column(traj, k, key)
     if averaged:
         tail = len(col) // 5
         return float(np.mean(col[-tail:]))
@@ -124,9 +123,9 @@ def test_criterion_1_fig2_steady_states(fig2_row1, fig2_row2):
 
 def test_criterion_2_dynamics_vs_exact(fig2_row1):
     t = fig2_row1.trajectories["exact"].times
-    p_ex = fig2_row1.trajectories["exact"].column(1, (0,))
-    p_rf = fig2_row1.trajectories["emme-redfield"].column(1, (0,))
-    p_mk = fig2_row1.trajectories["emme-markov"].column(1, (0,))
+    p_ex = population_column(fig2_row1.trajectories["exact"], 1, (0,))
+    p_rf = population_column(fig2_row1.trajectories["emme-redfield"], 1, (0,))
+    p_mk = population_column(fig2_row1.trajectories["emme-markov"], 1, (0,))
     dev_rf = float(np.max(np.abs(p_rf - p_ex)))
     dev_mk = np.abs(p_mk - p_ex)
     above = np.nonzero(dev_mk > DYN_TOL)[0]
@@ -150,8 +149,8 @@ def test_criterion_2_dynamics_vs_exact(fig2_row1):
 )
 def test_criterion_2_markov_window_as_stated(fig2_row1):
     t = fig2_row1.trajectories["exact"].times
-    p_ex = fig2_row1.trajectories["exact"].column(1, (0,))
-    p_mk = fig2_row1.trajectories["emme-markov"].column(1, (0,))
+    p_ex = population_column(fig2_row1.trajectories["exact"], 1, (0,))
+    p_mk = population_column(fig2_row1.trajectories["emme-markov"], 1, (0,))
     late = t > 5.0 / DELTA
     dev_mk_late = float(np.max(np.abs(p_mk - p_ex)[late]))
     ok = dev_mk_late <= DYN_TOL
@@ -222,13 +221,11 @@ def test_criterion_4_conservation_and_structure(fig2_row1, fig2_row2, quench_emm
     psd_ok = True
     rng = np.random.default_rng(0)
     real = sample_coupling(coups, wins)
-    from finitebath.rates import rate_table_heuristic
-
     for table in (rate_table_rmt(coups, wins), rate_table_heuristic(real)):
         w_table = transition_rates(table, [SIGMA_X, SIGMA_X], np.array([0.0, 1.0]))
         for (k, q, i, j), v in w_table.items():
             sym_ok &= w_table[(q, k, j, i)] == v
-        for g in table.gamma.values():
+        for g in table.gamma.reshape(-1, 2, 2):
             norm = np.linalg.norm(g)
             for _ in range(100):
                 vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -247,7 +244,7 @@ def test_criterion_5_rate_construction_consistency():
     spec = BathSpec([EnergyWindow(0.0, DELTA, 400), EnergyWindow(1.0, DELTA, 600)])
     wins = build_spectrum(spec)
     coup0 = CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=0)
-    g_rmt = gamma_rmt(coup0, wins, (0, 1))
+    g_rmt = rate_table_rmt(coup0, wins).gamma[0, 1, 0, 0].real
     started = time.perf_counter()
     worst_heu = worst_quad = 0.0
     worst_supp = 0.0
@@ -259,13 +256,14 @@ def test_criterion_5_rate_construction_consistency():
         wins_s = build_spectrum(bath)
         coup = CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=1000 + seed)
         real = sample_coupling(coup, wins_s)
-        worst_heu = max(worst_heu, abs(gamma_heuristic(real, (0, 1)) - g_rmt) / g_rmt)
+        g_heu = rate_table_heuristic(real).gamma[0, 1, 0, 0].real
+        worst_heu = max(worst_heu, abs(g_heu - g_rmt) / g_rmt)
         corr = correlation_exact(real, (0, 1), default_tau_grid(DELTA))
-        res = gamma_quadrature(corr, omega=1.0)
-        worst_quad = max(worst_quad, abs(res.gamma - g_rmt) / g_rmt)
+        g_quad = 2.0 * gamma_quadrature(corr, omega=1.0).real
+        worst_quad = max(worst_quad, abs(g_quad - g_rmt) / g_rmt)
         for omega_off in (1.0 - 2 * DELTA, 1.0 + 2 * DELTA):
-            off = gamma_quadrature(corr, omega=omega_off)
-            worst_supp = max(worst_supp, abs(off.gamma) / res.gamma)
+            g_off = 2.0 * gamma_quadrature(corr, omega=omega_off).real
+            worst_supp = max(worst_supp, abs(g_off) / g_quad)
     elapsed = time.perf_counter() - started
     ok = worst_heu < 0.05 and worst_quad < 0.05 and worst_supp <= 1e-3 and elapsed < 60
     _verdict(
@@ -310,7 +308,7 @@ def test_criterion_7_thermodynamics(quench_emme, quench_exact):
     residual = ledger.array("first_law_residual")
     cl = ledger.clausius
     i_cg_max = float(np.max(ledger.array("i_cg")))
-    chain_ok = cl.holds_pointwise(tol=1e-9)
+    chain_ok = clausius_holds(cl, tol=1e-9)
 
     traj = quench_exact.trajectories["exact"]
     k_of = np.array([k for (k, _) in traj.joint_index])
@@ -429,7 +427,7 @@ def test_criterion_9_two_baths():
     dev_eq = max(abs(final[s] - p) for s, p in p_eq.items())
 
     # zeroing the second bath must reproduce the single-bath solver
-    zero_tables = [tables[0], tables[1].scale(0.0)]
+    zero_tables = [tables[0], scaled(tables[1], 0.0)]
     state2 = ConditionedState({(0, 0): np.diag([0.0, 1.0]).astype(complex)})
     t_grid = np.linspace(0.0, 100.0, 101)
     traj2 = evolve(state2, scenario.system, zero_tables, t_grid, rtol=1e-13, atol=1e-15)
@@ -438,7 +436,7 @@ def test_criterion_9_two_baths():
     traj1 = evolve(state1, system1, [tables[0]], t_grid, rtol=1e-13, atol=1e-15)
     dev_zero = 0.0
     for m, (k, key) in enumerate(traj1.joint_index):
-        col2 = traj2.column(k, (key[0], 0))
+        col2 = population_column(traj2, k, (key[0], 0))
         dev_zero = max(dev_zero, float(np.max(np.abs(col2 - traj1.populations[:, m]))))
 
     ok = drift <= 1e-8 and dev_eq <= 1e-6 and dev_zero <= 1e-12
@@ -460,8 +458,8 @@ def test_criterion_10_small_bath_regime_is_flagged():
         runner = ScenarioRun(scenario)
         runner.run_all()
         _EMME_TRAJECTDIR.append(runner.trajectories["emme-markov"])
-        p_ex = runner.trajectories["exact"].column(1, (0,))
-        p_em = runner.trajectories["emme-markov"].column(1, (0,))
+        p_ex = population_column(runner.trajectories["exact"], 1, (0,))
+        p_em = population_column(runner.trajectories["emme-markov"], 1, (0,))
         deviations[name] = float(np.max(np.abs(p_ex - p_em)))
         flagged &= any("regime" in w for w in runner.warnings)
     ok = flagged and any(d > 0.05 for d in deviations.values())

@@ -1,10 +1,13 @@
 """Every public name of the package and of the benchmark has a caller outside tests.
 
-A module-level function or class counts as reached when its name appears as
-an ``ast.Name``, an ``ast.Attribute`` or an import alias anywhere in
-``src/finitebath`` or ``perfbench`` outside its own definition.  Code that
-only tests can reach is deleted; the exceptions are closed-form oracles that
-the acceptance suite compares the solvers against.
+A module-level function or class, or a public method or property of a class
+in ``src/finitebath``, counts as reached when its name appears as an
+``ast.Name``, an ``ast.Attribute`` or an import alias anywhere in
+``src/finitebath`` or ``perfbench`` outside its own definition.  String
+constants in ``perfbench`` count too, because the tracer names the methods
+it wraps by string.  Code that only tests can reach is deleted; the
+exceptions are closed-form oracles that the acceptance suite compares the
+solvers against.
 """
 
 import ast
@@ -12,8 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [*sorted((ROOT / "src" / "finitebath").glob("*.py")),
-           *sorted((ROOT / "perfbench").glob("*.py"))]
+PACKAGE = sorted((ROOT / "src" / "finitebath").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 ORACLES = (
     ("stationary_populations", "volume-product steady state of criterion 9 and the EMME tests"),
@@ -22,7 +25,7 @@ ORACLES = (
 )
 
 
-def referenced_names(node: ast.AST) -> Counter:
+def referenced_names(node: ast.AST, strings: bool = False) -> Counter:
     names: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -33,21 +36,32 @@ def referenced_names(node: ast.AST) -> Counter:
             names.update(sub.name.split("."))
             if sub.asname:
                 names[sub.asname] += 1
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names[sub.value] += 1
     return names
 
 
+def is_public_def(node: ast.AST) -> bool:
+    is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    return is_def and not node.name.startswith("_")
+
+
 def unreached_names() -> list[str]:
-    """Public module-level definitions whose name nothing else references."""
+    """Public definitions whose name nothing else references; methods as Class.method."""
     total: Counter = Counter()
-    defs = []
-    for path in SOURCES:
+    defs = []  # (reported name, referenced name, references inside the definition)
+    for path in PACKAGE + BENCHMARK:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            own = referenced_names(stmt)
+            own = referenced_names(stmt, strings=path in BENCHMARK)
             total.update(own)
-            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if is_def and not stmt.name.startswith("_"):
-                defs.append((stmt.name, own[stmt.name]))
-    return sorted(name for name, own in defs if total[name] == own)
+            if is_public_def(stmt):
+                defs.append((stmt.name, stmt.name, own[stmt.name]))
+            if isinstance(stmt, ast.ClassDef) and path in PACKAGE:
+                defs += [
+                    (f"{stmt.name}.{m.name}", m.name, referenced_names(m)[m.name])
+                    for m in stmt.body if is_public_def(m)
+                ]
+    return sorted(label for label, name, own in defs if total[name] == own)
 
 
 def test_every_public_name_has_a_caller_outside_tests():

@@ -92,7 +92,7 @@ def test_zero_variance_coupling_is_the_block_mean():
 
 def test_sampled_entry_second_moment():
     real = two_band_realization(seed=21)
-    sl0, sl1 = real.window_slice(0), real.window_slice(1)
+    sl0, sl1 = window_slices(real.windows)[:2]
     block = real.matrices[0][sl0, sl1]
     n = block.size
     # |c|^2 has unit mean and unit variance for a^2 = 1

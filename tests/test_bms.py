@@ -91,7 +91,7 @@ def test_choose_reference_temperature_markers():
 def test_rates_from_table_use_initial_shell_scale():
     table = fig2_table()
     rates = bms_rates_from_table(table, 0, np.array([0.0, 1.0]), t_can=1.0)
-    g = table.gamma[(0, 1)][0, 0].real
+    g = table.gamma[0, 1, 0, 0].real
     assert rates.down[1.0] == pytest.approx(g / 600.0)
 
 

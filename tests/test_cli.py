@@ -151,6 +151,7 @@ def test_run_writes_all_outputs(tmp_path):
     assert meta["seed"] == 99
     assert meta["conventions"]["gain_convention"] == "conserving"
     assert any("volume" in w for w in meta["regime_warnings"])  # 25 < 100
+    assert meta["diagnostics"]["delta_tau_b"] > 0
 
 
 def test_outputs_bit_identical_for_same_seed(tmp_path):

@@ -19,7 +19,6 @@ from finitebath.emme import (
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.exact import prepare_initial, run_exact
 from finitebath.rates import (
-    RateTable,
     lamb_shift,
     rate_table_rmt,
     transition_rates,
@@ -27,7 +26,7 @@ from finitebath.rates import (
     zeta,
 )
 
-from conftest import SIGMA_X, two_band_realization
+from conftest import SIGMA_X, scaled, two_band_realization
 
 DELTA = 0.5
 
@@ -113,7 +112,7 @@ def test_s_omega_reconstructs_operator():
 
 def test_zero_rates_leave_populations_constant():
     table = make_bath([10, 20])
-    zeroed = table.scale(0.0)
+    zeroed = scaled(table, 0.0)
     state = ConditionedState({(0,): excited_block()})
     deriv = generator_derivs(state, spin(), [zeroed], include_shift=False)
     for block in deriv.values():
@@ -132,7 +131,7 @@ def test_generator_matches_two_band_explicit_form():
     state = ConditionedState({k: v.copy() for k, v in blocks.items()})
     deriv = generator_derivs(state, system, [table], include_shift=False)
 
-    g = table.gamma[(0, 1)][0, 0].real
+    g = table.gamma[0, 1, 0, 0].real
     v0, v1 = 400, 600
     sp = np.array([[0, 0], [1, 0]], dtype=complex)  # sigma_+
     sm = sp.conj().T
@@ -190,20 +189,9 @@ def test_equilibrium_is_generator_fixed_point():
         blocks.setdefault(key, np.zeros((2, 2), dtype=complex))[k, k] = p
     state = ConditionedState(blocks)
     deriv = generator_derivs(state, system, [table], include_shift=False)
-    g = table.gamma[(0, 1)][0, 0].real
+    g = table.gamma[0, 1, 0, 0].real
     for block in deriv.values():
         assert np.max(np.abs(np.diag(block))) <= 1e-12 * g
-
-
-def test_missing_rate_entry_is_a_configuration_error():
-    table = make_bath([10, 20])
-    broken = RateTable(
-        table.centers, table.volumes, table.delta,
-        {}, "rmt", table.resonance_tol, 1, None,
-    )
-    state = ConditionedState({(0,): excited_block()})
-    with pytest.raises(ConfigurationError, match="window pair"):
-        generator_derivs(state, spin(), [broken])
 
 
 def test_gain_convention_conserves_shells():
@@ -254,7 +242,7 @@ def test_redfield_generator_is_commutator_plus_scaled_dissipator():
     z = zeta(t_probe, DELTA)
     rf = generator_derivs(state, system, [table], t=t_probe, include_shift=False)
     mk = generator_derivs(state, system, [table], include_shift=False)
-    comm = generator_derivs(state, system, [table.scale(0.0)], include_shift=False)
+    comm = generator_derivs(state, system, [scaled(table, 0.0)], include_shift=False)
     for key in mk:
         want = comm[key] + z * (mk[key] - comm[key])
         assert np.max(np.abs(rf[key] - want)) < 1e-13
@@ -308,7 +296,7 @@ def test_analytic_solution_with_envelope_integral():
 
 
 def test_constant_trajectory_for_zero_generator():
-    table = make_bath([50, 80]).scale(0.0)
+    table = scaled(make_bath([50, 80]), 0.0)
     system = spin()
     state = ConditionedState({(0,): excited_block()})
     t = np.linspace(0.0, 10.0, 11)
@@ -384,7 +372,7 @@ def test_two_bath_generator_is_additive():
     system_one = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
     blocks2 = {(0, 0): excited_block()}
     state2 = ConditionedState(blocks2)
-    deriv2 = generator_derivs(state2, system_two, [t1, t2.scale(0.0)], include_shift=False)
+    deriv2 = generator_derivs(state2, system_two, [t1, scaled(t2, 0.0)], include_shift=False)
     state1 = ConditionedState({(0,): excited_block()})
     deriv1 = generator_derivs(state1, system_one, [t1], include_shift=False)
     for key1, block in deriv1.items():
@@ -480,13 +468,13 @@ def dense_generator(levels, couplings, tables, keys):
             for omega, ops in s_omega.items():
                 j_up = table.target_window(j, omega)
                 if j_up is not None:
-                    g = table.gamma_entry(j_up, j) / table.volumes[j]
+                    g = table.gamma[j_up, j] / table.volumes[j]
                     for a, ap in zip(*np.nonzero(g)):
                         loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
                 j_dn = table.target_window(j, -omega)
                 src = None if j_dn is None else index.get(key[:nu] + (j_dn,) + key[nu + 1 :])
                 if src is not None:
-                    g = table.gamma_entry(j, j_dn) / table.volumes[j_dn]
+                    g = table.gamma[j, j_dn] / table.volumes[j_dn]
                     for a, ap in zip(*np.nonzero(g)):
                         block(mat, n, src)[...] += g[a, ap] * np.kron(ops[a], ops[ap].conj())
             block(mat, n, n)[...] = block(mat, n, n) - 0.5 * (

@@ -8,7 +8,15 @@ from scipy.integrate import cumulative_trapezoid, quad
 # harmless roundoff near its 1e4 cutoff
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
-from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
+from finitebath.bath import (
+    BathSpec,
+    CouplingSpec,
+    EnergyWindow,
+    build_spectrum,
+    sample_coupling,
+    window_slices,
+)
+from finitebath.emme import s_omega_decomposition
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.rates import (
     RateTable,
@@ -16,9 +24,7 @@ from finitebath.rates import (
     correlation_exact,
     correlation_functions,
     default_tau_grid,
-    gamma_heuristic,
     gamma_quadrature,
-    gamma_rmt,
     lamb_shift,
     rate_table_heuristic,
     rate_table_quadrature,
@@ -41,7 +47,7 @@ def test_correlation_at_zero_matches_brute_force_trace():
     real = two_band_realization(v0=7, v1=9, seed=3)
     corr = correlation_exact(real, (0, 1), np.array([0.0, 0.1, 0.3]))
     b = real.matrices[0]
-    sl0, sl1 = real.window_slice(0), real.window_slice(1)
+    sl0, sl1 = window_slices(real.windows)[:2]
     e0, e1 = real.windows[0].microlevels, real.windows[1].microlevels
     # independent scalar double loop
     for n, tau in enumerate([0.0, 0.1, 0.3]):
@@ -96,8 +102,9 @@ def test_correlation_functions_match_einsum_double_sum():
     real = _three_window_two_operator_bath()
     tau = np.linspace(0.0, 60.0, 600)
     corrs = correlation_functions(real, ALL_KEYS, tau)
+    slices = window_slices(real.windows)
     for (i, j, a, ap), corr in corrs.items():
-        sl_i, sl_j = real.window_slice(i), real.window_slice(j)
+        sl_i, sl_j = slices[i], slices[j]
         b_a, b_ap = real.matrices[a][sl_i, sl_j], real.matrices[ap][sl_i, sl_j]
         gap = np.subtract.outer(real.windows[i].microlevels, real.windows[j].microlevels)
         # independent oracle: sum_{p,q} conj(B'_pq) B_pq e^{i (E_p - E_q) tau}
@@ -130,13 +137,14 @@ def test_rate_table_quadrature_evaluates_each_transform_once(monkeypatch):
     table = rate_table_quadrature(real, default_tau_grid(0.5, 400))
     n_table = len(seen)
     assert n_table == 3 * 2 * 3  # window pairs x directions x operator-pair upper triangle
-    for i, j, omega in [(0, 1, -1.0), (2, 1, 0.75), (1, 0, -1.0)]:
-        first = table.a_coeff(i, j, omega)
-        again = table.a_coeff(i, j, omega)
+    for omega in (-1.0, 0.75):
+        first = table.a_coeff(omega)
+        again = table.a_coeff(omega)
         assert np.array_equal(first, again)
-    # each (i, j, omega) costs its three transforms once; (1, 0, -1.0) is
-    # the table's own resonant entry and costs none
-    assert len(seen) == n_table + 2 * 3
+    # a_coeff(omega) covers the six ordered window pairs at omega, three
+    # transforms each, and evaluates each transform once: at -1.0 the pairs
+    # (1, 0) and (2, 1) are the table's own resonant entries and cost none
+    assert len(seen) == n_table + (6 - 2) * 3 + 6 * 3
     assert len(set(seen)) == len(seen)
 
 
@@ -157,25 +165,25 @@ def test_gamma_heuristic_zero_coupling():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 3), EnergyWindow(1.0, 0.5, 4)])
     wins = build_spectrum(spec)
     real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins)
-    assert gamma_heuristic(real, (0, 1)) == 0.0
+    assert np.all(rate_table_heuristic(real).gamma == 0.0)
 
 
 def test_gamma_heuristic_coarse_block_mean():
     b0 = 0.3 + 0.4j
     real = two_band_realization(v0=12, v1=20, a2=0.0, b=b0, seed=1)
     expect = 2 * np.pi * real.lam**2 / 0.5 * 12 * 20 * abs(b0) ** 2
-    assert gamma_heuristic(real, (0, 1)) == pytest.approx(expect, rel=1e-12)
+    assert rate_table_heuristic(real).gamma[0, 1, 0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_gamma_heuristic_single_realization_near_ensemble_value():
     real = two_band_realization(seed=5)
-    g = gamma_heuristic(real, (0, 1))
+    g = rate_table_heuristic(real).gamma[0, 1, 0, 0].real
     assert abs(g - GAMMA_FIG2) / GAMMA_FIG2 < 0.05
 
 
 def test_gamma_rmt_reference_value():
     spec, wins = _fig2_bath()
-    g = gamma_rmt(spec, wins, (0, 1))
+    g = rate_table_rmt(spec, wins).gamma[0, 1, 0, 0]
     assert g == pytest.approx(2 * np.pi * 4.32, rel=1e-12)
     assert g == pytest.approx(27.1434, abs=5e-5)
 
@@ -189,14 +197,13 @@ def _fig2_bath():
 def test_gamma_rmt_zero_coupling_strength():
     spec, wins = _fig2_bath()
     spec = CouplingSpec(lam=0.0, block_mean=0.0, variance=1.0, seed=0)
-    assert gamma_rmt(spec, wins, (0, 1)) == 0.0
+    assert np.all(rate_table_rmt(spec, wins).gamma == 0.0)
 
 
 def test_gamma_rmt_symmetric_under_window_exchange():
     spec, wins = _fig2_bath()
-    assert gamma_rmt(spec, wins, (0, 1)) == gamma_rmt(spec, wins, (1, 0))
     table = rate_table_rmt(spec, wins)
-    assert table.gamma[(0, 1)][0, 0] == table.gamma[(1, 0)][0, 0]
+    assert table.gamma[0, 1, 0, 0] == table.gamma[1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +213,11 @@ def test_gamma_rmt_symmetric_under_window_exchange():
 def test_gamma_quadrature_resonant_and_suppressed():
     real = two_band_realization(seed=17)
     corr = correlation_exact(real, (0, 1), default_tau_grid(0.5))
-    res = gamma_quadrature(corr, omega=1.0)  # omega = E' - E
-    assert abs(res.gamma - GAMMA_FIG2) / GAMMA_FIG2 < 0.05
+    g = 2 * gamma_quadrature(corr, omega=1.0).real  # omega = E' - E
+    assert abs(g - GAMMA_FIG2) / GAMMA_FIG2 < 0.05
     for omega_off in (1.0 - 2 * 0.5, 1.0 + 2 * 0.5, -1.0):
-        off = gamma_quadrature(corr, omega=omega_off)
-        assert abs(off.gamma) < 1e-3 * res.gamma
+        off = 2 * gamma_quadrature(corr, omega=omega_off).real
+        assert abs(off) < 1e-3 * g
 
 
 def test_gamma_quadrature_zero_correlation():
@@ -218,8 +225,7 @@ def test_gamma_quadrature_zero_correlation():
     wins = build_spectrum(spec)
     real = sample_coupling(CouplingSpec(lam=1.0, block_mean=0.0, variance=0.0), wins)
     corr = correlation_exact(real, (0, 1), default_tau_grid(0.5, 100))
-    res = gamma_quadrature(corr, omega=1.0)
-    assert res.gamma == 0.0 and res.gamma_full == 0.0
+    assert gamma_quadrature(corr, omega=1.0) == 0.0
 
 
 def test_gamma_quadrature_refuses_pure_phase():
@@ -233,13 +239,13 @@ def test_gamma_quadrature_refuses_pure_phase():
 
 def test_rate_constructions_agree_across_seeds():
     spec, wins = _fig2_bath()
-    g_rmt = gamma_rmt(spec, wins, (0, 1))
+    g_rmt = rate_table_rmt(spec, wins).gamma[0, 1, 0, 0].real
     for seed in range(3):
         real = two_band_realization(seed=seed)
-        g_heu = gamma_heuristic(real, (0, 1))
+        g_heu = rate_table_heuristic(real).gamma[0, 1, 0, 0].real
         assert abs(g_heu - g_rmt) / g_rmt < 0.05
         corr = correlation_exact(real, (0, 1), default_tau_grid(0.5))
-        g_quad = gamma_quadrature(corr, omega=1.0).gamma
+        g_quad = 2 * gamma_quadrature(corr, omega=1.0).real
         assert abs(g_quad - g_rmt) / g_rmt < 0.05
         assert abs(g_quad - g_heu) / g_heu < 0.05
 
@@ -331,11 +337,11 @@ def test_rmt_table_from_spec_windows_matches_scalar_kernel():
     assert table.volumes.dtype == np.float64
     assert np.array_equal(table.volumes, [40.0, 90.0, 150.0, 260.0])
     for omega in (-2.0, -1.0, 0.0, 1.0, 0.7):
+        a = table.a_coeff(omega)
         for i in range(4):
             for j in range(4):
                 xi = (table.centers[j] - table.centers[i] - omega) / table.delta
-                gamma = table.gamma.get((i, j), np.zeros((2, 2)))
-                assert np.array_equal(table.a_coeff(i, j, omega), gamma * breve_h(xi).imag)
+                assert np.array_equal(a[i, j], table.gamma[i, j] * breve_h(xi).imag)
 
 
 @st.composite
@@ -368,7 +374,9 @@ def resonance_layouts(draw):
 @example((np.array([0.0, 1.0, 2.0]), 0.5, 2, -1.5))
 def test_target_window_is_first_brute_force_hit(layout):
     centers, tol, j, omega = layout
-    table = RateTable(centers, np.ones(centers.size), 2.0 * tol, {}, "rmt", tol)
+    n = centers.size
+    table = RateTable(centers, np.ones(n), 2.0 * tol, np.zeros((n, n, 1, 1), dtype=complex))
+    assert table.resonance_tol == tol
     x = centers[j] + omega
     hits = [i for i in range(centers.size) if abs(centers[i] - x) <= tol]
     assert table.target_window(j, omega) == (hits[0] if hits else None)
@@ -415,7 +423,7 @@ def test_transition_rates_spin_reduce_to_gamma():
     table = rate_table_rmt(spec, wins)
     levels = np.array([0.0, 1.0])
     w = transition_rates(table, [SIGMA_X], levels)
-    g = table.gamma[(0, 1)][0, 0].real
+    g = table.gamma[0, 1, 0, 0].real
     # decay (eps_1, E_1) is unreachable here; the one resolvable pair is
     # excitation (eps_0, E_1) -> (eps_1, E_0) and its mirror
     assert w[(1, 0, 0, 1)] == pytest.approx(g, rel=1e-14)
@@ -430,39 +438,18 @@ def test_transition_rates_zero_matrix_element():
     assert all(k == q for (k, q, _, _) in w)  # only dephasing-like entries
 
 
-class CountingGamma(dict):
-    """A gamma dict that counts the scans over all of its entries."""
-
-    scans = 0
-
-    def values(self):
-        self.scans += 1
-        return super().values()
-
-
-def test_transition_rates_scan_gamma_once_per_table():
-    spec, wins = _fig2_bath()
-    table = rate_table_rmt(spec, wins)
-    expected = transition_rates(rate_table_rmt(spec, wins), [SIGMA_X], np.array([0.0, 1.0]))
-    table.gamma = CountingGamma(table.gamma)
-    for levels in ([0.0, 1.0], [0.0, 1.0], [0.0, 2.0]):
-        transition_rates(table, [SIGMA_X], np.array(levels))
-    assert table.gamma.scans == 1
-    assert transition_rates(table, [SIGMA_X], np.array([0.0, 1.0])) == expected
-
-
 def test_transition_rates_refuse_negative_rates_beyond_table_roundoff():
     def table(gamma):
-        return RateTable(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5,
-                         {k: np.array([[g]], dtype=complex) for k, g in gamma.items()},
-                         "rmt", 0.25)
+        g = np.zeros((3, 3, 1, 1), dtype=complex)
+        for (i, j), val in gamma.items():
+            g[i, j] = g[j, i] = val
+        return RateTable(np.array([0.0, 1.0, 2.0]), np.ones(3), 0.5, g)
 
     # -1e-11 is roundoff next to a 100 entry elsewhere in the table: clipped to 0
-    w = transition_rates(table({(0, 1): -1e-11, (1, 0): -1e-11, (0, 0): 100.0}),
-                         [SIGMA_X], np.array([0.0, 1.0]))
-    assert w == {(0, 1, 1, 0): 0.0, (1, 0, 0, 1): 0.0}
+    w = transition_rates(table({(0, 1): -1e-11, (0, 2): 100.0}), [SIGMA_X], np.array([0.0, 1.0]))
+    assert w == {(0, 1, 1, 0): 0.0, (0, 1, 2, 1): 0.0, (1, 0, 0, 1): 0.0, (1, 0, 1, 2): 0.0}
     with pytest.raises(NumericalFailure, match=r"negative transition rate W\[\(0, 1, 1, 0\)\]"):
-        transition_rates(table({(0, 1): -1e-11, (1, 0): -1e-11}), [SIGMA_X], np.array([0.0, 1.0]))
+        transition_rates(table({(0, 1): -1e-11}), [SIGMA_X], np.array([0.0, 1.0]))
 
 
 def test_transition_rates_exact_symmetry_all_entries():
@@ -484,7 +471,7 @@ def test_gamma_matrix_positive_semidefinite_bochner():
     real = sample_coupling(coups, wins)
     rng = np.random.default_rng(0)
     for table in (rate_table_heuristic(real), rate_table_rmt(coups, wins)):
-        for (i, j), g in table.gamma.items():
+        for g in table.gamma.reshape(-1, 2, 2):
             norm = np.linalg.norm(g)
             for _ in range(100):
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -495,6 +482,138 @@ def test_rate_table_quadrature_full_pipeline():
     real = two_band_realization(v0=100, v1=150, seed=41)
     table = rate_table_quadrature(real)
     g_rmt = 2 * np.pi * real.lam**2 / 0.5 * 100 * 150
-    assert table.gamma[(0, 1)][0, 0].real == pytest.approx(g_rmt, rel=0.08)
-    assert table.gamma[(0, 1)][0, 0] == table.gamma[(1, 0)][0, 0].conjugate()
-    assert table.diagnostics[(0, 1)]["delta_tau_b"] > 0
+    assert table.gamma[0, 1, 0, 0].real == pytest.approx(g_rmt, rel=0.08)
+    assert table.gamma[0, 1, 0, 0] == table.gamma[1, 0, 0, 0].conjugate()
+
+
+# ---------------------------------------------------------------------------
+# array tables: closed form, exact symmetries, and the per-window Lamb shift
+
+
+def lamb_shift_loop(table, s_omega, d_s):
+    """Reference H_LS per window: the loop over j' != j, omega, a and a'."""
+    n_win, n_ops = len(table.centers), table.gamma.shape[-1]
+    coeffs = {omega: table.a_coeff(-omega) for omega in s_omega}
+    out = np.zeros((n_win, d_s, d_s), dtype=complex)
+    for j in range(n_win):
+        acc = np.zeros((d_s, d_s), dtype=complex)
+        for jp in range(n_win):
+            if jp == j:
+                continue
+            for omega, ops in s_omega.items():
+                a_mat = coeffs[omega][jp, j]
+                for a in range(n_ops):
+                    for ap in range(n_ops):
+                        if a_mat[a, ap] == 0.0:
+                            continue
+                        acc += a_mat[a, ap] * (ops[ap].conj().T @ ops[a])
+        out[j] = -acc / table.volumes[j]
+    return out
+
+
+def jump_components(s_ops, levels):
+    """Per-frequency lists of the operators' jump components, zero where absent."""
+    d = len(levels)
+    pieces = [s_omega_decomposition(s, levels) for s in s_ops]
+    omegas = sorted({w for p in pieces for w in p})
+    return {w: [p.get(w, np.zeros((d, d), dtype=complex)) for p in pieces] for w in omegas}
+
+
+def assert_lamb_shift_matches_loop(table, s_ops, levels):
+    d = len(levels)
+    s_om = jump_components(s_ops, levels)
+    h_ls, h_prime = lamb_shift(table, s_om, np.diag(levels))
+    ref = lamb_shift_loop(table, s_om, d)
+    assert h_ls.shape == (len(table.centers), d, d)
+    assert np.max(np.abs(h_ls - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(h_prime, np.diag(levels) + h_ls)
+
+
+COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rmt_baths(draw):
+    """Coupling specs, windows and a system for the rmt closed form.
+
+    2-12 windows whose centers increase in steps of 1-3 widths, volumes from
+    1 to 1e12, 1-2 operators with a shared lambda, and block means that are
+    either one complex constant or a dict over some window pairs (given in
+    either order).  The system has 2-3 levels on the window grid and random
+    Hermitian coupling operators.
+    """
+    n = draw(st.integers(2, 12))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    steps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    centers = delta * np.concatenate([[0], np.cumsum(steps)])
+    volumes = draw(st.lists(st.floats(1.0, 1e12), min_size=n, max_size=n))
+    windows = [EnergyWindow(float(c), delta, v) for c, v in zip(centers, volumes)]
+    lam = draw(st.floats(1e-4, 1e-2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    specs = []
+    for label in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            mean = draw(COMPLEX)
+        else:
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+            mean = {}
+            for i, j in chosen:
+                b = draw(COMPLEX)
+                if draw(st.booleans()):
+                    mean[(i, j)] = b
+                else:
+                    mean[(j, i)] = np.conj(b)
+        specs.append(CouplingSpec(lam=lam, block_mean=mean, variance=draw(st.floats(0.0, 2.0)),
+                                  operator_label=label))
+    d = draw(st.integers(2, 3))
+    levels = delta * np.array(sorted(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d,
+                                                   unique=True))), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_ops = []
+    for _ in specs:
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        s_ops.append(raw + raw.conj().T)
+    return specs, windows, levels, s_ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(rmt_baths())
+def test_rmt_array_matches_closed_form_and_symmetries(bath):
+    specs, windows, levels, s_ops = bath
+    table = rate_table_rmt(specs, windows)
+    g = table.gamma
+    n, n_ops = len(windows), len(specs)
+    assert g.shape == (n, n, n_ops, n_ops)
+    for i in range(n):
+        for j in range(n):
+            for a in range(n_ops):
+                for ap in range(n_ops):
+                    if i == j:
+                        expect = 0.0
+                    else:
+                        # the coupling's lower blocks are the conjugates of
+                        # the upper ones, whatever block_mean says for (j, i)
+                        lo, hi = min(i, j), max(i, j)
+                        b = (np.conj(specs[ap].block_mean_value(lo, hi))
+                             * specs[a].block_mean_value(lo, hi))
+                        if a == ap:
+                            b += specs[a].variance
+                        expect = (2 * np.pi * specs[a].lam**2 / windows[i].width
+                                  * windows[i].volume * windows[j].volume * b)
+                        expect = expect if i < j else np.conj(expect)
+                    assert abs(g[i, j, a, ap] - expect) <= 1e-14 * abs(expect)
+    assert np.array_equal(g.transpose(1, 0, 2, 3), g.conj())
+    assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+    assert not np.any(g[np.arange(n), np.arange(n)])
+    assert_lamb_shift_matches_loop(table, s_ops, levels)
+    w = transition_rates(table, s_ops, levels)
+    for (k, q, i, j), val in w.items():
+        assert w[(q, k, j, i)] == val  # identical floats
+
+
+def test_quadrature_lamb_shift_matches_loop():
+    real = _three_window_two_operator_bath((60, 80, 100))
+    table = rate_table_quadrature(real, default_tau_grid(0.5, 400))
+    assert not np.any(table.a_coeff(1.0)[np.arange(3), np.arange(3)])
+    s_ops = [SIGMA_X, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex)]
+    assert_lamb_shift_matches_loop(table, s_ops, np.array([0.0, 1.0]))
