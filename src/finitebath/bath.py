@@ -111,7 +111,8 @@ class CouplingSpec:
             if (j, i) in self.block_mean:
                 return complex(np.conj(self.block_mean[(j, i)]))
             return 0.0
-        return complex(self.block_mean)
+        # Hermiticity: the block below the diagonal carries the conjugate
+        return complex(self.block_mean) if i < j else complex(np.conj(self.block_mean))
 
 
 @dataclass

@@ -21,7 +21,9 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, NumericalFailure
-from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
+# transition_rates, the closed form of the population rates, is unused here
+# but stays importable: perfbench/trace.py wraps it in this namespace
+from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta  # noqa: F401
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
@@ -191,6 +193,13 @@ class EmmeGenerator:
     quantum, which conserves the coarse-grained total energy.  ``markov`` is
     their sum.  A bath's superoperator blocks depend only on its window, so
     each is built once per window (or window pair) and shared by the blocks.
+
+    ``population_rates[nu]`` is the population-to-population block of
+    ``dissipators[nu]`` (the packed entries n d^2 + k (d + 1), in the joint
+    index order n d + k; the coherent part has no element there): entry
+    (n d + k, m d + q) is the rate W_kq(E_i, E_j) / V_j of the jump from
+    level q of block m to level k of block n.  A W that is negative beyond
+    the roundoff of the largest table entry raises.
     """
 
     def __init__(
@@ -199,7 +208,6 @@ class EmmeGenerator:
         couplings: list[list[np.ndarray]],
         tables: list[RateTable],
         keys: list[tuple[int, ...]],
-        include_shift: bool = True,
     ):
         if len(tables) != len(couplings):
             raise ConfigurationError("one rate table per bath is required")
@@ -210,14 +218,15 @@ class EmmeGenerator:
         eye = np.eye(d)
         n_blocks = len(self.keys)
         windows = np.array(self.keys, dtype=int).reshape(n_blocks, len(tables))
+        pops = (np.arange(n_blocks)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
 
         h_prime = np.tile(np.diag(np.asarray(levels, dtype=float)).astype(complex), (n_blocks, 1, 1))
         self.dissipators: list[sparse.csr_array] = []
+        self.population_rates: list[sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
-            if include_shift:
-                h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
-                h_prime = h_prime + h_ls[windows[:, nu]]
+            h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
+            h_prime = h_prime + h_ls[windows[:, nu]]
             sources = {}  # window -> the source window of each frequency's gain, or None
 
             def gain(j: int, j_dn: int) -> np.ndarray:
@@ -265,6 +274,12 @@ class EmmeGenerator:
                 np.array(rows, dtype=int), np.array(cols, dtype=int),
                 np.array(sups).reshape(-1, d * d, d * d)[ids], n_blocks, d,
             ))
+            self.population_rates.append(self.dissipators[-1][pops][:, pops].real)
+            jumps = self.population_rates[-1].tocoo()
+            w = jumps.data * np.repeat(table.volumes[windows[:, nu]], d)[jumps.col]
+            w_min = np.min(w[jumps.row != jumps.col], initial=0.0)
+            if w_min < -1e-12 * max(np.max(np.abs(table.gamma), initial=0.0), 1.0):
+                raise NumericalFailure(f"negative transition rate W = {w_min:g} in bath {nu}")
         commutators = -1j * (_kron(h_prime, eye) - _kron(eye, h_prime.swapaxes(-1, -2)))
         block = np.arange(n_blocks)
         self.coherent = _packed_operator(block, block, commutators, n_blocks, d)
@@ -292,7 +307,9 @@ class EmmeGenerator:
 
 
 def _grid_segments(system: SystemSpec, t_grid: np.ndarray):
-    """Split the grid by protocol segment; boundaries must sit on the grid."""
+    """Split a strictly increasing grid by protocol segment; boundaries must sit on it."""
+    if np.any(np.diff(t_grid) <= 0):
+        raise ConfigurationError("time grid must be strictly increasing")
     segs = system.segments(t_grid[0])
     bounds = [seg.t_start for seg in segs]
     for b in bounds[1:]:
@@ -324,7 +341,8 @@ def _integrate_segments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate y' = segment_rhs(seg)(t, y) across the protocol on the grid.
 
-    The state carries across quenches continuously; a grid point on a quench
+    ``segment_rhs`` is called once for every segment the grid reaches.  The
+    state carries across quenches continuously; a grid point on a quench
     is recorded with the segment that starts there.  Returns the recorded
     times, the states (one row per time) and the level energies in force.
     """
@@ -333,6 +351,7 @@ def _integrate_segments(
     levels: list[np.ndarray] = []
     y = y0
     for seg, t0, t1, grid in _grid_segments(system, t_grid):
+        rhs = segment_rhs(seg)
         if grid.size and abs(grid[0] - t0) < 1e-12:
             times.append(float(grid[0]))
             states.append(y)
@@ -340,7 +359,7 @@ def _integrate_segments(
             grid = grid[1:]
         if t1 > t0:
             sol = solve_ivp(
-                segment_rhs(seg), (t0, t1), y, method="DOP853",
+                rhs, (t0, t1), y, method="DOP853",
                 t_eval=np.unique(np.concatenate([grid, [t1]])), rtol=rtol, atol=atol,
             )
             if not sol.success:
@@ -361,7 +380,6 @@ def evolve(
     t_grid: np.ndarray,
     variant: str = "markov",
     *,
-    include_shift: bool = True,
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> Trajectory:
@@ -376,9 +394,6 @@ def evolve(
     if variant not in ("markov", "redfield"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ConfigurationError("time grid must be strictly increasing")
-
     omega_union: list[set[float]] = [set() for _ in tables]
     for seg in system.segments(t_grid[0]):
         for nu, omegas in enumerate(_omega_sets(system.couplings, seg.levels)):
@@ -392,10 +407,11 @@ def evolve(
         if key in state0.blocks:
             y0[n] = state0.blocks[key]
 
+    generators: list[tuple[float, EmmeGenerator]] = []
+
     def segment_rhs(seg: ProtocolSegment):
-        gen = EmmeGenerator(
-            seg.levels, system.couplings, tables, keys, include_shift=include_shift
-        )
+        gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+        generators.append((seg.t_start, gen))
         if variant == "markov":
             return lambda t, y: gen.markov @ y
         return lambda t, y: gen.derivative(y, [zeta(t - t_origin, tb.delta) for tb in tables])
@@ -415,9 +431,7 @@ def evolve(
             f"(currently {rtol:g}/{atol:g})"
         )
 
-    rate_model = PopulationRateModel(
-        system, tables, keys, variant=variant, t_origin=t_origin
-    )
+    rate_model = PopulationRateModel(generators, tables, variant=variant, t_origin=t_origin)
     return Trajectory(
         solver=f"emme-{variant}",
         times=times,
@@ -440,67 +454,44 @@ def evolve(
 class PopulationRateModel:
     """Autonomous classical master equation on the joint (level, windows) index.
 
-    Mirrors the diagonal of the block generator exactly: jumps
-    (eps_q, E_j) -> (eps_k, E_i) occur at rate W_kq(E_i, E_j) / V_j, with
-    window moves in one bath component at a time.  Each protocol segment
-    holds one rate matrix M_nu per bath, and the matrix at time t is
-    sum_nu f_nu(t) M_nu with f_nu = 1 in the Markov form and zeta_nu(t) in
-    the finite-time form.
+    Reads the population block of each segment's generator (see
+    ``EmmeGenerator.population_rates``), so it is the diagonal of the block
+    generator exactly: jumps (eps_q, E_j) -> (eps_k, E_i) occur at
+    rate W_kq(E_i, E_j) / V_j, with window moves in one bath component at a
+    time.  ``generators`` holds (segment start, generator) pairs in time
+    order, and the rates at time t are sum_nu f_nu(t) M_nu with f_nu = 1 in
+    the Markov form and zeta_nu(t) in the finite-time form.
     """
 
     def __init__(
         self,
-        system: SystemSpec,
+        generators: list[tuple[float, EmmeGenerator]],
         tables: list[RateTable],
-        keys: list[tuple[int, ...]],
         variant: str = "markov",
         t_origin: float = 0.0,
     ):
         self.tables = tables
-        self.keys = list(keys)
         self.variant = variant
         self.t_origin = t_origin
-        self.joint_index = [(k, key) for key in keys for k in range(system.dim)]
-        self._segments = [
-            (seg.t_start, [
-                self._bath_matrix(nu, ops, seg.levels) for nu, ops in enumerate(system.couplings)
-            ])
-            for seg in system.segments(t_origin)
-        ]
+        first = generators[0][1]
+        self.joint_index = [(k, key) for key in first.keys for k in range(first.dim)]
+        self._segments = [(t_start, gen.population_rates) for t_start, gen in generators]
 
-    def _bath_matrix(self, nu: int, s_ops: list[np.ndarray], levels: np.ndarray) -> np.ndarray:
-        table = self.tables[nu]
-        pos = {s: n for n, s in enumerate(self.joint_index)}
-        mat = np.zeros((len(pos), len(pos)))
-        for (k, q, i, j), w in transition_rates(table, s_ops, levels).items():
-            if w == 0.0:
-                continue
-            rate = w / table.volumes[j]
-            for key in self.keys:
-                if key[nu] != j:
-                    continue
-                tgt_key = key[:nu] + (i,) + key[nu + 1 :]
-                if (k, tgt_key) not in pos:
-                    continue
-                row = pos[(k, tgt_key)]
-                col = pos[(q, key)]
-                mat[row, col] += rate
-                mat[col, col] -= rate
-        return mat
-
-    def matrix(self, t: float) -> np.ndarray:
+    def _terms(self, t: float) -> list[tuple[float, sparse.csr_array]]:
         mats = self._segments[0][1]
         for t_start, m in self._segments:
             if t_start <= t + 1e-12:
                 mats = m
         if self.variant == "markov":
-            factors = [1.0] * len(mats)
-        else:
-            factors = [zeta(t - self.t_origin, tb.delta) for tb in self.tables]
-        return sum(f * m for f, m in zip(factors, mats))
+            return [(1.0, m) for m in mats]
+        return [(zeta(t - self.t_origin, tb.delta), m) for tb, m in zip(self.tables, mats)]
+
+    def matrix(self, t: float) -> sparse.csr_array:
+        return sum(f * m for f, m in self._terms(t))
 
     def dpdt(self, t: float, p: np.ndarray) -> np.ndarray:
-        return self.matrix(t) @ p
+        # one mat-vec per bath: forming the sum would cost more than the products
+        return sum(f * (m @ p) for f, m in self._terms(t))
 
 
 def stationary_populations(
@@ -519,7 +510,7 @@ def stationary_populations(
     lv = system.levels if levels is None else np.asarray(levels, dtype=float)
     omega_sets = _omega_sets(system.couplings, lv)
     keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
-    model = PopulationRateModel(SystemSpec(lv, system.couplings, None), tables, keys)
+    model = PopulationRateModel([(0.0, EmmeGenerator(lv, system.couplings, tables, keys))], tables)
     _, labels = connected_components(model.matrix(0.0) > 0, directed=False)
     p0 = np.array([populations.get(s, 0.0) for s in model.joint_index])
     weights = np.array(

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
-from .emme import SystemSpec
+from .emme import SystemSpec, _grid_segments
 from .errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from .trajectory import Trajectory
 
@@ -253,15 +253,12 @@ def propagate(
 
     ``occupied`` lists the sector components (see :func:`sector_components`)
     the members occupy; only those are assembled and diagonalized, once per
-    distinct level set.  At a quench the members are carried to the boundary
-    and the Hamiltonian is switched.  The scheme is exact diagonalization, so
-    norms are preserved to roundoff; a drift beyond 1e-8 aborts.
+    distinct level set.  The segments are those of the EMME walker, so a
+    quench must sit on the grid; there the members are carried to the
+    boundary and the Hamiltonian is switched.  The scheme is exact
+    diagonalization, so norms are preserved to roundoff; a drift beyond 1e-8
+    aborts.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ConfigurationError("time grid must be strictly increasing")
-    segs = system.segments(t_grid[0])
-    boundaries = [seg.t_start for seg in segs[1:]] + [np.inf]
     dim = system.dim * bath_dimension(realization.windows)
     props: dict[tuple, _SegmentPropagator] = {}
 
@@ -272,21 +269,17 @@ def propagate(
             props[key] = _SegmentPropagator(model.sectors, dim)
         return props[key]
 
-    seg_idx = 0
-    seg_t0 = t_grid[0]
-    prop = propagator_for(segs[0].levels)
-    phi0 = prop.prepare(ensemble.members)
-    for t in t_grid:
-        while t >= boundaries[seg_idx] - 1e-12 and np.isfinite(boundaries[seg_idx]):
-            # carry the state across the quench, then switch the Hamiltonian
-            psi_b = prop.at(phi0, boundaries[seg_idx] - seg_t0)
-            seg_t0 = boundaries[seg_idx]
-            seg_idx += 1
-            prop = propagator_for(segs[seg_idx].levels)
-            phi0 = prop.prepare(psi_b)
-        psi = prop.at(phi0, t - seg_t0)
-        _check_norms(psi, t)
-        yield t, segs[seg_idx].levels, psi
+    psi, prop = ensemble.members, None
+    for seg, t0, _, grid in _grid_segments(system, t_grid):
+        if prop is not None:
+            # carry the members across the quench, then switch the Hamiltonian
+            psi = prop.at(phi0, t0 - seg_t0)
+        prop = propagator_for(seg.levels)
+        phi0, seg_t0 = prop.prepare(psi), t0
+        for t in grid:
+            psi_t = prop.at(phi0, t - seg_t0)
+            _check_norms(psi_t, t)
+            yield t, seg.levels, psi_t
 
 
 def _check_norms(psi: np.ndarray, t: float):
@@ -414,10 +407,7 @@ def run_exact(
                 )
             )
     # the walker diagonalizes once per distinct level set the grid reaches
-    n_level_sets = len({
-        _levels_key(seg.levels) for seg in system.segments(t_grid[0])
-        if seg.t_start <= t_grid[-1] + 1e-12
-    })
+    n_level_sets = len({_levels_key(seg.levels) for seg, *_ in _grid_segments(system, t_grid)})
 
     joint_index = [(k, (j,)) for j in range(n_win) for k in range(d_s)]
     return Trajectory(

@@ -408,11 +408,13 @@ def rate_table_quadrature(
     @lru_cache(maxsize=None)
     def big_gamma(i: int, j: int, omega: float) -> np.ndarray:
         # Gamma^{aa'}(E_i, E_j; omega), memoized and read-only: the table and
-        # every a_coeff call share one transform per (i, j, omega)
-        g = np.zeros((n_ops, n_ops), dtype=complex)
-        for a, ap in zip(*np.triu_indices(n_ops)):
-            g[a, ap] = gamma_quadrature(corrs[(i, j, a, ap)], omega)
-        _mirror_upper(g)
+        # every a_coeff call share one transform per (i, j, omega).  Every
+        # operator pair is evaluated: Gamma = gamma/2 + i S with gamma and S
+        # Hermitian, so Gamma itself is not
+        g = np.array([
+            [gamma_quadrature(corrs[(i, j, a, ap)], omega) for ap in range(n_ops)]
+            for a in range(n_ops)
+        ])
         g.flags.writeable = False
         return g
 

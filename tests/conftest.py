@@ -34,6 +34,11 @@ def scaled(table, factor):
     )
 
 
+def unshifted(table):
+    """The rate table without its dispersive part, so the generator carries no Lamb shift."""
+    return dataclasses.replace(table, a_coeff=None)
+
+
 def population_column(traj, k, key):
     """Population series of the joint state (level k, bath windows key)."""
     return traj.populations[:, traj.joint_index.index((k, key))]

@@ -90,6 +90,20 @@ def test_zero_variance_coupling_is_the_block_mean():
     assert np.all(mat[sl1, sl0] == np.conj(b0))
 
 
+def test_block_mean_value_is_the_sampled_block_in_both_orders():
+    # a constant mean b sits in the upper blocks and conj(b) in the lower ones
+    spec = BathSpec([EnergyWindow(float(c), 0.5, v) for c, v in enumerate([2, 3, 4])])
+    wins = build_spectrum(spec)
+    coup = CouplingSpec(lam=1.0, block_mean=0.3 + 0.4j, variance=0.0)
+    mat = sample_coupling(coup, wins).matrices[0]
+    slices = window_slices(wins)
+    assert coup.block_mean_value(2, 0) == 0.3 - 0.4j
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                assert np.all(mat[slices[i], slices[j]] == coup.block_mean_value(i, j))
+
+
 def test_sampled_entry_second_moment():
     real = two_band_realization(seed=21)
     sl0, sl1 = window_slices(real.windows)[:2]

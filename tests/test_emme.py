@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.bms import BmsRates, evolve_bms
@@ -19,6 +21,7 @@ from finitebath.emme import (
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.exact import prepare_initial, run_exact
 from finitebath.rates import (
+    RateTable,
     lamb_shift,
     rate_table_rmt,
     transition_rates,
@@ -26,7 +29,7 @@ from finitebath.rates import (
     zeta,
 )
 
-from conftest import SIGMA_X, scaled, two_band_realization
+from conftest import SIGMA_X, scaled, two_band_realization, unshifted
 
 DELTA = 0.5
 
@@ -59,23 +62,45 @@ def state_keys(populated, system, tables, levels):
     return reachable_keys(set(populated), tables, omegas)
 
 
-def generator_derivs(state, system, tables, t=None, levels=None, include_shift=True):
+def generator_derivs(state, system, tables, t=None, levels=None):
     """d/dt of every reachable block: Markov generator, or the finite-time one at t."""
     lv = system.levels if levels is None else np.asarray(levels, dtype=float)
     keys = state_keys(state.blocks, system, tables, lv)
-    gen = EmmeGenerator(lv, system.couplings, tables, keys, include_shift=include_shift)
+    gen = EmmeGenerator(lv, system.couplings, tables, keys)
     zero = np.zeros((system.dim, system.dim), dtype=complex)
     factors = None if t is None else [zeta(t, table.delta) for table in tables]
     derivs = gen.derivative_blocks([state.blocks.get(k, zero) for k in keys], factors)
     return dict(zip(keys, derivs))
 
 
+def closed_form_rates(levels, couplings, tables, keys):
+    """Per bath, the dense population rate matrix W/V on the joint index, from transition_rates.
+
+    Column (q, key) loses and row (k, key') gains W_kq(E_i, E_j) / V_j for
+    every jump of the bath's window from j to i that stays among the keys.
+    """
+    pos = {(k, key): n for n, (k, key) in enumerate(
+        (k, key) for key in keys for k in range(len(levels)))}
+    mats = []
+    for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
+        mat = np.zeros((len(pos), len(pos)))
+        for (k, q, i, j), w in transition_rates(table, s_ops, levels).items():
+            for key in keys:
+                row = pos.get((k, key[:nu] + (i,) + key[nu + 1 :]))
+                if key[nu] == j and row is not None:
+                    mat[row, pos[(q, key)]] += w / table.volumes[j]
+                    mat[pos[(q, key)], pos[(q, key)]] -= w / table.volumes[j]
+        mats.append(mat)
+    return mats
+
+
 def rate_equation(pops, system, tables):
-    """dp/dt of the joint populations under the population rate model."""
+    """dp/dt of the joint populations under the closed-form rate equation."""
     keys = state_keys({key for (_, key) in pops}, system, tables, system.levels)
-    model = PopulationRateModel(system, tables, keys)
-    p = np.array([pops.get(s, 0.0) for s in model.joint_index])
-    return dict(zip(model.joint_index, model.matrix(0.0) @ p))
+    joint_index = [(k, key) for key in keys for k in range(system.dim)]
+    p = np.array([pops.get(s, 0.0) for s in joint_index])
+    rates = sum(closed_form_rates(system.levels, system.couplings, tables, keys))
+    return dict(zip(joint_index, rates @ p))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +139,7 @@ def test_zero_rates_leave_populations_constant():
     table = make_bath([10, 20])
     zeroed = scaled(table, 0.0)
     state = ConditionedState({(0,): excited_block()})
-    deriv = generator_derivs(state, spin(), [zeroed], include_shift=False)
+    deriv = generator_derivs(state, spin(), [unshifted(zeroed)])
     for block in deriv.values():
         assert np.max(np.abs(np.diag(block))) == 0
 
@@ -129,7 +154,7 @@ def test_generator_matches_two_band_explicit_form():
         rho = raw @ raw.conj().T
         blocks[key] = rho / (2 * np.trace(rho).real)
     state = ConditionedState({k: v.copy() for k, v in blocks.items()})
-    deriv = generator_derivs(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [unshifted(table)])
 
     g = table.gamma[0, 1, 0, 0].real
     v0, v1 = 400, 600
@@ -188,7 +213,7 @@ def test_equilibrium_is_generator_fixed_point():
     for (k, key), p in p_eq.items():
         blocks.setdefault(key, np.zeros((2, 2), dtype=complex))[k, k] = p
     state = ConditionedState(blocks)
-    deriv = generator_derivs(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [unshifted(table)])
     g = table.gamma[0, 1, 0, 0].real
     for block in deriv.values():
         assert np.max(np.abs(np.diag(block))) <= 1e-12 * g
@@ -201,7 +226,7 @@ def test_gain_convention_conserves_shells():
     system = spin()
     state = ConditionedState({(1,): excited_block()})
     levels = system.levels
-    deriv = generator_derivs(state, system, [table], include_shift=False)
+    deriv = generator_derivs(state, system, [unshifted(table)])
     dp = {(k, key): block[k, k].real for key, block in deriv.items() for k in range(2)}
     d_shell = {}
     for (k, key), v in dp.items():
@@ -214,11 +239,11 @@ def test_redfield_generator_limits():
     table = make_bath([400, 600])
     system = spin()
     state = ConditionedState({(0,): excited_block()})
-    at_zero = generator_derivs(state, system, [table], t=0.0, include_shift=False)
+    at_zero = generator_derivs(state, system, [unshifted(table)], t=0.0)
     for block in at_zero.values():
         assert np.max(np.abs(np.diag(block))) == 0.0  # dissipator off at t = 0
-    late = generator_derivs(state, system, [table], t=500.0, include_shift=False)
-    markov = generator_derivs(state, system, [table], include_shift=False)
+    late = generator_derivs(state, system, [unshifted(table)], t=500.0)
+    markov = generator_derivs(state, system, [unshifted(table)])
     z = zeta(500.0, DELTA)
     for key in markov:
         assert np.max(np.abs(late[key] - markov[key])) <= (1 - z) * np.max(
@@ -240,9 +265,9 @@ def test_redfield_generator_is_commutator_plus_scaled_dissipator():
     state = ConditionedState(blocks)
     t_probe = 3.7
     z = zeta(t_probe, DELTA)
-    rf = generator_derivs(state, system, [table], t=t_probe, include_shift=False)
-    mk = generator_derivs(state, system, [table], include_shift=False)
-    comm = generator_derivs(state, system, [scaled(table, 0.0)], include_shift=False)
+    rf = generator_derivs(state, system, [unshifted(table)], t=t_probe)
+    mk = generator_derivs(state, system, [unshifted(table)])
+    comm = generator_derivs(state, system, [unshifted(scaled(table, 0.0))])
     for key in mk:
         want = comm[key] + z * (mk[key] - comm[key])
         assert np.max(np.abs(rf[key] - want)) < 1e-13
@@ -300,7 +325,7 @@ def test_constant_trajectory_for_zero_generator():
     system = spin()
     state = ConditionedState({(0,): excited_block()})
     t = np.linspace(0.0, 10.0, 11)
-    traj = evolve(state, system, [table], t, include_shift=False)
+    traj = evolve(state, system, [unshifted(table)], t)
     assert np.allclose(traj.populations, traj.populations[0], atol=1e-12)
 
 
@@ -343,8 +368,16 @@ def test_quench_must_align_with_grid():
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(3.3, [0.0, 2.0])],
     )
     state = ConditionedState({(0,): excited_block()})
+    t = np.linspace(0.0, 10.0, 11)
     with pytest.raises(ConfigurationError, match="align"):
-        evolve(state, system, [table], np.linspace(0.0, 10.0, 11))
+        evolve(state, system, [table], t)
+    with pytest.raises(ConfigurationError, match="align"):
+        evolve_bms(excited_block(), system, BmsRates(1.0, {1.0: 0.1}), t)
+    # the exact solver walks the same segments, so its quenches sit on the grid too
+    real = two_band_realization(v0=3, v1=4, seed=2)
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    with pytest.raises(ConfigurationError, match="align"):
+        run_exact(system, real, ens, t)
 
 
 def test_quench_carries_state_continuously():
@@ -372,9 +405,9 @@ def test_two_bath_generator_is_additive():
     system_one = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
     blocks2 = {(0, 0): excited_block()}
     state2 = ConditionedState(blocks2)
-    deriv2 = generator_derivs(state2, system_two, [t1, scaled(t2, 0.0)], include_shift=False)
+    deriv2 = generator_derivs(state2, system_two, [unshifted(t1), unshifted(scaled(t2, 0.0))])
     state1 = ConditionedState({(0,): excited_block()})
-    deriv1 = generator_derivs(state1, system_one, [t1], include_shift=False)
+    deriv1 = generator_derivs(state1, system_one, [unshifted(t1)])
     for key1, block in deriv1.items():
         assert np.max(np.abs(deriv2[(key1[0], 0)] - block)) == 0.0
 
@@ -403,6 +436,25 @@ def test_two_bath_unequal_widths_pop_rate_matches_generator_diagonal():
         for key, block in deriv.items():
             for k in range(2):
                 assert abs(block[k, k].real - dp[pos[(k, key)]]) <= 1e-12
+
+
+def test_pop_rate_follows_a_segment_that_starts_on_the_last_point():
+    table = make_bath([40, 60, 90])
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(10.0, [0.0, 2.0])],
+    )
+    t = np.linspace(0.0, 10.0, 11)
+    traj = evolve(ConditionedState({(0,): excited_block()}), system, [table], t)
+    assert np.array_equal(traj.level_energies[-1], [0.0, 2.0])
+    blocks = ConditionedState({key: series[-1] for key, series in traj.blocks.items()})
+    deriv = generator_derivs(blocks, system, [table], levels=[0.0, 2.0])
+    dp = traj.pop_rate(t[-1], traj.populations[-1])
+    pos = {s: n for n, s in enumerate(traj.joint_index)}
+    for key, block in deriv.items():
+        for k in range(2):
+            assert abs(block[k, k].real - dp[pos[(k, key)]]) <= 1e-12
 
 
 def test_two_bath_stationary_matches_volume_products():
@@ -543,3 +595,91 @@ def test_protocol_starting_after_the_grid_is_a_configuration_error():
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError, match="protocol starts"):
         run_exact(system, real, ens, t)
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0]])
+def test_time_grid_that_is_not_strictly_increasing_is_refused(t_grid):
+    # every solver splits its grid with the same segment walker, which refuses it
+    t = np.array(t_grid)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        evolve_bms(excited_block(), spin(), BmsRates(1.0, {1.0: 0.1}), t)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        evolve(ConditionedState({(0,): excited_block()}), spin(), [make_bath([40, 60])], t)
+    real = two_band_realization(v0=3, v1=4, seed=2)
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        run_exact(spin(), real, ens, t)
+
+
+def test_population_rates_refuse_negative_rates_beyond_table_roundoff():
+    def generator(gamma):
+        g = np.zeros((3, 3, 1, 1), dtype=complex)
+        for (i, j), val in gamma.items():
+            g[i, j] = g[j, i] = val
+        table = RateTable(np.array([0.0, 1.0, 2.0]), np.array([2.0, 3.0, 4.0]), 0.5, g)
+        return EmmeGenerator(np.array([0.0, 1.0]), [[SIGMA_X]], [table], [(0,), (1,), (2,)])
+
+    # -1e-11 is roundoff next to a 100 entry elsewhere in the table
+    generator({(0, 1): -1e-11, (0, 2): 100.0})
+    with pytest.raises(NumericalFailure, match=r"negative transition rate W = -1e-11 in bath 0"):
+        generator({(0, 1): -1e-11})
+
+
+@st.composite
+def rate_scenarios(draw):
+    """Small scenarios for the population block of the generator.
+
+    2-3 integer levels (repeats allowed), 1-2 baths of 2-5 windows of width
+    0.5 at integer centers 1-2 apart with volumes 1..1e6, 1-2 random
+    Hermitian operators per bath, ensemble-closed-form rates with complex
+    block means and a^2 >= 0.1 (so W is never a near-cancellation of its
+    terms), an initial key, a variant and a time.
+    """
+    d = draw(st.integers(2, 3))
+    levels = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings, tables, initial = [], [], []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 5))
+        steps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+        volumes = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        windows = [EnergyWindow(float(c), DELTA, v)
+                   for c, v in zip(np.concatenate([[0], np.cumsum(steps)]), volumes)]
+        n_ops = draw(st.integers(1, 2))
+        specs = [
+            CouplingSpec(lam=1e-3, block_mean=complex(*rng.uniform(-1.0, 1.0, 2)),
+                         variance=float(rng.uniform(0.1, 2.0)), operator_label=a)
+            for a in range(n_ops)
+        ]
+        tables.append(rate_table_rmt(specs, windows))
+        raw = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))
+        couplings.append(list(raw + raw.conj().swapaxes(-1, -2)))
+        initial.append(draw(st.integers(0, n - 1)))
+    variant = draw(st.sampled_from(["markov", "redfield"]))
+    return levels, couplings, tables, tuple(initial), variant, draw(st.floats(0.0, 50.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate_scenarios())
+def test_population_block_equals_closed_form_rates(scenario):
+    levels, couplings, tables, initial, variant, t = scenario
+    system = SystemSpec(levels, couplings)
+    keys = state_keys({initial}, system, tables, levels)
+    gen = EmmeGenerator(levels, couplings, tables, keys)
+    model = PopulationRateModel([(0.0, gen)], tables, variant=variant)
+    assert model.joint_index == [(k, key) for key in keys for k in range(len(levels))]
+    factors = [1.0 if variant == "markov" else zeta(t, tb.delta) for tb in tables]
+    want = sum(f * m for f, m in zip(factors, closed_form_rates(levels, couplings, tables, keys)))
+    got = model.matrix(t).toarray()
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    p = np.random.default_rng(0).uniform(size=len(model.joint_index))
+    # products below the smallest normal double (zeta at t ~ 1e-300) keep no relative precision
+    tol = 1e-12 * np.abs(got) @ p + np.finfo(float).tiny
+    assert np.all(np.abs(model.dpdt(t, p) - got @ p) <= tol)
+
+    # the volume-product state is the fixed point of the Markov rates
+    p0 = {(k, initial): 1.0 / len(levels) for k in range(len(levels))}
+    p_eq = stationary_populations(p0, system, tables)
+    v = np.array([p_eq[s] for s in model.joint_index])
+    markov = sum(gen.population_rates).toarray()
+    assert np.all(np.abs(markov @ v) <= 1e-12 * (np.abs(markov) @ v))

@@ -136,16 +136,44 @@ def test_rate_table_quadrature_evaluates_each_transform_once(monkeypatch):
     real = _three_window_two_operator_bath((60, 80, 100))
     table = rate_table_quadrature(real, default_tau_grid(0.5, 400))
     n_table = len(seen)
-    assert n_table == 3 * 2 * 3  # window pairs x directions x operator-pair upper triangle
+    assert n_table == 3 * 2 * 4  # window pairs x directions x operator pairs
     for omega in (-1.0, 0.75):
         first = table.a_coeff(omega)
         again = table.a_coeff(omega)
         assert np.array_equal(first, again)
-    # a_coeff(omega) covers the six ordered window pairs at omega, three
+    # a_coeff(omega) covers the six ordered window pairs at omega, four
     # transforms each, and evaluates each transform once: at -1.0 the pairs
     # (1, 0) and (2, 1) are the table's own resonant entries and cost none
-    assert len(seen) == n_table + (6 - 2) * 3 + 6 * 3
+    assert len(seen) == n_table + (6 - 2) * 4 + 6 * 4
     assert len(set(seen)) == len(seen)
+
+
+def test_rate_table_quadrature_uses_every_operator_pair_directly():
+    # Gamma = gamma/2 + i S with gamma and S Hermitian, so the lower operator
+    # triangle of Gamma is not the conjugate of the upper one
+    real = _three_window_two_operator_bath((100, 140, 180))
+    tau = default_tau_grid(0.5, 400)
+    table = rate_table_quadrature(real, tau)
+
+    def direct(i, j, omega):
+        return np.array([
+            [gamma_quadrature(correlation_exact(real, (i, j), tau, (a, ap)), omega)
+             for ap in range(2)]
+            for a in range(2)
+        ])
+
+    for omega in (0.3, -1.0):
+        a_coeff = table.a_coeff(omega)
+        for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
+            g = direct(i, j, omega)
+            assert np.array_equal(a_coeff[i, j], (g - g.conj().T) / 2j)
+    assert abs(table.a_coeff(0.3)[0, 1, 0, 1]) > 1e-3  # the cross shift S^{01}
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        fwd = direct(i, j, table.centers[j] - table.centers[i])
+        bwd = direct(j, i, table.centers[i] - table.centers[j])
+        want = 0.5 * ((fwd + fwd.conj().T) + (bwd + bwd.conj().T).conj())
+        assert np.array_equal(table.gamma[i, j], want)
+        assert np.array_equal(table.gamma[j, i], want.conj())
 
 
 def test_correlation_envelope_matches_sinc_squared():

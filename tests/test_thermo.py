@@ -26,7 +26,7 @@ from finitebath.thermo import (
     shannon_entropy,
 )
 
-from conftest import SIGMA_X, clausius_holds, scaled
+from conftest import SIGMA_X, clausius_holds, scaled, unshifted
 
 
 def make_table(volumes, centers=None):
@@ -258,7 +258,7 @@ def test_entropy_production_nonnegative_and_zero_cases():
     block = np.zeros((2, 2), dtype=complex)
     block[1, 1] = 1.0
     state = ConditionedState({(0,): block})
-    frozen = evolve(state, system, [table0], np.linspace(0, 10, 11), include_shift=False)
+    frozen = evolve(state, system, [unshifted(table0)], np.linspace(0, 10, 11))
     sigma_frozen = build_ledger(frozen).array("entropy_production_rate")
     assert np.max(np.abs(sigma_frozen)) == 0.0
 
