@@ -99,7 +99,12 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
     if "points" in tg:
         t_grid = np.asarray(tg["points"], dtype=float)
     else:
-        t_grid = np.arange(0.0, float(tg["t_max"]) + 0.5 * float(tg["dt"]), float(tg["dt"]))
+        t_max, dt = float(tg["t_max"]), float(tg["dt"])
+        # a step that is not positive gives no grid, refused below
+        t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 else np.empty(0)
+    # checked here for every solver: the oracle does not walk the protocol segments
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.diff(t_grid) > 0):
+        raise ConfigurationError("time grid must be a non-empty, strictly increasing list")
 
     ensemble = cfg.get("ensemble", {"kind": "typicality", "members": 20})
     kind = ensemble.get("kind", "typicality")

@@ -47,6 +47,18 @@ def test_unknown_solver_rejected():
         build_scenario(mini_config(solvers=["exact", "magic"]))
 
 
+@pytest.mark.parametrize("solvers", [["analytic"], ["emme-markov"], ["exact", "bms"]])
+@pytest.mark.parametrize("t_grid", [{"points": [0, 2, 1, 3]}, {"points": [0, 1, 1, 2]},
+                                    {"points": []}, {"t_max": 10.0, "dt": 0.0}])
+def test_time_grid_not_strictly_increasing_exits_2(tmp_path, solvers, t_grid):
+    # the analytic oracle never walks the protocol segments, so the grid is
+    # checked once for every solver set before anything runs or is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(mini_config(solvers=solvers, t_grid=t_grid)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_mandatory_for_stochastic_scenarios():
     cfg = mini_config()
     del cfg["seed"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
 from finitebath import exact
 from finitebath.emme import ProtocolSegment, SystemSpec
-from finitebath.errors import ConfigurationError, DimensionCapExceeded
+from finitebath.errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from finitebath.exact import (
     assemble,
     coarse_grain,
@@ -404,13 +404,14 @@ def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
     occupied, unoccupied = sector_components([SIGMA_X], real)[::-1]
     assert np.any(ens.members[occupied]) and not np.any(ens.members[unoccupied])
     diagonalized = []
-    eigh = np.linalg.eigh
+    eigh = exact._eigh
 
     def recording_eigh(h):
-        diagonalized.append(h)
+        # a copy, in case the solver ever overwrites its input
+        diagonalized.append(h.copy())
         return eigh(h)
 
-    monkeypatch.setattr(exact.np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(exact, "_eigh", recording_eigh)
     traj = run_exact(system, real, ens, np.linspace(0.0, 10.0, 11))
     # one block per segment, each the occupied component's
     assert len(diagonalized) == 2
@@ -419,3 +420,75 @@ def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
         assert np.array_equal(h, block)
     assert traj.meta["diag_dims"] == [occupied.size, occupied.size]
     assert traj.meta["sector_dims"] == [unoccupied.size, occupied.size]
+
+
+# -- batched propagation -------------------------------------------------------
+
+
+def batch_of(monkeypatch, points, members, occupied_dim):
+    """Set the batch byte budget so that a batch holds ``points`` grid points."""
+    monkeypatch.setattr(exact, "BATCH_BYTES", points * 16 * members * occupied_dim)
+
+
+WALKER_CASES = {
+    # members in both levels of window 0: two occupied sectors, gathered and scattered
+    "two-sectors": (lambda: two_band_realization(v0=20, v1=30, seed=21), SIGMA_X, [1.0, 1.0], 2),
+    # one sector covering the whole basis
+    "whole": (lambda: two_band_realization(v0=20, v1=30, seed=22),
+              np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex), 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(WALKER_CASES))
+def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case):
+    make_realization, s_op, state, n_occupied = WALKER_CASES[case]
+    real = make_realization()
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[s_op]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
+    )
+    ens = prepare_initial("basis-ensemble", real.windows, 0, state, 2)
+    occupied = [c for c in sector_components([s_op], real) if np.any(ens.members[c])]
+    assert len(occupied) == n_occupied
+    assert (occupied[0].size == ens.members.shape[0]) == (case == "whole")
+    batch_of(monkeypatch, 3, ens.members.shape[1], sum(c.size for c in occupied))
+    # 7 points before the quench and 10 after: neither a multiple of the batch
+    t_grid = np.linspace(0.0, 16.0, 17)
+    counts = {}
+    walk = propagate(ens, system, real, t_grid, exact.DEFAULT_DIM_CAP, occupied, counts)
+    states = list(walk)
+    assert [t for t, _, _ in states] == list(t_grid)
+    for (t, _, psi), ref in zip(states, dense_reference_states(system, real, ens, t_grid)):
+        assert np.max(np.abs(psi - ref)) <= 1e-12, t
+    # batches of 3 + 3 + 1 and 3 + 3 + 3 + 1 points, and the carry across the quench
+    assert counts["propagate_products"] == n_occupied * (3 + 4 + 1)
+
+
+def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
+    real = two_band_realization(v0=20, v1=30, seed=21)
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    eigh = exact._eigh
+
+    def leaky_eigh(h):
+        # every norm grows as exp(1.5e-9 t): the drift first passes 1e-8 at t = 7
+        evals, evecs = eigh(h)
+        return evals + 1.5e-9j, evecs
+
+    monkeypatch.setattr(exact, "_eigh", leaky_eigh)
+    batch_of(monkeypatch, 3, ens.members.shape[1], 50)
+    seen = []
+    with pytest.raises(NumericalFailure, match=r"at t=7$"):
+        for t, _, _ in walk(ens, real, np.linspace(0.0, 12.0, 13)):
+            seen.append(t)
+    # t = 7 sits inside the batch 6, 7, 8
+    assert seen == list(range(7))
+
+
+def test_check_norms_refuses_a_nan_member():
+    psi = np.zeros((4, 2), dtype=complex)
+    psi[0, 0] = psi[1, 1] = 1.0
+    exact._check_norms(psi, 0.0)
+    psi[2, 1] = np.nan
+    with pytest.raises(NumericalFailure, match="at t=3"):
+        exact._check_norms(psi, 3.0)

@@ -372,6 +372,21 @@ def test_rmt_table_from_spec_windows_matches_scalar_kernel():
                 assert np.array_equal(a[i, j], table.gamma[i, j] * breve_h(xi).imag)
 
 
+def test_rmt_table_constant_block_mean_equals_the_same_value_per_pair():
+    # a constant block mean fills the upper pairs as one array; the dict form
+    # naming the same value for every pair goes through block_mean_value
+    windows = [EnergyWindow(float(c), 0.5, v) for c, v in enumerate([40, 90, 150, 260, 7])]
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for b in (0.4 + 0.2j, -0.3, 0.0):
+        const = [CouplingSpec(lam=3e-3, block_mean=b, variance=0.7, seed=1),
+                 CouplingSpec(lam=3e-3, block_mean={(1, 3): 0.5j}, variance=0.5, seed=2,
+                              operator_label=1)]
+        per_pair = [CouplingSpec(lam=3e-3, block_mean={p: b for p in pairs}, variance=0.7, seed=1),
+                    const[1]]
+        assert np.array_equal(rate_table_rmt(const, windows).gamma,
+                              rate_table_rmt(per_pair, windows).gamma)
+
+
 @st.composite
 def resonance_layouts(draw):
     """(centers, tol, j, omega): strictly increasing centers and a jump from window j.
