@@ -568,7 +568,12 @@ def assert_lamb_shift_matches_loop(table, s_ops, levels):
     h_ls, h_prime = lamb_shift(table, s_om, np.diag(levels))
     ref = lamb_shift_loop(table, s_om, d)
     assert h_ls.shape == (len(table.centers), d, d)
-    assert np.max(np.abs(h_ls - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # relative to the largest entry; below the normal range a double has no
+    # relative precision (summing over j' before or after the product moves a
+    # subnormal result by a few units of 5e-324), so the scale is at least
+    # the smallest normal double
+    scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    assert np.max(np.abs(h_ls - ref)) <= 1e-13 * scale
     assert np.array_equal(h_prime, np.diag(levels) + h_ls)
 
 
