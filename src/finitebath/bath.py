@@ -114,6 +114,13 @@ class CouplingSpec:
         # Hermiticity: the block below the diagonal carries the conjugate
         return complex(self.block_mean) if i < j else complex(np.conj(self.block_mean))
 
+    def block_means(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``block_mean_value`` for each ordered window pair (lo[k], hi[k]), as one array."""
+        if isinstance(self.block_mean, dict):
+            return np.array([self.block_mean_value(i, j) for i, j in zip(lo, hi)], dtype=complex)
+        b = complex(self.block_mean)
+        return np.where(np.asarray(lo) < np.asarray(hi), b, b.conjugate())
+
 
 @dataclass
 class BathRealization:

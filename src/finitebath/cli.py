@@ -29,7 +29,7 @@ from .bath import (
     sample_coupling,
 )
 from .bms import bms_rates_from_table, choose_reference_temperature, evolve_bms
-from .emme import ConditionedState, ProtocolSegment, SystemSpec, evolve, spin_oracle_trajectory
+from .emme import ConditionedState, ProtocolSegment, SystemSpec, check_time_grid, evolve, spin_oracle_trajectory
 from .errors import ConfigurationError, DimensionCapExceeded, FiniteBathError, NumericalFailure
 from .exact import check_dimension, prepare_initial, run_exact
 from .presets import preset as get_preset
@@ -103,8 +103,7 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
         # a step that is not positive gives no grid, refused below
         t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 else np.empty(0)
     # checked here for every solver: the oracle does not walk the protocol segments
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.diff(t_grid) > 0):
-        raise ConfigurationError("time grid must be a non-empty, strictly increasing list")
+    check_time_grid(t_grid)
 
     ensemble = cfg.get("ensemble", {"kind": "typicality", "members": 20})
     kind = ensemble.get("kind", "typicality")

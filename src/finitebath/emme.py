@@ -306,10 +306,15 @@ class EmmeGenerator:
 # time evolution
 
 
+def check_time_grid(t_grid: np.ndarray) -> None:
+    """Refuse a time grid that is empty, not one-dimensional or not strictly increasing (NaN included)."""
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.diff(t_grid) > 0):
+        raise ConfigurationError("time grid must be a non-empty, strictly increasing list")
+
+
 def _grid_segments(system: SystemSpec, t_grid: np.ndarray):
     """Split a strictly increasing grid by protocol segment; boundaries must sit on it."""
-    if np.any(np.diff(t_grid) <= 0):
-        raise ConfigurationError("time grid must be strictly increasing")
+    check_time_grid(t_grid)
     segs = system.segments(t_grid[0])
     bounds = [seg.t_start for seg in segs]
     for b in bounds[1:]:
@@ -394,6 +399,7 @@ def evolve(
     if variant not in ("markov", "redfield"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     t_grid = np.asarray(t_grid, dtype=float)
+    check_time_grid(t_grid)
     omega_union: list[set[float]] = [set() for _ in tables]
     for seg in system.segments(t_grid[0]):
         for nu, omegas in enumerate(_omega_sets(system.couplings, seg.levels)):

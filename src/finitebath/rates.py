@@ -333,13 +333,7 @@ def rate_table_rmt(couplings, windows: list[EnergyWindow]) -> RateTable:
     centers = np.array([w.center for w in windows])
     volumes = np.array([w.volume for w in windows], dtype=float)
     lo, hi = np.triu_indices(n_win, 1)
-    means = np.empty((lo.size, n_ops), dtype=complex)
-    for alpha, spec in enumerate(specs):
-        if isinstance(spec.block_mean, dict):
-            means[:, alpha] = [spec.block_mean_value(i, j) for i, j in zip(lo, hi)]
-        else:
-            # block_mean_value(i, j) of a constant, for i < j
-            means[:, alpha] = complex(spec.block_mean)
+    means = np.stack([spec.block_means(lo, hi) for spec in specs], axis=1)
     # b^{aa'} = conj(b^{a'}) b^a in real arithmetic, rounded like the scalar
     # complex product (numpy's vectorized complex multiply may fuse the
     # multiply-adds)

@@ -104,6 +104,16 @@ def test_block_mean_value_is_the_sampled_block_in_both_orders():
                 assert np.all(mat[slices[i], slices[j]] == coup.block_mean_value(i, j))
 
 
+def test_block_means_are_block_mean_value_per_pair():
+    # both forms of block_mean, pairs above and below the diagonal
+    lo, hi = np.array([0, 2, 1, 0]), np.array([1, 0, 2, 2])
+    for mean in (0.3 + 0.4j, -0.5, {(0, 1): 0.2j, (1, 2): 0.7}):
+        coup = CouplingSpec(lam=1.0, block_mean=mean, variance=0.0)
+        expect = np.array([coup.block_mean_value(i, j) for i, j in zip(lo, hi)], dtype=complex)
+        got = coup.block_means(lo, hi)
+        assert got.dtype == complex and np.array_equal(got, expect)
+
+
 def test_sampled_entry_second_moment():
     real = two_band_realization(seed=21)
     sl0, sl1 = window_slices(real.windows)[:2]

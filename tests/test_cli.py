@@ -49,7 +49,8 @@ def test_unknown_solver_rejected():
 
 @pytest.mark.parametrize("solvers", [["analytic"], ["emme-markov"], ["exact", "bms"]])
 @pytest.mark.parametrize("t_grid", [{"points": [0, 2, 1, 3]}, {"points": [0, 1, 1, 2]},
-                                    {"points": []}, {"t_max": 10.0, "dt": 0.0}])
+                                    {"points": []}, {"t_max": 10.0, "dt": 0.0},
+                                    {"points": [0, float("nan"), 2]}])
 def test_time_grid_not_strictly_increasing_exits_2(tmp_path, solvers, t_grid):
     # the analytic oracle never walks the protocol segments, so the grid is
     # checked once for every solver set before anything runs or is written

@@ -12,6 +12,7 @@ from finitebath.emme import (
     ProtocolSegment,
     SystemSpec,
     analytic_spin_solution,
+    check_time_grid,
     evolve,
     reachable_keys,
     s_omega_decomposition,
@@ -597,10 +598,13 @@ def test_protocol_starting_after_the_grid_is_a_configuration_error():
         run_exact(system, real, ens, t)
 
 
-@pytest.mark.parametrize("t_grid", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0]])
+@pytest.mark.parametrize("t_grid", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
+                                    [0.0, np.nan, 2.0], [], [[0.0, 1.0]]])
 def test_time_grid_that_is_not_strictly_increasing_is_refused(t_grid):
-    # every solver splits its grid with the same segment walker, which refuses it
+    # every solver refuses it by the one rule the CLI checks too
     t = np.array(t_grid)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        check_time_grid(t)
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         evolve_bms(excited_block(), spin(), BmsRates(1.0, {1.0: 0.1}), t)
     with pytest.raises(ConfigurationError, match="strictly increasing"):
