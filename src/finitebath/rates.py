@@ -69,6 +69,31 @@ class CorrelationFunction:
         return self.delta * self.tau_b
 
 
+def _cos_sin_table(tau: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """cos(E_p tau) stacked over sin(E_p tau): shape (2 len(tau), len(levels))."""
+    x = np.multiply.outer(tau, levels)
+    table = np.empty((2 * tau.size, levels.size))
+    np.cos(x, out=table[: tau.size])
+    np.sin(x, out=table[tau.size :])
+    return table
+
+
+def _phase_sum(left: np.ndarray, right: np.ndarray, m: np.ndarray):
+    """Real and imaginary parts of sum_pq m_pq exp(i (E_p - E_q) tau) for real m.
+
+    ``left`` and ``right`` are the cos/sin tables of the row and column
+    windows.  One real GEMM gives sum_p m_pq cos(E_p tau) and sum_p m_pq
+    sin(E_p tau); four row-wise dot products with cos(E_q tau) and
+    sin(E_q tau) finish the double sum.
+    """
+    n = left.shape[0] // 2
+    p = left @ m
+    pc, ps, c, s = p[:n], p[n:], right[:n], right[n:]
+    re = np.einsum("tq,tq->t", pc, c) + np.einsum("tq,tq->t", ps, s)
+    im = np.einsum("tq,tq->t", ps, c) - np.einsum("tq,tq->t", pc, s)
+    return re, im
+
+
 def correlation_functions(
     realization: BathRealization,
     keys: list[tuple[int, int, int, int]],
@@ -77,33 +102,62 @@ def correlation_functions(
     """Direct double sums over microlevels for many keys in one pass over tau.
 
     A key (i, j, alpha, alpha') selects the window pair (i, j) and the
-    sampled coupling matrices of the operator pair (alpha, alpha').  The tau
-    grid is walked in chunks; per chunk, each window's phase table
-    exp(i E_p tau) is built once and shared by every key that uses the
-    window, and exp(-i E_p tau) is its conjugate.
+    sampled coupling matrices of the operator pair (alpha, alpha'); the
+    result is C = lam^2 S_ij / V_j with S_ij(tau) = sum_{p in i, q in j}
+    w_pq exp(i (E_p - E_q) tau) and w = conj(B^alpha') * B^alpha on the
+    block (i, j).  Because every B is Hermitian, only the keys with i < j
+    and alpha <= alpha' need a sum:
+
+    * window exchange: the weights of (j, i) are the conjugate transpose of
+      those of (i, j), so S_ji = conj(S_ij);
+    * operator exchange: w^{alpha' alpha} = conj(w^{alpha alpha'}); with
+      w = X + iY (X, Y real), S^{alpha alpha'} = S[X] + i S[Y] and
+      S^{alpha' alpha} = S[X] - i S[Y], and Y = 0 for alpha = alpha'.
+
+    Each S[M] of a real M is one real GEMM of the row window's stacked
+    cos/sin table with M, contracted against the column window's table.
+    The tau grid is walked in chunks; per chunk each window's table is built
+    once and the weights are rebuilt per representative key, so no more
+    than one chunk of tables and one key's weights are alive at a time.
+    Each key's values depend only on its own window and operator pair, not
+    on which other keys were requested.  Diagonal keys (i == j) are exact
+    zeros, the block-diagonal part of every coupling matrix being zero.
     """
-    n_win = len(realization.windows)
-    for i, j, _, _ in keys:
+    n_win, n_ops = len(realization.windows), len(realization.matrices)
+    for i, j, a, ap in keys:
         if not (0 <= i < n_win and 0 <= j < n_win):
             raise ConfigurationError(f"unknown window pair {(i, j)}")
+        if not (0 <= a < n_ops and 0 <= ap < n_ops):
+            raise ConfigurationError(f"unknown operator pair {(a, ap)}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     slices = window_slices(realization.windows)
-    used = {w for key in keys for w in key[:2]}
-    values = {key: np.empty(tau_grid.size, dtype=complex) for key in keys}
+    values = {key: np.zeros(tau_grid.size, dtype=complex) for key in keys}
+    # requested keys grouped by their representative (i < j, a <= a')
+    groups: dict[tuple[int, int, int, int], list] = {}
+    for (i, j, a, ap), out in values.items():
+        if i != j:
+            rep = (min(i, j), max(i, j), min(a, ap), max(a, ap))
+            groups.setdefault(rep, []).append(((i, j, a, ap), out))
+    used = {w for rep in groups for w in rep[:2]}
     chunk = 256
     for lo in range(0, tau_grid.size, chunk):
         t = tau_grid[lo : lo + chunk]
-        phase = {
-            w: np.exp(1j * np.outer(t, realization.windows[w].microlevels))
-            for w in used
-        }
-        for (i, j, a, ap), out in values.items():
-            b_a = realization.matrices[a][slices[i], slices[j]]
-            b_ap = realization.matrices[ap][slices[i], slices[j]]
-            weights = b_ap.conj() * b_a
-            out[lo : lo + chunk] = np.sum(
-                (phase[i] @ weights) * phase[j].conj(), axis=1
-            )
+        tables = {w: _cos_sin_table(t, realization.windows[w].microlevels) for w in used}
+        for (i, j, a, ap), members in groups.items():
+            weights = realization.matrices[ap][slices[i], slices[j]].conj()
+            weights *= realization.matrices[a][slices[i], slices[j]]
+            x_re, x_im = _phase_sum(tables[i], tables[j], np.ascontiguousarray(weights.real))
+            if a != ap:
+                y_re, y_im = _phase_sum(tables[i], tables[j], np.ascontiguousarray(weights.imag))
+            for (ki, kj, ka, _), out in members:
+                part = out[lo : lo + chunk]
+                if a == ap:
+                    part.real, part.imag = x_re, x_im
+                else:
+                    sign = 1.0 if ka == a else -1.0  # S[X] + sign * i S[Y]
+                    part.real, part.imag = x_re - sign * y_im, x_im + sign * y_re
+                if ki > kj:
+                    np.conjugate(part, out=part)
     lam = realization.lam
     corrs = {}
     for (i, j, a, ap), vals in values.items():

@@ -122,6 +122,84 @@ def test_correlation_functions_unknown_window_pair():
         correlation_functions(real, [(0, 1, 0, 0), (0, 3, 0, 0)], np.linspace(0.0, 1.0, 5))
 
 
+def test_correlation_functions_unknown_operator_pair():
+    real = _three_window_two_operator_bath()
+    tau = np.linspace(0.0, 1.0, 5)
+    for ops in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
+        with pytest.raises(ConfigurationError, match="operator pair"):
+            correlation_functions(real, [(0, 1, 0, 0), (0, 1, *ops)], tau)
+
+
+COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sampled_baths(draw):
+    """A sampled realization with a tau grid symmetric about zero.
+
+    2-4 windows of 1-40 levels on a regular or random-uniform spectrum,
+    1-3 operators whose block means are one complex constant or a dict over
+    some window pairs, and a grid of 258-600 points (more than one tau
+    chunk) made of a nonnegative half and its exact negative.
+    """
+    n = draw(st.integers(2, 4))
+    volumes = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["regular", "random-uniform"]))
+    windows = [EnergyWindow(float(c), 0.5, v) for c, v in enumerate(volumes)]
+    spec = BathSpec(windows, kind, seed=draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            mean = draw(COMPLEX)
+        else:
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+            mean = {pair: draw(COMPLEX) for pair in chosen}
+        couplings.append(CouplingSpec(lam=2e-3, block_mean=mean,
+                                      variance=draw(st.floats(0.0, 2.0)),
+                                      seed=draw(st.integers(0, 2**32 - 1))))
+    half = np.linspace(0.0, draw(st.floats(1.0, 200.0)), draw(st.integers(129, 300)))
+    tau = np.concatenate([-half[::-1], half])
+    return sample_coupling(couplings, build_spectrum(spec)), tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_baths(), st.data())
+def test_correlation_kernel_matches_oracle_and_exchange_identities(bath, data):
+    real, tau = bath
+    n, n_ops = len(real.windows), len(real.matrices)
+    keys = [(i, j, a, ap) for i in range(n) for j in range(n)
+            for a in range(n_ops) for ap in range(n_ops)]
+    corrs = correlation_functions(real, keys, tau)
+    slices = window_slices(real.windows)
+    vol = [w.volume for w in real.windows]
+    for i in range(n):
+        for j in range(n):
+            gap = np.subtract.outer(real.windows[i].microlevels, real.windows[j].microlevels)
+            phase = np.exp(1j * tau[:, None, None] * gap)
+            for a in range(n_ops):
+                for ap in range(n_ops):
+                    b_a = real.matrices[a][slices[i], slices[j]]
+                    b_ap = real.matrices[ap][slices[i], slices[j]]
+                    ref = np.einsum("pq,pq,tpq->t", b_ap.conj(), b_a, phase)
+                    ref *= real.lam**2 / vol[j]
+                    got = corrs[(i, j, a, ap)].values
+                    scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+                    if i == j:
+                        assert not np.any(got)
+                    # window exchange: V_i C_ji = conj(V_j C_ij)
+                    swapped = vol[i] * corrs[(j, i, a, ap)].values
+                    assert np.max(np.abs(swapped - np.conj(vol[j] * got))) <= 1e-12 * vol[j] * scale
+                    # operator exchange: C^{a'a}(tau) = conj(C^{aa'}(-tau))
+                    mirrored = corrs[(i, j, ap, a)].values
+                    assert np.max(np.abs(mirrored - np.conj(got[::-1]))) <= 1e-12 * scale
+    subset = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    for key, corr in correlation_functions(real, subset, tau).items():
+        assert np.array_equal(corr.values, correlation_exact(real, key[:2], tau, key[2:]).values)
+        assert np.array_equal(corr.values, corrs[key].values)
+
+
 def test_rate_table_quadrature_evaluates_each_transform_once(monkeypatch):
     import finitebath.rates as rates_mod
 
@@ -568,11 +646,10 @@ def assert_lamb_shift_matches_loop(table, s_ops, levels):
     h_ls, h_prime = lamb_shift(table, s_om, np.diag(levels))
     ref = lamb_shift_loop(table, s_om, d)
     assert h_ls.shape == (len(table.centers), d, d)
-    assert np.max(np.abs(h_ls - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a relative bound means nothing below the normal range
+    scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    assert np.max(np.abs(h_ls - ref)) <= 1e-13 * scale
     assert np.array_equal(h_prime, np.diag(levels) + h_ls)
-
-
-COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -619,8 +696,20 @@ def rmt_baths(draw):
     return specs, windows, levels, s_ops
 
 
+def _subnormal_variance_bath():
+    # every H_LS entry is subnormal: a relative bound without a floor would
+    # demand bit equality between two summation orders
+    windows = [EnergyWindow(c, 0.25, v)
+               for c, v in zip((0.0, 0.25, 0.5, 0.75), (1, 1, 1630, 19883))]
+    spec = CouplingSpec(lam=0.0078125, block_mean={}, variance=5e-324)
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return [spec], windows, np.array([0.0, 0.25]), [raw + raw.conj().T]
+
+
 @settings(max_examples=150, deadline=None)
 @given(rmt_baths())
+@example(_subnormal_variance_bath())
 def test_rmt_array_matches_closed_form_and_symmetries(bath):
     specs, windows, levels, s_ops = bath
     table = rate_table_rmt(specs, windows)
