@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emme import SystemSpec, _integrate_segments, s_omega_decomposition
+from .emme import ATOL, RTOL, SystemSpec, _integrate_segments, s_omega_decomposition
 from .errors import ConfigurationError
 from .rates import RateTable
 from .thermo import effective_temperature
 from .trajectory import Trajectory
-
-# integrator tolerances of the comparison equation
-RTOL = 1e-10
-ATOL = 1e-12
 
 
 @dataclass
@@ -69,21 +65,18 @@ def choose_reference_temperature(
 
 
 def bms_rates_from_table(
-    table: RateTable,
-    initial_window: int,
-    levels: np.ndarray,
-    t_can: float,
+    table: RateTable, initial_window: int, system: SystemSpec, t_can: float
 ) -> BmsRates:
     """Set the downward rate scale from the rate table at the initial shell.
 
-    For each positive system gap omega the downward rate is
+    For each positive gap omega of any protocol segment the downward rate is
     gamma(E0, E0+omega) / V_{E0+omega}; the magnitude only affects
     transients, never the (Gibbs) fixed point.
     """
-    levels = np.asarray(levels, dtype=float)
     down = {}
-    gaps = sorted({round(float(a - b), 12) for a in levels for b in levels if a > b})
-    for omega in gaps:
+    gaps = {round(float(a - b), 12) for seg in system.protocol for a in seg.levels
+            for b in seg.levels if a > b}
+    for omega in sorted(gaps):
         j_up = table.target_window(initial_window, omega)
         if j_up is None:
             continue
@@ -92,30 +85,29 @@ def bms_rates_from_table(
     return BmsRates(t_can, down)
 
 
-def bms_generator(
-    rho: np.ndarray,
-    rates: BmsRates,
-    s_omega: dict[float, np.ndarray],
-    h_system: np.ndarray,
-) -> np.ndarray:
-    """Secular dissipator on the reduced state with Gibbs-ratio rates."""
-    d_rho = -1j * (h_system @ rho - rho @ h_system)
+def bms_generator(rates: BmsRates, s_omega: dict[float, np.ndarray], h_system: np.ndarray):
+    """Secular dissipator with Gibbs-ratio rates as a d^2 x d^2 superoperator.
+
+    It acts on the row-major ravel of rho, the convention of the EMME
+    generator: vec(A X B) = (A kron B^T) vec(X).  A positive frequency adds
+    D[S_omega] at the downward rate and D[S_omega^dag] at the upward one,
+    the zero frequency D[S_0] at ``rates.down[0.0]`` if set.
+    """
+    eye = np.eye(len(h_system))
+    gen = -1j * (np.kron(h_system, eye) - np.kron(eye, h_system.T))
     for omega, s_op in s_omega.items():
         if omega > 0:
-            for rate, op in ((rates.down.get(omega, 0.0), s_op),
-                             (rates.up(omega), s_op.conj().T)):
-                if rate == 0.0:
-                    continue
-                opd = op.conj().T
-                d_rho += rate * (op @ rho @ opd - 0.5 * (opd @ op @ rho + rho @ opd @ op))
+            jumps = ((rates.down.get(omega, 0.0), s_op), (rates.up(omega), s_op.conj().T))
         elif omega == 0.0:
-            rate = rates.down.get(0.0, 0.0)
+            jumps = ((rates.down.get(0.0, 0.0), s_op),)
+        else:
+            continue
+        for rate, op in jumps:
             if rate:
-                d_rho += rate * (
-                    s_op @ rho @ s_op.conj().T
-                    - 0.5 * (s_op.conj().T @ s_op @ rho + rho @ s_op.conj().T @ s_op)
-                )
-    return d_rho
+                loss = op.conj().T @ op
+                gen += rate * (np.kron(op, op.conj())
+                               - 0.5 * (np.kron(loss, eye) + np.kron(eye, loss.T)))
+    return gen
 
 
 def evolve_bms(
@@ -126,16 +118,18 @@ def evolve_bms(
 ) -> Trajectory:
     """Reduced-state trajectory under the comparison equation.
 
-    Emits the shared trajectory contract with no bath bookkeeping (empty
-    window keys); only reduced populations are meaningful downstream.
+    One superoperator per protocol segment (see :func:`bms_generator`),
+    integrated with the tolerances of the conditioned-state equation.  Only
+    the first coupling operator of the first bath enters.  Emits the shared
+    trajectory contract with no bath bookkeeping (empty window keys); only
+    reduced populations are meaningful downstream.
     """
     d = system.dim
     s_op = system.couplings[0][0]
 
-    def segment_rhs(seg):
-        h_seg = np.diag(seg.levels).astype(complex)
-        s_om = s_omega_decomposition(s_op, seg.levels)
-        return lambda t, y: bms_generator(y.reshape(d, d), rates, s_om, h_seg).ravel()
+    def segment_rhs(n, seg):
+        gen = bms_generator(rates, s_omega_decomposition(s_op, seg.levels), np.diag(seg.levels))
+        return lambda t, y: gen @ y
 
     times, states, levels = _integrate_segments(
         system, np.asarray(t_grid, dtype=float), np.asarray(rho0, dtype=complex).ravel(),

@@ -29,7 +29,7 @@ from .bath import (
     sample_coupling,
 )
 from .bms import bms_rates_from_table, choose_reference_temperature, evolve_bms
-from .emme import ConditionedState, ProtocolSegment, SystemSpec, check_time_grid, evolve, spin_oracle_trajectory
+from .emme import ConditionedState, ProtocolSegment, SystemSpec, evolve, spin_oracle_trajectory
 from .errors import ConfigurationError, DimensionCapExceeded, FiniteBathError, NumericalFailure
 from .exact import check_dimension, prepare_initial, run_exact
 from .presets import preset as get_preset
@@ -84,11 +84,17 @@ def _coupling_matrices(spec, d_s: int) -> list[np.ndarray]:
 def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
     """Validate a raw configuration dict and derive component seeds."""
     try:
-        levels = np.asarray(cfg["system"]["levels"], dtype=float)
-        baths_cfg = cfg["baths"]
-        solvers = list(cfg["solvers"])
+        return _build_scenario(cfg, name)
     except KeyError as exc:
         raise ConfigurationError(f"missing configuration key: {exc}") from exc
+
+
+def _build_scenario(cfg: dict, name: str) -> Scenario:
+    levels = np.asarray(cfg["system"]["levels"], dtype=float)
+    baths_cfg = cfg["baths"]
+    solvers = list(cfg["solvers"])
+    if not baths_cfg:
+        raise ConfigurationError("no baths")
     if not solvers:
         raise ConfigurationError("empty solver list")
     for s in solvers:
@@ -102,8 +108,6 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
         t_max, dt = float(tg["t_max"]), float(tg["dt"])
         # a step that is not positive gives no grid, refused below
         t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 else np.empty(0)
-    # checked here for every solver: the oracle does not walk the protocol segments
-    check_time_grid(t_grid)
 
     ensemble = cfg.get("ensemble", {"kind": "typicality", "members": 20})
     kind = ensemble.get("kind", "typicality")
@@ -136,6 +140,8 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
             EnergyWindow(float(w["center"]), float(w["width"]), int(w["volume"]))
             for w in b["windows"]
         ]
+        if len({w.width for w in windows}) > 1:
+            raise ConfigurationError("the windows of one bath must share one width")
         bath_specs.append(
             BathSpec(windows, b.get("spectrum", "regular"), seed=take())
         )
@@ -163,11 +169,18 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
             for seg in cfg["system"]["protocol"]
         ]
     system = SystemSpec(levels, [ops for _ in baths_cfg], protocol)
+    # the grid and the protocol, refused before anything runs or is written
+    system.grid_segments(t_grid)
 
     initial = cfg.get("initial", {"system_level": d_s - 1, "bath_windows": [0] * len(baths_cfg)})
+    init_level = int(initial.get("system_level", d_s - 1))
     init_windows = tuple(int(j) for j in initial.get("bath_windows", [0] * len(baths_cfg)))
-    if len(init_windows) != len(baths_cfg):
-        raise ConfigurationError("initial.bath_windows must name one window per bath")
+    if not 0 <= init_level < d_s:
+        raise ConfigurationError(f"initial.system_level {init_level} is not a level index")
+    if len(init_windows) != len(baths_cfg) or not all(
+        0 <= j < len(spec.windows) for j, spec in zip(init_windows, bath_specs)
+    ):
+        raise ConfigurationError("initial.bath_windows must name one window of each bath")
 
     emme_cfg = cfg.get("emme", {})
     return Scenario(
@@ -177,7 +190,7 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
         system=system,
         bath_specs=bath_specs,
         couplings=couplings,
-        initial_level=int(initial.get("system_level", d_s - 1)),
+        initial_level=init_level,
         initial_windows=init_windows,
         fill=initial.get("fill", "full"),
         solvers=solvers,
@@ -282,7 +295,7 @@ class ScenarioRun:
                     p_win, table.centers, table.volumes
                 )
             rates = bms_rates_from_table(
-                table, sc.initial_windows[0], sc.system.levels, t_can
+                table, sc.initial_windows[0], sc.system, t_can
             )
             d = sc.system.dim
             rho0 = np.zeros((d, d), dtype=complex)

@@ -12,6 +12,7 @@ oracle for the two-level case.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,9 @@ from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta  #
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
+# integrator tolerances of the conditioned-state and the comparison equations
+RTOL = 1e-11
+ATOL = 1e-13
 
 
 @dataclass
@@ -40,10 +44,11 @@ class SystemSpec:
     """System levels, per-bath coupling operators, and the driving protocol.
 
     ``couplings[nu]`` is the list of coupling operators S^alpha (matrices in
-    the level basis) attached to bath nu.  The protocol is a piecewise
-    constant schedule of level energies; segment boundaries must be strictly
-    increasing and each segment's gaps must be resolvable by the resonance
-    rule of the rate tables in use.
+    the level basis) attached to bath nu.  The protocol, a piecewise constant
+    schedule of level energies, alone says which levels are in force when
+    (default: ``levels`` from t = -inf on), and ``levels`` must equal its
+    first segment's.  Segments must share one level count and start in
+    strictly increasing order.
     """
 
     levels: np.ndarray
@@ -52,12 +57,19 @@ class SystemSpec:
 
     def __post_init__(self):
         self.levels = np.asarray(self.levels, dtype=float)
-        if self.protocol is not None:
-            starts = [seg.t_start for seg in self.protocol]
-            if any(b <= a for a, b in zip(starts, starts[1:])):
-                raise ConfigurationError("protocol segment boundaries must be strictly increasing")
-            for seg in self.protocol:
-                seg.levels = np.asarray(seg.levels, dtype=float)
+        if self.protocol is None:
+            self.protocol = [ProtocolSegment(-np.inf, self.levels)]
+        starts = [seg.t_start for seg in self.protocol]
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ConfigurationError("protocol segment boundaries must be strictly increasing")
+        for seg in self.protocol:
+            seg.levels = np.asarray(seg.levels, dtype=float)
+            if seg.levels.shape != self.levels.shape:
+                raise ConfigurationError(f"the protocol segment at t={seg.t_start} has "
+                                         f"{seg.levels.size} levels, the system {self.dim}")
+        if not np.array_equal(self.protocol[0].levels, self.levels):
+            raise ConfigurationError(f"levels {self.levels.tolist()} differ from the first "
+                                     f"protocol segment's {self.protocol[0].levels.tolist()}")
 
     @property
     def dim(self) -> int:
@@ -67,16 +79,38 @@ class SystemSpec:
     def n_baths(self) -> int:
         return len(self.couplings)
 
-    def segments(self, t0: float = 0.0) -> list[ProtocolSegment]:
-        """Protocol segments of a run starting at t0; the first must start by t0."""
-        if self.protocol is None:
-            return [ProtocolSegment(t0, self.levels)]
-        if self.protocol[0].t_start > t0 + 1e-12:
-            raise ConfigurationError(
-                f"protocol starts at t={self.protocol[0].t_start}, after the first "
-                f"time t={t0}; no levels are defined before it"
-            )
-        return self.protocol
+    def segment_index(self, t: float) -> int:
+        """Index of the segment in force at time t.
+
+        A time on a quench belongs to the segment that starts there, snapped
+        at 1e-12; a time before the first start maps to the first segment.
+        """
+        return max(bisect_right([seg.t_start for seg in self.protocol], t + 1e-12) - 1, 0)
+
+    def grid_segments(self, t_grid: np.ndarray):
+        """(segment index, segment, t0, t1, its grid points) for each segment a grid reaches.
+
+        The grid must be strictly increasing and start inside the protocol,
+        and every quench inside it must sit on a grid point.  [t0, t1] is the
+        part of the segment within the grid; the grid points are those the
+        segment is in force at (see :meth:`segment_index`).
+        """
+        check_time_grid(t_grid)
+        starts = [seg.t_start for seg in self.protocol]
+        if starts[0] > t_grid[0] + 1e-12:
+            raise ConfigurationError(f"protocol starts at t={starts[0]}, after the first time "
+                                     f"t={t_grid[0]}; no levels are defined before it")
+        for b in starts[1:]:
+            if t_grid[0] < b < t_grid[-1] and np.min(np.abs(t_grid - b)) > 1e-9:
+                raise ConfigurationError(f"protocol quench at t={b} does not align with "
+                                         "the time grid")
+        owner = np.array([self.segment_index(t) for t in t_grid])
+        pieces = []
+        for n, (seg, end) in enumerate(zip(self.protocol, starts[1:] + [np.inf])):
+            t0, t1, grid = max(seg.t_start, t_grid[0]), min(end, t_grid[-1]), t_grid[owner == n]
+            if grid.size or t0 < t1:
+                pieces.append((n, seg, t0, t1, grid))
+        return pieces
 
 
 @dataclass
@@ -225,7 +259,7 @@ class EmmeGenerator:
         self.population_rates: list[sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
-            h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
+            h_ls = lamb_shift(table, s_omega)
             h_prime = h_prime + h_ls[windows[:, nu]]
             sources = {}  # window -> the source window of each frequency's gain, or None
 
@@ -312,41 +346,17 @@ def check_time_grid(t_grid: np.ndarray) -> None:
         raise ConfigurationError("time grid must be a non-empty, strictly increasing list")
 
 
-def _grid_segments(system: SystemSpec, t_grid: np.ndarray):
-    """Split a strictly increasing grid by protocol segment; boundaries must sit on it."""
-    check_time_grid(t_grid)
-    segs = system.segments(t_grid[0])
-    bounds = [seg.t_start for seg in segs]
-    for b in bounds[1:]:
-        if t_grid[0] < b < t_grid[-1] and np.min(np.abs(t_grid - b)) > 1e-9:
-            raise ConfigurationError(
-                f"protocol quench at t={b} does not align with the time grid"
-            )
-    pieces = []
-    for n, seg in enumerate(segs):
-        t0 = max(seg.t_start, t_grid[0])
-        t1 = segs[n + 1].t_start if n + 1 < len(segs) else t_grid[-1]
-        if t0 > t_grid[-1] or t1 < t_grid[0]:
-            continue
-        mask = (t_grid >= t0 - 1e-12) & (t_grid <= min(t1, t_grid[-1]) + 1e-12)
-        # a grid point on a boundary is recorded with the segment that starts there
-        if n + 1 < len(segs):
-            mask &= t_grid < segs[n + 1].t_start - 1e-12
-        pieces.append((seg, t0, min(t1, t_grid[-1]), t_grid[mask]))
-    return pieces
-
-
 def _integrate_segments(
     system: SystemSpec,
     t_grid: np.ndarray,
     y0: np.ndarray,
-    segment_rhs: Callable[[ProtocolSegment], Callable[[float, np.ndarray], np.ndarray]],
+    segment_rhs: Callable[[int, ProtocolSegment], Callable[[float, np.ndarray], np.ndarray]],
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate y' = segment_rhs(seg)(t, y) across the protocol on the grid.
+    """Integrate y' = segment_rhs(n, seg)(t, y) across the protocol on the grid.
 
-    ``segment_rhs`` is called once for every segment the grid reaches.  The
+    ``segment_rhs`` is called once for every segment n the grid reaches.  The
     state carries across quenches continuously; a grid point on a quench
     is recorded with the segment that starts there.  Returns the recorded
     times, the states (one row per time) and the level energies in force.
@@ -355,8 +365,8 @@ def _integrate_segments(
     states: list[np.ndarray] = []
     levels: list[np.ndarray] = []
     y = y0
-    for seg, t0, t1, grid in _grid_segments(system, t_grid):
-        rhs = segment_rhs(seg)
+    for n, seg, t0, t1, grid in system.grid_segments(t_grid):
+        rhs = segment_rhs(n, seg)
         if grid.size and abs(grid[0] - t0) < 1e-12:
             times.append(float(grid[0]))
             states.append(y)
@@ -378,6 +388,19 @@ def _integrate_segments(
     return np.array(times), np.stack(states), np.stack(levels)
 
 
+def dissipator_envelope(tables: list[RateTable], variant: str, t_origin: float = 0.0):
+    """t -> the factor of each bath's dissipator at t, for one variant of the equation.
+
+    None (every factor 1) in the Markov form; zeta_nu(t - t_origin), with
+    the window width of bath nu, in the finite-time ("redfield") form.
+    """
+    if variant == "markov":
+        return lambda t: None
+    if variant == "redfield":
+        return lambda t: [zeta(t - t_origin, tb.delta) for tb in tables]
+    raise ConfigurationError(f"unknown variant {variant!r}")
+
+
 def evolve(
     state0: ConditionedState,
     system: SystemSpec,
@@ -385,8 +408,8 @@ def evolve(
     t_grid: np.ndarray,
     variant: str = "markov",
     *,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> Trajectory:
     """Integrate the conditioned-state master equation over a time grid.
 
@@ -396,31 +419,26 @@ def evolve(
     level energies and jump operators are rebuilt.  Raises on positivity
     violations beyond tolerance with a step-size diagnostic.
     """
-    if variant not in ("markov", "redfield"):
-        raise ConfigurationError(f"unknown variant {variant!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     check_time_grid(t_grid)
+    envelope = dissipator_envelope(tables, variant, t_grid[0])
     omega_union: list[set[float]] = [set() for _ in tables]
-    for seg in system.segments(t_grid[0]):
+    for seg in system.protocol:
         for nu, omegas in enumerate(_omega_sets(system.couplings, seg.levels)):
             omega_union[nu] |= omegas
     keys = reachable_keys(set(state0.blocks), tables, omega_union)
 
     d = system.dim
-    t_origin = t_grid[0]
     y0 = np.zeros((len(keys), d, d), dtype=complex)
     for n, key in enumerate(keys):
         if key in state0.blocks:
             y0[n] = state0.blocks[key]
 
-    generators: list[tuple[float, EmmeGenerator]] = []
+    generators: dict[int, EmmeGenerator] = {}
 
-    def segment_rhs(seg: ProtocolSegment):
-        gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
-        generators.append((seg.t_start, gen))
-        if variant == "markov":
-            return lambda t, y: gen.markov @ y
-        return lambda t, y: gen.derivative(y, [zeta(t - t_origin, tb.delta) for tb in tables])
+    def segment_rhs(n, seg):
+        gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+        return lambda t, y: gen.derivative(y, envelope(t))
 
     times, states, levels = _integrate_segments(
         system, t_grid, y0.ravel(), segment_rhs, rtol, atol
@@ -437,7 +455,7 @@ def evolve(
             f"(currently {rtol:g}/{atol:g})"
         )
 
-    rate_model = PopulationRateModel(generators, tables, variant=variant, t_origin=t_origin)
+    rate_model = PopulationRateModel(system, generators, envelope)
     return Trajectory(
         solver=f"emme-{variant}",
         times=times,
@@ -464,70 +482,49 @@ class PopulationRateModel:
     ``EmmeGenerator.population_rates``), so it is the diagonal of the block
     generator exactly: jumps (eps_q, E_j) -> (eps_k, E_i) occur at
     rate W_kq(E_i, E_j) / V_j, with window moves in one bath component at a
-    time.  ``generators`` holds (segment start, generator) pairs in time
-    order, and the rates at time t are sum_nu f_nu(t) M_nu with f_nu = 1 in
-    the Markov form and zeta_nu(t) in the finite-time form.
+    time.  ``generators`` maps the index of each protocol segment a run
+    reaches to its generator; at a time t of the run the rates are
+    sum_nu f_nu(t) M_nu of the segment in force, with f = ``envelope(t)``
+    (see :func:`dissipator_envelope`).
     """
 
-    def __init__(
-        self,
-        generators: list[tuple[float, EmmeGenerator]],
-        tables: list[RateTable],
-        variant: str = "markov",
-        t_origin: float = 0.0,
-    ):
-        self.tables = tables
-        self.variant = variant
-        self.t_origin = t_origin
-        first = generators[0][1]
-        self.joint_index = [(k, key) for key in first.keys for k in range(first.dim)]
-        self._segments = [(t_start, gen.population_rates) for t_start, gen in generators]
-
-    def _terms(self, t: float) -> list[tuple[float, sparse.csr_array]]:
-        mats = self._segments[0][1]
-        for t_start, m in self._segments:
-            if t_start <= t + 1e-12:
-                mats = m
-        if self.variant == "markov":
-            return [(1.0, m) for m in mats]
-        return [(zeta(t - self.t_origin, tb.delta), m) for tb, m in zip(self.tables, mats)]
-
-    def matrix(self, t: float) -> sparse.csr_array:
-        return sum(f * m for f, m in self._terms(t))
+    def __init__(self, system: SystemSpec, generators: dict[int, EmmeGenerator], envelope):
+        self.system = system
+        self.generators = generators
+        self.envelope = envelope
 
     def dpdt(self, t: float, p: np.ndarray) -> np.ndarray:
+        mats = self.generators[self.system.segment_index(t)].population_rates
+        factors = self.envelope(t) or [1.0] * len(mats)
         # one mat-vec per bath: forming the sum would cost more than the products
-        return sum(f * (m @ p) for f, m in self._terms(t))
+        return sum(f * (m @ p) for f, m in zip(factors, mats))
 
 
 def stationary_populations(
     populations: dict[tuple[int, tuple[int, ...]], float],
     system: SystemSpec,
     tables: list[RateTable],
-    levels: np.ndarray | None = None,
 ) -> dict[tuple[int, tuple[int, ...]], float]:
     """Long-time populations: joint-volume weighting on each connected component.
 
-    Works for any number of baths; the weight of a joint state is the product
-    of its window volumes, and each ergodic component keeps its initial
-    probability.  For one bath and a fully connected shell this is
+    The levels are the first segment's.  Works for any number of baths; the
+    weight of a joint state is the product of its window volumes, and each
+    ergodic component keeps its initial probability.  For one bath and a
+    fully connected shell this is
     p(eps_k, E_tot - eps_k) = P(E_tot) V_{E_tot-eps_k} / sum_q V_{E_tot-eps_q}.
     """
-    lv = system.levels if levels is None else np.asarray(levels, dtype=float)
-    omega_sets = _omega_sets(system.couplings, lv)
+    omega_sets = _omega_sets(system.couplings, system.levels)
     keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
-    model = PopulationRateModel([(0.0, EmmeGenerator(lv, system.couplings, tables, keys))], tables)
-    _, labels = connected_components(model.matrix(0.0) > 0, directed=False)
-    p0 = np.array([populations.get(s, 0.0) for s in model.joint_index])
+    gen = EmmeGenerator(system.levels, system.couplings, tables, keys)
+    _, labels = connected_components(sum(gen.population_rates) > 0, directed=False)
+    joint_index = [(k, key) for key in keys for k in range(system.dim)]
+    p0 = np.array([populations.get(s, 0.0) for s in joint_index])
     weights = np.array(
-        [
-            np.prod([tables[nu].volumes[j] for nu, j in enumerate(key)])
-            for (_, key) in model.joint_index
-        ],
+        [np.prod([tables[nu].volumes[j] for nu, j in enumerate(key)]) for (_, key) in joint_index],
         dtype=float,
     )
     out = np.bincount(labels, p0)[labels] * weights / np.bincount(labels, weights)[labels]
-    return dict(zip(model.joint_index, out))
+    return dict(zip(joint_index, out))
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +567,17 @@ def spin_oracle_trajectory(
     """Exact trajectory of the two-level model, shell by shell.
 
     Requires a two-level system, a single bath, a single coupling operator,
-    and a static protocol; each conserved shell couples one excited block to
-    one ground block and follows the closed form above.
+    and one protocol segment over the whole grid; each conserved shell
+    couples one excited block to one ground block and follows the closed
+    form above.
     """
     if system.dim != 2 or system.n_baths != 1 or len(system.couplings[0]) != 1:
         raise ConfigurationError("the closed form covers one spin and one coupling operator")
-    if system.protocol is not None and len(system.protocol) > 1:
-        raise ConfigurationError("the closed form covers static protocols only")
     t_grid = np.asarray(t_grid, dtype=float)
-    levels = system.levels
+    pieces = system.grid_segments(t_grid)
+    if len(pieces) > 1:
+        raise ConfigurationError("the closed form covers static protocols only")
+    levels = pieces[0][1].levels
     gap = levels[1] - levels[0]
     pops0 = state0.populations()
     omega_sets = [{round(float(gap), 12), round(float(-gap), 12)}]

@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
-from .emme import SystemSpec, _grid_segments
+from .emme import SystemSpec
 from .errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from .trajectory import Trajectory
 
@@ -277,13 +277,14 @@ def propagate(
 
     ``occupied`` lists the sector components (see :func:`sector_components`)
     the members occupy; only those are assembled and diagonalized, once per
-    distinct level set.  The segments are those of the EMME walker, so a
+    distinct level set.  The segments are ``SystemSpec.grid_segments``, so a
     quench must sit on the grid; there the members are carried to the
     boundary and the Hamiltonian is switched.  Within a segment the grid
     points go in batches of at most ``BATCH_BYTES`` of stacked phases, one
     eigenvector product per sector for each batch and each quench carry
-    (see :meth:`_SegmentPropagator.states`); ``counts["propagate_products"]``,
-    if given, is increased by the number of those products.  The scheme is
+    (see :meth:`_SegmentPropagator.states`).  ``counts``, if given, gets
+    the number of those products added to ``"propagate_products"`` and the
+    side of every diagonalized block appended to ``"diag_dims"``.  The scheme is
     exact diagonalization, so norms are preserved to roundoff; a drift
     beyond 1e-8 aborts at the first grid point where it shows.
     """
@@ -293,16 +294,18 @@ def propagate(
     props: dict[tuple, _SegmentPropagator] = {}
     counts = {} if counts is None else counts
     counts.setdefault("propagate_products", 0)
+    counts.setdefault("diag_dims", [])
 
     def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
         key = _levels_key(levels)
         if key not in props:
             model = assemble(levels, system.couplings[0], realization, dim_cap, occupied)
             props[key] = _SegmentPropagator(model.sectors, dim)
+            counts["diag_dims"] += [int(index.size) for index, _ in model.sectors]
         return props[key]
 
     psi, prop = ensemble.members, None
-    for seg, t0, _, grid in _grid_segments(system, t_grid):
+    for _, seg, t0, _, grid in system.grid_segments(t_grid):
         if prop is not None:
             # carry the members across the quench, then switch the Hamiltonian
             (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
@@ -403,8 +406,9 @@ def run_exact(
     grid points; each sample diagonalizes one matrix of side
     min(d_b, d_s * members) (see :func:`quantum_mutual_information`).
     ``meta`` records ``mi_samples`` and that side as ``mi_gram_dim`` (0
-    without samples), and as ``propagate_products`` the number of batched
-    eigenvector products of the walk (see :func:`propagate`).
+    without samples), as ``propagate_products`` the number of batched
+    eigenvector products of the walk and as ``diag_dims`` the side of every
+    block it diagonalized (see :func:`propagate`).
     """
     if system.n_baths != 1:
         raise ConfigurationError("the exact benchmark supports a single bath")
@@ -444,8 +448,6 @@ def run_exact(
                     psi, ensemble.weights, d_s, d_b, ensemble.subspace_entropy
                 )
             )
-    # the walker diagonalizes once per distinct level set the grid reaches
-    n_level_sets = len({_levels_key(seg.levels) for seg, *_ in _grid_segments(system, t_grid)})
 
     joint_index = [(k, (j,)) for j in range(n_win) for k in range(d_s)]
     return Trajectory(
@@ -464,8 +466,8 @@ def run_exact(
             "members": int(ensemble.members.shape[1]),
             "dimension": d_s * d_b,
             "sector_dims": [int(c.size) for c in components],
-            # one entry per diagonalized block, over all distinct segments
-            "diag_dims": [int(c.size) for c in occupied] * n_level_sets,
+            # one entry per diagonalized block, once per distinct level set
+            "diag_dims": counts["diag_dims"],
             "propagate_products": counts["propagate_products"],
             "mi_samples": len(mi_vals),
             "mi_gram_dim": min(d_b, d_s * ensemble.members.shape[1]) if mi_vals else 0,

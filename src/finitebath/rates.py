@@ -130,6 +130,8 @@ def correlation_functions(
         if not (0 <= a < n_ops and 0 <= ap < n_ops):
             raise ConfigurationError(f"unknown operator pair {(a, ap)}")
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1 or tau_grid.size == 0:
+        raise ConfigurationError("tau grid must be a non-empty, one-dimensional list")
     slices = window_slices(realization.windows)
     values = {key: np.zeros(tau_grid.size, dtype=complex) for key in keys}
     # requested keys grouped by their representative (i < j, a <= a')
@@ -497,28 +499,24 @@ def rate_table_quadrature(
 # Lamb shift and transition rates
 
 
-def lamb_shift(
-    table: RateTable,
-    s_omega: dict[float, list[np.ndarray]],
-    h_system: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def lamb_shift(table: RateTable, s_omega: dict[float, list[np.ndarray]]) -> np.ndarray:
     """Energy-dependent shift Hamiltonians per window, stacked along the first axis.
 
     H_LS(E_j) = -(1/V_j) sum_{omega, a, a'} [sum_{j'} A^{aa'}(E_j', E_j;
     -omega)] S^{a'}_omega^dag S^a_omega, one sum over j' and one contraction
-    per frequency, and H'_S(E) = H_S + H_LS(E).  Both commute with H_S.
+    per frequency; the shifted Hamiltonian H_S + H_LS(E) commutes with H_S.
     ``s_omega`` maps each frequency to the list of per-operator jump
-    components.
+    components.  The stack has shape (n_windows, d_s, d_s), or (n_windows,
+    1, 1) zeros when the table has no dispersive part or ``s_omega`` is
+    empty; either broadcasts against H_S.
     """
-    d_s = h_system.shape[0]
-    acc = np.zeros((len(table.centers), d_s, d_s), dtype=complex)
+    acc = np.zeros((len(table.centers), 1, 1), dtype=complex)
     if table.a_coeff is not None:
         for omega, ops in s_omega.items():
             a_sum = table.a_coeff(-omega).sum(axis=0)  # [j, a, a']
             products = np.array([[s_ap.conj().T @ s_a for s_ap in ops] for s_a in ops])
-            acc += np.einsum("jab,abxy->jxy", a_sum, products)
-    h_ls = -acc / table.volumes[:, None, None]
-    return h_ls, h_system.astype(complex) + h_ls
+            acc = acc + np.einsum("jab,abxy->jxy", a_sum, products)
+    return -acc / table.volumes[:, None, None]
 
 
 def transition_rates(

@@ -59,17 +59,52 @@ def test_no_population_inversion_for_positive_reference():
         assert p[1] < p[0] + 1e-12
 
 
+def matrix_product_form(rho, rates, s_omega, h_system):
+    """Reference d rho/dt: the secular dissipator as products of d x d matrices."""
+    d_rho = -1j * (h_system @ rho - rho @ h_system)
+    for omega, s_op in s_omega.items():
+        if omega > 0:
+            for rate, op in ((rates.down.get(omega, 0.0), s_op),
+                             (rates.up(omega), s_op.conj().T)):
+                opd = op.conj().T
+                d_rho += rate * (op @ rho @ opd - 0.5 * (opd @ op @ rho + rho @ opd @ op))
+        elif omega == 0.0:
+            rate, opd = rates.down.get(0.0, 0.0), s_op.conj().T
+            d_rho += rate * (s_op @ rho @ opd - 0.5 * (opd @ s_op @ rho + rho @ opd @ s_op))
+    return d_rho
+
+
+GENERATOR_CASES = [
+    ([0.0, 1.0], SIGMA_X, BmsRates(1.0, {1.0: 0.2})),
+    ([0.0, 2.0], SIGMA_X, BmsRates(0.0, {2.0: 0.3})),
+    ([0.0, 1.0], SIGMA_X, BmsRates(math.inf, {1.0: 0.1})),
+    # three levels with two gaps and a diagonal part at omega = 0
+    ([0.0, 0.5, 1.5], np.array([[0.3, 1.0, 0.4j], [1.0, -0.2, 0.7], [-0.4j, 0.7, 0.0]]),
+     BmsRates(0.7, {0.0: 0.05, 0.5: 0.2, 1.0: 0.15, 1.5: 0.1})),
+    # a degenerate upper level: S_omega^dag S_omega has complex off-diagonal elements
+    ([0.0, 1.0, 1.0], np.array([[0.0, 1.0, 0.5j], [1.0, 0.0, 0.0], [-0.5j, 0.0, 0.0]]),
+     BmsRates(0.7, {1.0: 0.2})),
+]
+
+
 def test_generator_conserves_trace_and_hermiticity():
-    rates = BmsRates(1.0, {1.0: 0.2})
-    s_om = s_omega_decomposition(SIGMA_X, np.array([0.0, 1.0]))
+    # the superoperator is the matrix-product form, applied to the row-major ravel of rho
     rng = np.random.default_rng(1)
-    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    rho = raw @ raw.conj().T
-    rho /= np.trace(rho).real
-    h = np.diag([0.0, 1.0]).astype(complex)
-    d_rho = bms_generator(rho, rates, s_om, h)
-    assert abs(np.trace(d_rho)) < 1e-14
-    assert np.max(np.abs(d_rho - d_rho.conj().T)) < 1e-14
+    for levels, s_op, rates in GENERATOR_CASES:
+        levels = np.array(levels)
+        d = len(levels)
+        s_om = s_omega_decomposition(s_op, levels)
+        h = np.diag(levels).astype(complex)
+        gen = bms_generator(rates, s_om, h)
+        assert gen.shape == (d * d, d * d)
+        for _ in range(5):
+            raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = raw @ raw.conj().T
+            rho /= np.trace(rho).real
+            d_rho = (gen @ rho.ravel()).reshape(d, d)
+            assert np.max(np.abs(d_rho - matrix_product_form(rho, rates, s_om, h))) <= 1e-14
+            assert abs(np.trace(d_rho)) < 1e-14
+            assert np.max(np.abs(d_rho - d_rho.conj().T)) < 1e-14
 
 
 def test_choose_reference_temperature_markers():
@@ -90,9 +125,18 @@ def test_choose_reference_temperature_markers():
 
 def test_rates_from_table_use_initial_shell_scale():
     table = fig2_table()
-    rates = bms_rates_from_table(table, 0, np.array([0.0, 1.0]), t_can=1.0)
+    rates = bms_rates_from_table(table, 0, spin_system(), t_can=1.0)
     g = table.gamma[0, 1, 0, 0].real
     assert rates.down[1.0] == pytest.approx(g / 600.0)
+
+
+def test_rates_from_table_cover_every_segment_gap():
+    spec = BathSpec([EnergyWindow(float(c), 0.5, v) for c, v in enumerate([100, 200, 400])])
+    table = rate_table_rmt(CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=0),
+                           build_spectrum(spec))
+    rates = bms_rates_from_table(table, 0, quench_system(120.0), t_can=1.0)
+    assert rates.down == {1.0: table.gamma[1, 0, 0, 0].real / 200.0,
+                          2.0: table.gamma[2, 0, 0, 0].real / 400.0}
 
 
 def test_trajectory_contract_reduced_only():

@@ -60,6 +60,72 @@ def test_time_grid_not_strictly_increasing_exits_2(tmp_path, solvers, t_grid):
     assert not (tmp_path / "o").exists()
 
 
+def edited(*path, value=None):
+    """mini_config with the entry at ``path`` set to ``value``, or removed when value is None."""
+    cfg = mini_config()
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def spin_with_protocol(levels, protocol_levels):
+    return {"levels": levels, "coupling": "sigma_x",
+            "protocol": [{"t_start": 5.0 * n, "levels": lv}
+                         for n, lv in enumerate(protocol_levels)]}
+
+
+BAD_CONFIGS = {
+    "window-without-volume": lambda: edited("baths", 0, "windows", 1, "volume"),
+    "grid-without-t_max": lambda: edited("t_grid", "t_max"),
+    "grid-without-dt": lambda: edited("t_grid", "dt"),
+    "system-level-out-of-range": lambda: edited("initial", "system_level", value=2),
+    "negative-system-level": lambda: edited("initial", "system_level", value=-1),
+    "bath-window-out-of-range": lambda: edited("initial", "bath_windows", value=[2]),
+    "negative-bath-window": lambda: edited("initial", "bath_windows", value=[-1]),
+    "no-baths": lambda: mini_config(baths=[], initial={"system_level": 1, "bath_windows": []},
+                                    solvers=["emme-markov"]),
+    "mixed-window-widths": lambda: edited("baths", 0, "windows", 1, "width", value=0.8),
+    # levels that contradict the protocol's first segment, and a segment with another level count
+    "levels-contradict-protocol": lambda: mini_config(
+        system=spin_with_protocol([0.0, 1.4], [[0.0, 1.0]]),
+        solvers=["emme-markov", "bms", "analytic"]),
+    "segment-level-count": lambda: mini_config(
+        system=spin_with_protocol([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0, 2.0]])),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_inconsistent_configuration_exits_2_with_one_line(tmp_path, capsys, case):
+    cfg = BAD_CONFIGS[case]()
+    with pytest.raises(ConfigurationError):
+        build_scenario(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_quench_ci_comparison_equation_relaxes_after_the_quench():
+    cfg = preset("quench-ci")
+    cfg["solvers"] = ["bms"]
+    traj = cli.ScenarioRun(build_scenario(cfg)).run_solver("bms")
+    assert traj.meta["t_can"] == 0.0  # the initial window is the lowest: relax to the ground state
+    after = traj.times >= 120.0
+    p_up = traj.populations[after, 1]
+    assert np.all(np.diff(p_up) < 0)
+    # p_1 decays at the downward rate of the new gap 2 alone
+    expected = p_up[0] * np.exp(-traj.meta["down_rates"][2.0] * (traj.times[after] - 120.0))
+    assert np.max(np.abs(p_up - expected)) <= 1e-8
+
+
 def test_seed_mandatory_for_stochastic_scenarios():
     cfg = mini_config()
     del cfg["seed"]

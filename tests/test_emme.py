@@ -13,6 +13,7 @@ from finitebath.emme import (
     SystemSpec,
     analytic_spin_solution,
     check_time_grid,
+    dissipator_envelope,
     evolve,
     reachable_keys,
     s_omega_decomposition,
@@ -512,7 +513,7 @@ def dense_generator(levels, couplings, tables, keys):
             w: [p.get(w, np.zeros((d, d), dtype=complex)) for p in pieces]
             for w in sorted({w for p in pieces for w in p})
         }
-        h_ls = lamb_shift(table, s_omega, np.zeros((d, d)))[0]
+        h_ls = lamb_shift(table, s_omega)
         mat = np.zeros((len(keys) * d2,) * 2, dtype=complex)
         for n, key in enumerate(keys):
             j = key[nu]
@@ -578,6 +579,26 @@ def test_reachable_keys_closure():
     # a gap that resolves nowhere keeps the initial key only
     keys = reachable_keys({(0,)}, [table], [{7.7}])
     assert keys == [(0,)]
+
+
+def test_system_spec_refuses_levels_the_protocol_contradicts():
+    # the first segment decides the levels; a stored copy may not disagree
+    with pytest.raises(ConfigurationError, match="differ from the first protocol segment"):
+        SystemSpec(np.array([0.0, 1.4]), [[SIGMA_X]], [ProtocolSegment(0.0, [0.0, 1.0])])
+    with pytest.raises(ConfigurationError, match="has 3 levels, the system 2"):
+        SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]],
+                   [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 1.0, 2.0])])
+
+
+def test_segment_index_puts_a_quench_point_in_the_segment_that_starts_there():
+    system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]],
+                        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 2.0])])
+    t = [-1.0, 0.0, 5.0 - 1e-9, 5.0 - 1e-13, 5.0, 9.0]
+    assert [system.segment_index(x) for x in t] == [0, 0, 0, 1, 1, 1]
+    assert spin().segment_index(-1e300) == 0  # a static system holds one segment from -inf
+    pieces = system.grid_segments(np.linspace(0.0, 10.0, 11))
+    assert [(n, t0, t1, grid.tolist()) for n, _, t0, t1, grid in pieces] == [
+        (0, 0.0, 5.0, [0.0, 1.0, 2.0, 3.0, 4.0]), (1, 5.0, 10.0, [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])]
 
 
 def test_protocol_starting_after_the_grid_is_a_configuration_error():
@@ -670,13 +691,13 @@ def test_population_block_equals_closed_form_rates(scenario):
     system = SystemSpec(levels, couplings)
     keys = state_keys({initial}, system, tables, levels)
     gen = EmmeGenerator(levels, couplings, tables, keys)
-    model = PopulationRateModel([(0.0, gen)], tables, variant=variant)
-    assert model.joint_index == [(k, key) for key in keys for k in range(len(levels))]
+    model = PopulationRateModel(system, {0: gen}, dissipator_envelope(tables, variant))
     factors = [1.0 if variant == "markov" else zeta(t, tb.delta) for tb in tables]
     want = sum(f * m for f, m in zip(factors, closed_form_rates(levels, couplings, tables, keys)))
-    got = model.matrix(t).toarray()
+    got = sum(f * m for f, m in zip(factors, gen.population_rates)).toarray()
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    p = np.random.default_rng(0).uniform(size=len(model.joint_index))
+    joint_index = [(k, key) for key in keys for k in range(len(levels))]
+    p = np.random.default_rng(0).uniform(size=len(joint_index))
     # products below the smallest normal double (zeta at t ~ 1e-300) keep no relative precision
     tol = 1e-12 * np.abs(got) @ p + np.finfo(float).tiny
     assert np.all(np.abs(model.dpdt(t, p) - got @ p) <= tol)
@@ -684,6 +705,6 @@ def test_population_block_equals_closed_form_rates(scenario):
     # the volume-product state is the fixed point of the Markov rates
     p0 = {(k, initial): 1.0 / len(levels) for k in range(len(levels))}
     p_eq = stationary_populations(p0, system, tables)
-    v = np.array([p_eq[s] for s in model.joint_index])
+    v = np.array([p_eq[s] for s in joint_index])
     markov = sum(gen.population_rates).toarray()
     assert np.all(np.abs(markov @ v) <= 1e-12 * (np.abs(markov) @ v))

@@ -317,7 +317,7 @@ def dense_hamiltonian(levels, s_ops, realization):
 
 def dense_reference_states(system, realization, ensemble, t_grid):
     """Member matrices on the grid from one dense eigh of H per protocol segment."""
-    segs = system.segments(t_grid[0])
+    segs = system.protocol
     ends = [seg.t_start for seg in segs[1:]] + [np.inf]
     psi, states = ensemble.members, []
     for seg, t_end in zip(segs, ends):
