@@ -39,6 +39,8 @@ from .thermo import ThermoLedger, build_ledger
 from .trajectory import Trajectory
 
 KNOWN_SOLVERS = ("exact", "emme-markov", "emme-redfield", "bms", "analytic")
+ENSEMBLE_KINDS = ("typicality", "basis-ensemble")
+RATES_METHODS = ("rmt", "heuristic", "quadrature")
 SMALL_VOLUME_LIMIT = 100  # below this the master equation is known to degrade
 
 
@@ -111,7 +113,12 @@ def _build_scenario(cfg: dict, name: str) -> Scenario:
 
     ensemble = cfg.get("ensemble", {"kind": "typicality", "members": 20})
     kind = ensemble.get("kind", "typicality")
+    if kind not in ENSEMBLE_KINDS:
+        raise ConfigurationError(f"unknown ensemble kind {kind!r}")
     members = int(ensemble.get("members", 20))
+    rates_method = cfg.get("rates_method", "rmt")
+    if rates_method not in RATES_METHODS:
+        raise ConfigurationError(f"unknown rates method {rates_method!r}")
 
     stochastic = kind == "typicality"
     for b in baths_cfg:
@@ -194,10 +201,10 @@ def _build_scenario(cfg: dict, name: str) -> Scenario:
         initial_windows=init_windows,
         fill=initial.get("fill", "full"),
         solvers=solvers,
-        ensemble_kind="basis-ensemble" if kind == "basis-ensemble" else "typicality",
+        ensemble_kind=kind,
         ensemble_members=members,
         ensemble_seed=take(),
-        rates_method=cfg.get("rates_method", "rmt"),
+        rates_method=rates_method,
         t_can=cfg.get("bms", {}).get("t_can"),
         mi_stride=int(cfg.get("mi_stride", 0)),
         dim_cap=int(cfg.get("dim_cap", 5000)),

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
@@ -28,6 +30,11 @@ from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta  #
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
+# the closed-form propagator of a shell component reads its populations in
+# the coordinates Pi^{-1/2} p, so the eigenvectors' round-off reaches p
+# amplified by sum_a p_a (Pi_max / Pi_a)^{1/2}; above this factor the
+# component is propagated by expm at each point instead
+AMPLIFICATION_LIMIT = 1e3
 # integrator tolerances of the conditioned-state and the comparison equations
 RTOL = 1e-11
 ATOL = 1e-13
@@ -221,7 +228,8 @@ class EmmeGenerator:
 
     The blocks are packed into one vector (block n at offset n d^2, row-major
     ravel, so that vec(A X B) = (A kron B^T) vec(X)).  ``coherent`` applies
-    -i[H'(E), .] with H' the levels plus each bath's energy shift;
+    -i[H'(E), .] with H' the levels plus each bath's energy shift, and is
+    built (with the shifts) on first use, like ``markov``;
     ``dissipators[nu]`` holds bath nu's loss anticommutator and its gains,
     each gain fed by the block whose bath energy is lower by the emitted
     quantum, which conserves the coarse-grained total energy.  ``markov`` is
@@ -254,13 +262,15 @@ class EmmeGenerator:
         windows = np.array(self.keys, dtype=int).reshape(n_blocks, len(tables))
         pops = (np.arange(n_blocks)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
 
-        h_prime = np.tile(np.diag(np.asarray(levels, dtype=float)).astype(complex), (n_blocks, 1, 1))
+        self._levels = np.asarray(levels, dtype=float)
+        self._tables = tables
+        self._windows = windows
+        self._s_omegas: list[dict[float, list[np.ndarray]]] = []
         self.dissipators: list[sparse.csr_array] = []
         self.population_rates: list[sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
-            h_ls = lamb_shift(table, s_omega)
-            h_prime = h_prime + h_ls[windows[:, nu]]
+            self._s_omegas.append(s_omega)
             sources = {}  # window -> the source window of each frequency's gain, or None
 
             def gain(j: int, j_dn: int) -> np.ndarray:
@@ -314,10 +324,22 @@ class EmmeGenerator:
             w_min = np.min(w[jumps.row != jumps.col], initial=0.0)
             if w_min < -1e-12 * max(np.max(np.abs(table.gamma), initial=0.0), 1.0):
                 raise NumericalFailure(f"negative transition rate W = {w_min:g} in bath {nu}")
+
+    @cached_property
+    def coherent(self) -> sparse.csr_array:
+        """-i[H'(E), .] on the packed blocks; built on first use, as only the integrator applies it."""
+        d, n_blocks = self.dim, len(self.keys)
+        h_prime = np.tile(np.diag(self._levels).astype(complex), (n_blocks, 1, 1))
+        for nu, (table, s_omega) in enumerate(zip(self._tables, self._s_omegas)):
+            h_prime = h_prime + lamb_shift(table, s_omega)[self._windows[:, nu]]
+        eye = np.eye(d)
         commutators = -1j * (_kron(h_prime, eye) - _kron(eye, h_prime.swapaxes(-1, -2)))
         block = np.arange(n_blocks)
-        self.coherent = _packed_operator(block, block, commutators, n_blocks, d)
-        self.markov = sum(self.dissipators, self.coherent)
+        return _packed_operator(block, block, commutators, n_blocks, d)
+
+    @cached_property
+    def markov(self) -> sparse.csr_array:
+        return sum(self.dissipators, self.coherent)
 
     def derivative(self, y: np.ndarray, zeta_factors: list[float] | None = None) -> np.ndarray:
         """d/dt of the packed block vector; zeta_factors scale each bath's dissipator."""
@@ -346,6 +368,44 @@ def check_time_grid(t_grid: np.ndarray) -> None:
         raise ConfigurationError("time grid must be a non-empty, strictly increasing list")
 
 
+def _walk_segments(
+    system: SystemSpec,
+    t_grid: np.ndarray,
+    y0: np.ndarray,
+    segment_solver: Callable[[int, ProtocolSegment], Callable],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Carry a state across the protocol on the grid, one solver per segment.
+
+    ``segment_solver(n, seg)`` is called once for every segment n the grid
+    reaches and returns solve(t0, y, times): the states (one row per time)
+    at the increasing times, all after t0, from y at t0.  The state carries
+    across quenches continuously; a grid point on a quench is recorded with
+    the segment that starts there.  Returns the recorded times, the states
+    (one row per time) and the level energies in force.
+    """
+    times: list[float] = []
+    states: list[np.ndarray] = []
+    levels: list[np.ndarray] = []
+    y = y0
+    for n, seg, t0, t1, grid in system.grid_segments(t_grid):
+        solve = segment_solver(n, seg)
+        if grid.size and abs(grid[0] - t0) < 1e-12:
+            times.append(float(grid[0]))
+            states.append(y)
+            levels.append(seg.levels)
+            grid = grid[1:]
+        if t1 > t0:
+            targets = np.unique(np.concatenate([grid, [t1]]))
+            out = solve(t0, y, targets)
+            for t_rec, y_rec in zip(targets, out):
+                if grid.size and np.min(np.abs(grid - t_rec)) < 1e-12:
+                    times.append(float(t_rec))
+                    states.append(y_rec)
+                    levels.append(seg.levels)
+            y = out[-1]
+    return np.array(times), np.stack(states), np.stack(levels)
+
+
 def _integrate_segments(
     system: SystemSpec,
     t_grid: np.ndarray,
@@ -354,38 +414,24 @@ def _integrate_segments(
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate y' = segment_rhs(n, seg)(t, y) across the protocol on the grid.
+    """Integrate y' = segment_rhs(n, seg)(t, y) with DOP853 across the protocol on the grid.
 
-    ``segment_rhs`` is called once for every segment n the grid reaches.  The
-    state carries across quenches continuously; a grid point on a quench
-    is recorded with the segment that starts there.  Returns the recorded
-    times, the states (one row per time) and the level energies in force.
+    ``segment_rhs`` is called once for every segment n the grid reaches; the
+    walk and the result are those of :func:`_walk_segments`.
     """
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
-    y = y0
-    for n, seg, t0, t1, grid in system.grid_segments(t_grid):
+    def segment_solver(n, seg):
         rhs = segment_rhs(n, seg)
-        if grid.size and abs(grid[0] - t0) < 1e-12:
-            times.append(float(grid[0]))
-            states.append(y)
-            levels.append(seg.levels)
-            grid = grid[1:]
-        if t1 > t0:
-            sol = solve_ivp(
-                rhs, (t0, t1), y, method="DOP853",
-                t_eval=np.unique(np.concatenate([grid, [t1]])), rtol=rtol, atol=atol,
-            )
+
+        def solve(t0, y, times):
+            sol = solve_ivp(rhs, (t0, times[-1]), y, method="DOP853", t_eval=times,
+                            rtol=rtol, atol=atol)
             if not sol.success:
                 raise NumericalFailure(f"integrator failed: {sol.message}")
-            for m, t_rec in enumerate(sol.t):
-                if grid.size and np.min(np.abs(grid - t_rec)) < 1e-12:
-                    times.append(float(t_rec))
-                    states.append(sol.y[:, m])
-                    levels.append(seg.levels)
-            y = sol.y[:, -1]
-    return np.array(times), np.stack(states), np.stack(levels)
+            return sol.y.T
+
+        return solve
+
+    return _walk_segments(system, t_grid, y0, segment_solver)
 
 
 def dissipator_envelope(tables: list[RateTable], variant: str, t_origin: float = 0.0):
@@ -401,6 +447,70 @@ def dissipator_envelope(tables: list[RateTable], variant: str, t_origin: float =
     raise ConfigurationError(f"unknown variant {variant!r}")
 
 
+def _distinct_levels(levels: np.ndarray) -> bool:
+    """Whether no two transitions out of (or into) one level share a frequency.
+
+    Frequencies are rounded as in :func:`s_omega_decomposition`; then every
+    S_omega has at most one element per row and per column, so each
+    dissipator and the energy shifts map diagonal blocks to diagonal blocks.
+    """
+    omegas = [[round(float(b - a), 12) for b in levels] for a in levels]
+    return all(len(set(row)) == len(row) for row in omegas + [list(c) for c in zip(*omegas)])
+
+
+def _shell_labels(rates: sparse.csr_array) -> np.ndarray:
+    """Connected component of each joint state under the positive jump rates."""
+    return connected_components(rates > 0, directed=False)[1]
+
+
+def _population_solver(
+    gen: EmmeGenerator, log_weights: np.ndarray, clock: Callable, counters: dict
+) -> Callable:
+    """Closed-form solve(t0, p, times) of p' = f(t) W p for one segment (see :func:`_walk_segments`).
+
+    W = sum_nu ``gen.population_rates[nu]`` splits into shell components.
+    Local detailed balance makes Pi^{-1/2} W_c Pi^{1/2} symmetric for the
+    volume-product weights Pi, so one ``eigh`` per component that holds
+    probability gives p(t) = Pi^{1/2} U exp(Lambda x) U^T Pi^{-1/2} p(t0) at
+    every time at once, with x = clock(t) - clock(t0).  Pi is normalized
+    within each component (``log_weights`` holds log Pi), and components
+    without probability stay exactly 0.  A component whose probability sits
+    on states far lighter than its heaviest (see ``AMPLIFICATION_LIMIT``) is
+    propagated by ``expm`` at each time.  ``counters`` gets the calls added
+    to ``eigh_calls`` and ``expm_calls``, the largest decomposed component in
+    ``largest_component``, and appended to ``relaxation_rates`` the
+    segment's list of the slowest relaxation rate of each occupied
+    component of more than one state.
+    """
+    rates = sum(gen.population_rates)
+    labels = _shell_labels(rates)
+    slowest: list[float] = []
+    counters["relaxation_rates"].append(slowest)
+
+    def solve(t0, p, times):
+        x = clock(times) - clock(t0)
+        out = np.zeros((times.size, p.size))
+        for c in np.unique(labels[p != 0]):
+            idx = np.flatnonzero(labels == c)
+            sq = np.exp(0.5 * (log_weights[idx] - log_weights[idx].max()))
+            w_c = rates[idx][:, idx].toarray()
+            sym = w_c * sq / sq[:, None]
+            lam, u = np.linalg.eigh(0.5 * (sym + sym.T))
+            counters["eigh_calls"] += 1
+            if np.sum(np.abs(p[idx]) / sq) <= AMPLIFICATION_LIMIT:
+                out[:, idx] = ((np.exp(np.outer(x, lam)) * (u.T @ (p[idx] / sq))) @ u.T) * sq
+            else:
+                out[:, idx] = [scipy.linalg.expm(w_c * x_m) @ p[idx] for x_m in x]
+                counters["expm_calls"] += x.size
+            counters["largest_component"] = max(counters["largest_component"], idx.size)
+            if idx.size > 1:
+                # the eigenvalue nearest 0 is the stationary state's
+                slowest.append(float(-lam[-2]))
+        return out
+
+    return solve
+
+
 def evolve(
     state0: ConditionedState,
     system: SystemSpec,
@@ -411,13 +521,22 @@ def evolve(
     rtol: float = RTOL,
     atol: float = ATOL,
 ) -> Trajectory:
-    """Integrate the conditioned-state master equation over a time grid.
+    """Solve the conditioned-state master equation on a time grid.
 
-    The trace is conserved by the generator and is deliberately not
-    renormalized; drift beyond tolerance indicates a bug, not noise.  At
+    Population route: when every initial block is diagonal (with a real
+    diagonal), every segment's levels are distinct (see
+    :func:`_distinct_levels`) and the variant is Markov or all baths share
+    one window width, the blocks stay diagonal and the populations follow
+    p' = f(t) W p with one envelope f, solved in closed form (see
+    :func:`_population_solver`); there rtol/atol are not used.
+    Otherwise the integrator route runs DOP853 on the packed blocks with
+    rtol/atol.  The trace is conserved by the generator and is deliberately
+    not renormalized; drift beyond tolerance indicates a bug, not noise.  At
     protocol quenches the state is carried across continuously while the
-    level energies and jump operators are rebuilt.  Raises on positivity
-    violations beyond tolerance with a step-size diagnostic.
+    level energies and jump operators are rebuilt.  Raises on a population
+    (population route) or block eigenvalue (integrator route) below
+    -``POSITIVITY_TOL``.  ``meta`` records the route; the population route
+    adds its counters.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     check_time_grid(t_grid)
@@ -434,26 +553,57 @@ def evolve(
         if key in state0.blocks:
             y0[n] = state0.blocks[key]
 
+    populations = np.diagonal(y0, axis1=1, axis2=2)
+    diagonal = np.array_equal(y0, populations.real[:, :, None] * np.eye(d))
+    one_envelope = variant == "markov" or len({tb.delta for tb in tables}) == 1
     generators: dict[int, EmmeGenerator] = {}
+    meta = {"variant": variant, "rtol": rtol, "atol": atol}
+    if diagonal and one_envelope and all(_distinct_levels(seg.levels) for seg in system.protocol):
+        def clock(t):
+            # the running integral of the one envelope (from the first grid point)
+            return t if variant == "markov" else xi_integral(t - t_grid[0], tables[0].delta)
 
-    def segment_rhs(n, seg):
-        gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
-        return lambda t, y: gen.derivative(y, envelope(t))
+        windows = np.array(keys, dtype=int).reshape(len(keys), len(tables))
+        log_weights = np.repeat(
+            sum(np.log(tb.volumes[windows[:, nu]]) for nu, tb in enumerate(tables)), d)
+        counters = {"eigh_calls": 0, "expm_calls": 0, "largest_component": 0,
+                    "relaxation_rates": []}
 
-    times, states, levels = _integrate_segments(
-        system, t_grid, y0.ravel(), segment_rhs, rtol, atol
-    )
-    blocks = states.reshape(len(times), len(keys), d, d)
-    hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
-    w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
-    bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
-    if bad.size:
-        n, m = bad[0]
-        raise NumericalFailure(
-            f"block {keys[n]} lost positivity at t={times[m]:g} "
-            f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
-            f"(currently {rtol:g}/{atol:g})"
+        def segment_solver(n, seg):
+            gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+            return _population_solver(gen, log_weights, clock, counters)
+
+        times, pops, levels = _walk_segments(
+            system, t_grid, populations.real.ravel(), segment_solver)
+        blocks = np.zeros((len(times), len(keys), d, d), dtype=complex)
+        blocks[:, :, np.arange(d), np.arange(d)] = pops.reshape(len(times), len(keys), d)
+        bad = np.argwhere(pops < -POSITIVITY_TOL)
+        if bad.size:
+            m, col = bad[0]
+            raise NumericalFailure(f"block {keys[col // d]} lost positivity at t={times[m]:g} "
+                                   f"(population {pops[m, col]:.3e})")
+        meta.update(route="populations", **counters)
+    else:
+        def segment_rhs(n, seg):
+            gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+            return lambda t, y: gen.derivative(y, envelope(t))
+
+        times, states, levels = _integrate_segments(
+            system, t_grid, y0.ravel(), segment_rhs, rtol, atol
         )
+        blocks = states.reshape(len(times), len(keys), d, d)
+        hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
+        w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
+        bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
+        if bad.size:
+            n, m = bad[0]
+            raise NumericalFailure(
+                f"block {keys[n]} lost positivity at t={times[m]:g} "
+                f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
+                f"(currently {rtol:g}/{atol:g})"
+            )
+        pops = np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy()
+        meta["route"] = "integrator"
 
     rate_model = PopulationRateModel(system, generators, envelope)
     return Trajectory(
@@ -461,13 +611,13 @@ def evolve(
         times=times,
         # populations are ordered as all levels of block 0, then block 1, ...
         joint_index=[(k, key) for key in keys for k in range(d)],
-        populations=np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy(),
+        populations=pops,
         level_energies=levels,
         bath_centers=[tb.centers for tb in tables],
         bath_volumes=[tb.volumes for tb in tables],
         blocks={key: blocks[:, n] for n, key in enumerate(keys)},
         pop_rate=rate_model.dpdt,
-        meta={"variant": variant, "rtol": rtol, "atol": atol},
+        meta=meta,
     )
 
 
@@ -516,7 +666,7 @@ def stationary_populations(
     omega_sets = _omega_sets(system.couplings, system.levels)
     keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
     gen = EmmeGenerator(system.levels, system.couplings, tables, keys)
-    _, labels = connected_components(sum(gen.population_rates) > 0, directed=False)
+    labels = _shell_labels(sum(gen.population_rates))
     joint_index = [(k, key) for key in keys for k in range(system.dim)]
     p0 = np.array([populations.get(s, 0.0) for s in joint_index])
     weights = np.array(

@@ -282,7 +282,8 @@ def propagate(
     boundary and the Hamiltonian is switched.  Within a segment the grid
     points go in batches of at most ``BATCH_BYTES`` of stacked phases, one
     eigenvector product per sector for each batch and each quench carry
-    (see :meth:`_SegmentPropagator.states`).  ``counts``, if given, gets
+    (see :meth:`_SegmentPropagator.states`); a point on the segment's start
+    gets the members as they are.  ``counts``, if given, gets
     the number of those products added to ``"propagate_products"`` and the
     side of every diagonalized block appended to ``"diag_dims"``.  The scheme is
     exact diagonalization, so norms are preserved to roundoff; a drift
@@ -312,6 +313,11 @@ def propagate(
             counts["propagate_products"] += len(prop.eig)
         prop = propagator_for(seg.levels)
         phi0, seg_t0 = prop.prepare(psi), t0
+        if grid.size and abs(grid[0] - t0) < 1e-12:
+            # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
+            _check_norms(psi, grid[0])
+            yield grid[0], seg.levels, psi
+            grid = grid[1:]
         for start in range(0, grid.size, batch):
             times = grid[start : start + batch]
             counts["propagate_products"] += len(prop.eig)

@@ -113,6 +113,20 @@ def test_inconsistent_configuration_exits_2_with_one_line(tmp_path, capsys, case
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cfg, value", [
+    # a typo must not fall back to typicality, nor go unread when no EMME solver runs
+    (edited("ensemble", "kind", value="basis"), "ensemble kind 'basis'"),
+    (mini_config(rates_method="quadratur", solvers=["bms", "analytic"]),
+     "rates method 'quadratur'"),
+])
+def test_unknown_choice_exits_2_and_names_the_value(tmp_path, capsys, cfg, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_quench_ci_comparison_equation_relaxes_after_the_quench():
     cfg = preset("quench-ci")
     cfg["solvers"] = ["bms"]

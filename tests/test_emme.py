@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.bms import BmsRates, evolve_bms
 from finitebath.emme import (
+    ATOL,
+    RTOL,
     ConditionedState,
     EmmeGenerator,
     PopulationRateModel,
@@ -19,6 +21,7 @@ from finitebath.emme import (
     s_omega_decomposition,
     spin_oracle_trajectory,
     stationary_populations,
+    _integrate_segments,
 )
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.exact import prepare_initial, run_exact
@@ -298,9 +301,15 @@ def test_evolution_matches_closed_form_both_variants():
             np.max(np.abs(traj.populations[:, pos[s]] - oracle.populations[:, m]))
             for m, s in enumerate(oracle.joint_index)
         )
-        assert err <= 1e-6
+        # both are closed forms of one shell, so they agree to round-off
+        assert traj.meta["route"] == "populations"
+        assert err <= 1e-12
+        # one occupied shell of two states, relaxing at 2 gammabar = gamma (1/V_0 + 1/V_1)
+        assert (traj.meta["eigh_calls"], traj.meta["largest_component"]) == (1, 2)
+        two_gbar = table.gamma[0, 1, 0, 0].real * (1 / 400 + 1 / 600)
+        assert traj.meta["relaxation_rates"] == [[pytest.approx(two_gbar, rel=1e-12)]]
         drift = np.abs(traj.populations.sum(axis=1) - 1.0)
-        assert np.max(drift) <= 1e-8
+        assert np.max(drift) <= 1e-12
 
 
 def test_analytic_solution_structure():
@@ -568,7 +577,13 @@ def test_generator_equals_dense_kron_reference():
 def test_evolve_refuses_a_block_that_is_not_positive():
     table = make_bath([10, 20])
     state = ConditionedState({(0,): np.diag([1.2, -0.2]).astype(complex)})
-    with pytest.raises(NumericalFailure, match=r"block \(0,\) lost positivity at t=0 "):
+    # a population is checked as it is; tolerances play no part on that route
+    with pytest.raises(NumericalFailure,
+                       match=r"block \(0,\) lost positivity at t=0 \(population -2\.000e-01\)$"):
+        evolve(state, spin(), [table], np.linspace(0.0, 1.0, 3))
+    state = ConditionedState({(0,): np.array([[0.5, 0.8], [0.8, 0.5]], dtype=complex)})
+    with pytest.raises(NumericalFailure, match=r"block \(0,\) lost positivity at t=0 "
+                       r"\(min eigenvalue -3\.000e-01\); tighten rtol/atol"):
         evolve(state, spin(), [table], np.linspace(0.0, 1.0, 3))
 
 
@@ -708,3 +723,140 @@ def test_population_block_equals_closed_form_rates(scenario):
     v = np.array([p_eq[s] for s in joint_index])
     markov = sum(gen.population_rates).toarray()
     assert np.all(np.abs(markov @ v) <= 1e-12 * (np.abs(markov) @ v))
+
+
+# ---------------------------------------------------------------------------
+# population route against the integrator
+
+
+def integrator_populations(state, system, tables, t_grid, variant, rtol, atol):
+    """Populations from DOP853 on the packed blocks, by the same calls as evolve's integrator route."""
+    omegas = [set() for _ in tables]
+    for seg in system.protocol:
+        for nu, ops in enumerate(system.couplings):
+            omegas[nu] |= {w for s in ops for w in s_omega_decomposition(s, seg.levels)}
+    keys = reachable_keys(set(state.blocks), tables, omegas)
+    d = system.dim
+    y0 = np.zeros((len(keys), d, d), dtype=complex)
+    for n, key in enumerate(keys):
+        if key in state.blocks:
+            y0[n] = state.blocks[key]
+    envelope = dissipator_envelope(tables, variant, t_grid[0])
+
+    def segment_rhs(n, seg):
+        gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+        return lambda t, y: gen.derivative(y, envelope(t))
+
+    _, states, _ = _integrate_segments(system, t_grid, y0.ravel(), segment_rhs, rtol, atol)
+    blocks = states.reshape(-1, len(keys), d, d)
+    return np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(blocks), -1)
+
+
+@st.composite
+def population_route_scenarios(draw):
+    """Small scenarios the population route takes.
+
+    2-3 distinct integer levels per segment, 1-2 segments (a quench at
+    t = 2), 1-2 baths of width 0.5 with 2-5 windows at integer centers 1-2
+    apart and volumes up to 2^66 (half of the draws above 2^63), 1-2 random
+    Hermitian operators per bath, lambda scaled by 1/sqrt of the bath's
+    largest volume, a diagonal initial block of random populations in one
+    key, and a variant.
+    """
+    d = draw(st.integers(2, 3))
+    distinct = st.lists(st.integers(0, 4), min_size=d, max_size=d, unique=True)
+    protocol = [ProtocolSegment(0.0, draw(distinct))]
+    if draw(st.booleans()):
+        protocol.append(ProtocolSegment(2.0, draw(distinct)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings, tables, key = [], [], []
+    volume = st.one_of(st.integers(1, 10**6), st.integers(2**63, 2**66))
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 5))
+        steps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+        volumes = draw(st.lists(volume, min_size=n, max_size=n))
+        windows = [EnergyWindow(float(c), DELTA, v)
+                   for c, v in zip(np.concatenate([[0], np.cumsum(steps)]), volumes)]
+        n_ops = draw(st.integers(1, 2))
+        specs = [
+            CouplingSpec(lam=0.1 / np.sqrt(float(max(volumes))),
+                         block_mean=complex(*rng.uniform(-1.0, 1.0, 2)),
+                         variance=float(rng.uniform(0.1, 2.0)), operator_label=a)
+            for a in range(n_ops)
+        ]
+        tables.append(rate_table_rmt(specs, windows))
+        raw = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))
+        couplings.append(list(raw + raw.conj().swapaxes(-1, -2)))
+        key.append(draw(st.integers(0, n - 1)))
+    p = rng.uniform(size=d)
+    state = ConditionedState({tuple(key): np.diag(p / p.sum()).astype(complex)})
+    system = SystemSpec(protocol[0].levels, couplings, protocol)
+    return state, system, tables, draw(st.sampled_from(["markov", "redfield"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(population_route_scenarios())
+def test_population_route_matches_the_integrator_and_conserves_shells(scenario):
+    state, system, tables, variant = scenario
+    t = np.linspace(0.0, 4.0, 9)
+    traj = evolve(state, system, tables, t, variant=variant)
+    assert traj.meta["route"] == "populations"
+    ref = integrator_populations(state, system, tables, t, variant, 1e-13, 1e-15)
+    assert np.max(np.abs(traj.populations - ref)) <= 1e-9
+
+    # no dissipator (nor the coherent part) feeds a coherence from a population
+    d = system.dim
+    keys = list(dict.fromkeys(key for _, key in traj.joint_index))
+    diag = np.eye(d, dtype=bool).ravel()
+    pops = (np.arange(len(keys))[:, None] * d * d + np.flatnonzero(diag)).ravel()
+    cohs = (np.arange(len(keys))[:, None] * d * d + np.flatnonzero(~diag)).ravel()
+    for seg in system.protocol:
+        gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+        for op in gen.dissipators + [gen.coherent]:
+            assert op[cohs][:, pops].count_nonzero() == 0
+
+    # the trace, and each total-energy shell within a segment
+    total = traj.populations.sum(axis=1)
+    assert np.max(np.abs(total - total[0])) <= 1e-12
+    quench = np.flatnonzero(np.any(np.diff(traj.level_energies, axis=0) != 0, axis=1)) + 1
+    for rows in np.split(np.arange(t.size), quench):
+        levels = traj.level_energies[rows[0]]
+        energy = np.array([levels[k] + sum(tb.centers[j] for tb, j in zip(tables, key))
+                           for k, key in traj.joint_index])
+        for e in np.unique(energy):
+            shell = traj.populations[rows][:, energy == e].sum(axis=1)
+            assert np.max(np.abs(shell - shell[0])) <= 1e-12
+
+
+def three_level_coupling():
+    return np.array([[0, 1, 0.5], [1, 0, 1], [0.5, 1, 0]], dtype=complex)
+
+
+ROUTE_CASES = {
+    # the two baths' envelopes differ, so the populations see no one clock
+    "unequal-widths": lambda: (
+        ConditionedState({(0, 0): excited_block()}),
+        SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X], [SIGMA_X]]),
+        [make_bath([40, 60, 90]),
+         rate_table_rmt(CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=1),
+                        [EnergyWindow(float(c), 0.8, v) for c, v in enumerate([30, 50, 70])])],
+        "redfield"),
+    # the two upper levels share every frequency, so their coherence is fed
+    "degenerate-levels": lambda: (
+        ConditionedState({(0,): np.diag([0.0, 0.5, 0.5]).astype(complex)}),
+        SystemSpec(np.array([0.0, 1.0, 1.0]), [[three_level_coupling()]]),
+        [make_bath([40, 60, 90])], "markov"),
+    "coherent-block": lambda: (
+        ConditionedState({(0,): np.array([[0.5, 0.3j], [-0.3j, 0.5]])}),
+        spin(), [make_bath([40, 60, 90])], "markov"),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES))
+def test_integrator_route_is_kept_where_populations_do_not_close(case):
+    state, system, tables, variant = ROUTE_CASES[case]()
+    t = np.linspace(0.0, 10.0, 21)
+    traj = evolve(state, system, tables, t, variant=variant)
+    assert traj.meta["route"] == "integrator"
+    ref = integrator_populations(state, system, tables, t, variant, RTOL, ATOL)
+    assert np.array_equal(traj.populations, ref)

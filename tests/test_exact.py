@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum, sample_coupling
 from finitebath import exact
+from finitebath.cli import ScenarioRun, build_scenario
 from finitebath.emme import ProtocolSegment, SystemSpec
 from finitebath.errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from finitebath.exact import (
@@ -16,7 +17,8 @@ from finitebath.exact import (
     run_exact,
     sector_components,
 )
-from finitebath.thermo import mutual_information_cg
+from finitebath.presets import preset
+from finitebath.thermo import build_ledger, mutual_information_cg
 
 from conftest import SIGMA_X, two_band_realization
 
@@ -461,8 +463,9 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
     assert [t for t, _, _ in states] == list(t_grid)
     for (t, _, psi), ref in zip(states, dense_reference_states(system, real, ens, t_grid)):
         assert np.max(np.abs(psi - ref)) <= 1e-12, t
-    # batches of 3 + 3 + 1 and 3 + 3 + 3 + 1 points, and the carry across the quench
-    assert counts["propagate_products"] == n_occupied * (3 + 4 + 1)
+    # each segment's start point is the carried members themselves; then
+    # batches of 3 + 3 and 3 + 3 + 3 points, and the carry across the quench
+    assert counts["propagate_products"] == n_occupied * (2 + 3 + 1)
 
 
 def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
@@ -492,3 +495,25 @@ def test_check_norms_refuses_a_nan_member():
     psi[2, 1] = np.nan
     with pytest.raises(NumericalFailure, match="at t=3"):
         exact._check_norms(psi, 3.0)
+
+
+def quench_ci_exact():
+    """The exact solver's trajectory of preset quench-ci (no MI) and its ledger's sigma(0)."""
+    cfg = preset("quench-ci")
+    cfg["solvers"], cfg["mi_stride"] = ["exact"], 0
+    runner = ScenarioRun(build_scenario(cfg))
+    traj = runner.run_solver("exact")
+    return runner.scenario, traj, build_ledger(traj).entropy_production_rate[0]
+
+
+def test_exact_first_point_is_the_initial_ensemble_itself(monkeypatch):
+    scenario, traj, sigma0 = quench_ci_exact()
+    outside = [n for n, (_, key) in enumerate(traj.joint_index)
+               if key != scenario.initial_windows]
+    assert np.all(traj.populations[0, outside] == 0.0)
+    # so sigma(0) does not depend on how the grid points are batched, and
+    # another eigensolver moves it only by the round-off of the next points
+    monkeypatch.setattr(exact, "BATCH_BYTES", 1)
+    assert quench_ci_exact()[2] == sigma0
+    monkeypatch.setattr(exact, "_eigh", np.linalg.eigh)
+    assert quench_ci_exact()[2] == pytest.approx(sigma0, rel=1e-9)
