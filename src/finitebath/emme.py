@@ -18,10 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import connected_components
+import scipy
 
 from .errors import ConfigurationError, NumericalFailure
 # transition_rates, the closed form of the population rates, is unused here
@@ -179,21 +176,27 @@ def reachable_keys(
     tables: list[RateTable],
     omega_sets: list[set[float]],
 ) -> list[tuple[int, ...]]:
-    """Closure of the initial keys under resonant window moves of every bath."""
+    """Closure of the initial keys under resonant window moves of every bath.
+
+    A bath's move depends only on its own window and the shift +-omega, so
+    ``moves[nu][i]``, the windows bath nu reaches from window i, is resolved
+    once per window the closure visits and distinct shift, not per key.
+    """
+    shifts = [{sign * omega for omega in omegas for sign in (+1.0, -1.0)} for omegas in omega_sets]
+    moves: list[dict[int, set[int]]] = [{} for _ in tables]
     seen = set(initial)
     frontier = list(initial)
     while frontier:
         key = frontier.pop()
-        for nu, table in enumerate(tables):
-            for omega in omega_sets[nu]:
-                for sign in (+1.0, -1.0):
-                    j = table.target_window(key[nu], sign * omega)
-                    if j is None:
-                        continue
-                    nxt = key[:nu] + (j,) + key[nu + 1 :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+        for nu, (table, bath_moves) in enumerate(zip(tables, moves)):
+            i = key[nu]
+            if i not in bath_moves:
+                bath_moves[i] = {table.target_window(i, s) for s in shifts[nu]} - {None}
+            for j in bath_moves[i]:
+                nxt = key[:nu] + (j,) + key[nu + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
     return sorted(seen)
 
 
@@ -210,7 +213,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _packed_operator(
     rows: np.ndarray, cols: np.ndarray, sups: np.ndarray, n_blocks: int, d: int
-) -> sparse.csr_array:
+) -> scipy.sparse.csr_array:
     """CSR operator on the packed block vector from dense superoperator blocks.
 
     Block n of the packed vector holds the row-major ravel of rho_n at offset
@@ -220,7 +223,7 @@ def _packed_operator(
     d2 = d * d
     b, r, c = np.nonzero(sups)
     ij = (rows[b] * d2 + r, cols[b] * d2 + c)
-    return sparse.csr_array((sups[b, r, c], ij), shape=(n_blocks * d2, n_blocks * d2))
+    return scipy.sparse.csr_array((sups[b, r, c], ij), shape=(n_blocks * d2, n_blocks * d2))
 
 
 class EmmeGenerator:
@@ -266,8 +269,8 @@ class EmmeGenerator:
         self._tables = tables
         self._windows = windows
         self._s_omegas: list[dict[float, list[np.ndarray]]] = []
-        self.dissipators: list[sparse.csr_array] = []
-        self.population_rates: list[sparse.csr_array] = []
+        self.dissipators: list[scipy.sparse.csr_array] = []
+        self.population_rates: list[scipy.sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
             self._s_omegas.append(s_omega)
@@ -326,7 +329,7 @@ class EmmeGenerator:
                 raise NumericalFailure(f"negative transition rate W = {w_min:g} in bath {nu}")
 
     @cached_property
-    def coherent(self) -> sparse.csr_array:
+    def coherent(self) -> scipy.sparse.csr_array:
         """-i[H'(E), .] on the packed blocks; built on first use, as only the integrator applies it."""
         d, n_blocks = self.dim, len(self.keys)
         h_prime = np.tile(np.diag(self._levels).astype(complex), (n_blocks, 1, 1))
@@ -338,7 +341,7 @@ class EmmeGenerator:
         return _packed_operator(block, block, commutators, n_blocks, d)
 
     @cached_property
-    def markov(self) -> sparse.csr_array:
+    def markov(self) -> scipy.sparse.csr_array:
         return sum(self.dissipators, self.coherent)
 
     def derivative(self, y: np.ndarray, zeta_factors: list[float] | None = None) -> np.ndarray:
@@ -423,8 +426,8 @@ def _integrate_segments(
         rhs = segment_rhs(n, seg)
 
         def solve(t0, y, times):
-            sol = solve_ivp(rhs, (t0, times[-1]), y, method="DOP853", t_eval=times,
-                            rtol=rtol, atol=atol)
+            sol = scipy.integrate.solve_ivp(rhs, (t0, times[-1]), y, method="DOP853",
+                                            t_eval=times, rtol=rtol, atol=atol)
             if not sol.success:
                 raise NumericalFailure(f"integrator failed: {sol.message}")
             return sol.y.T
@@ -458,9 +461,9 @@ def _distinct_levels(levels: np.ndarray) -> bool:
     return all(len(set(row)) == len(row) for row in omegas + [list(c) for c in zip(*omegas)])
 
 
-def _shell_labels(rates: sparse.csr_array) -> np.ndarray:
+def _shell_labels(rates: scipy.sparse.csr_array) -> np.ndarray:
     """Connected component of each joint state under the positive jump rates."""
-    return connected_components(rates > 0, directed=False)[1]
+    return scipy.sparse.csgraph.connected_components(rates > 0, directed=False)[1]
 
 
 def _population_solver(

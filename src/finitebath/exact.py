@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.csgraph import connected_components
+import scipy
 
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
 from .emme import SystemSpec
@@ -85,7 +84,7 @@ def sector_components(
     for s_op, b_op in zip(s_ops, realization.matrices):
         b_links = np.array([[np.any(b_op[si, sj]) for sj in slices] for si in slices])
         links |= np.kron(np.asarray(s_op) != 0, b_links)
-    n_comp, labels = connected_components(links, directed=False)
+    n_comp, labels = scipy.sparse.csgraph.connected_components(links, directed=False)
     # sector k * n_win + i covers basis indices k * d_b + slices[i]
     basis_labels = np.repeat(labels, np.tile([w.volume for w in windows], d_s))
     return [np.flatnonzero(basis_labels == c) for c in range(n_comp)]

@@ -22,8 +22,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import sici
+import scipy
 
 from .bath import BathRealization, EnergyWindow, window_slices
 from .errors import ConfigurationError, NumericalFailure
@@ -223,7 +222,7 @@ def zeta(t, delta: float):
     """
     t = np.asarray(t, dtype=float)
     x = delta * t
-    si, _ = sici(x)
+    si, _ = scipy.special.sici(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinc_term = np.where(x > 0, np.sin(x / 2.0) ** 2 / np.where(x > 0, x / 2.0, 1.0), 0.0)
     out = (2.0 / np.pi) * (si - sinc_term)
@@ -242,7 +241,7 @@ def xi_integral(t, delta: float):
     x = delta * t
     pos = x > 0
     xp = np.where(pos, x, 1.0)
-    si, ci = sici(xp)
+    si, ci = scipy.special.sici(xp)
     vals = (2.0 / (np.pi * delta)) * (
         xp * si + np.cos(xp) - 1.0 - EULER_GAMMA - np.log(xp) + ci
     )
@@ -310,7 +309,8 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
     vals = corr.values[mask] * _taper_window(tau, tau_max)
     integrand = vals * np.exp(1j * omega * tau)
     g = corr.volume_right * (
-        simpson(integrand.real, x=tau) + 1j * simpson(integrand.imag, x=tau)
+        scipy.integrate.simpson(integrand.real, x=tau)
+        + 1j * scipy.integrate.simpson(integrand.imag, x=tau)
     )
     return complex(g)
 

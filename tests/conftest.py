@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,15 @@ from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.emme import ConditionedState, SystemSpec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """A module of the benchmark directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def two_band_windows(v0=400, v1=600, delta=0.5, kind="regular", seed=None):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
 from finitebath.bms import BmsRates, evolve_bms
+from finitebath.cli import ScenarioRun, build_scenario
 from finitebath.emme import (
     ATOL,
     RTOL,
@@ -34,7 +35,7 @@ from finitebath.rates import (
     zeta,
 )
 
-from conftest import SIGMA_X, scaled, two_band_realization, unshifted
+from conftest import SIGMA_X, load_perfbench, scaled, two_band_realization, unshifted
 
 DELTA = 0.5
 
@@ -594,6 +595,68 @@ def test_reachable_keys_closure():
     # a gap that resolves nowhere keeps the initial key only
     keys = reachable_keys({(0,)}, [table], [{7.7}])
     assert keys == [(0,)]
+
+
+def per_key_closure(initial, tables, omega_sets):
+    """The closure resolving every move afresh from each key it reaches (the oracle)."""
+    seen = set(initial)
+    frontier = list(initial)
+    while frontier:
+        key = frontier.pop()
+        for nu, table in enumerate(tables):
+            for omega in omega_sets[nu]:
+                for sign in (+1.0, -1.0):
+                    j = table.target_window(key[nu], sign * omega)
+                    if j is None:
+                        continue
+                    nxt = key[:nu] + (j,) + key[nu + 1 :]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+    return sorted(seen)
+
+
+def test_reachable_keys_on_emme_grid_resolves_each_window_shift_once(monkeypatch):
+    run = ScenarioRun(build_scenario(load_perfbench("workloads").emme_grid(1), "emme-grid"))
+    system, tables = run.scenario.system, run.tables
+    omegas = [{w for s in ops for w in s_omega_decomposition(s, system.levels)}
+              for ops in system.couplings]
+    initial = set(run.initial_state().blocks)
+    want = per_key_closure(initial, tables, omegas)
+    assert len(want) == 64
+
+    calls = []
+    target_window = RateTable.target_window
+    monkeypatch.setattr(RateTable, "target_window",
+                        lambda self, j, omega: calls.append(j) or target_window(self, j, omega))
+    assert reachable_keys(initial, tables, omegas) == want
+    # 2 baths x 8 windows x the shifts +-1
+    assert len(calls) == 32
+
+
+@st.composite
+def window_layouts(draw):
+    """1-2 baths of 1-6 windows at increasing centers, frequencies and initial keys."""
+    tables, omega_sets = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 6))
+        steps = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=n - 1,
+                              max_size=n - 1))
+        centers = np.concatenate([[0.0], np.cumsum(steps)])
+        tables.append(make_bath([1] * n, centers))
+        omega_sets.append(set(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, -1.0, 1.5, 2.0, 0.7]),
+                                            max_size=3))))
+    keys = st.tuples(*[st.integers(0, tb.centers.size - 1) for tb in tables])
+    initial = draw(st.sets(keys, min_size=1, max_size=3))
+    return initial, tables, omega_sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_layouts())
+def test_reachable_keys_equals_the_per_key_walk(layout):
+    initial, tables, omega_sets = layout
+    assert reachable_keys(initial, tables, omega_sets) == per_key_closure(initial, tables,
+                                                                         omega_sets)
 
 
 def test_system_spec_refuses_levels_the_protocol_contradicts():

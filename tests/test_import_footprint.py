@@ -1,0 +1,59 @@
+"""scipy submodules load only on the routes that call into them.
+
+Each module imports the bare ``scipy`` package and calls its functions by
+qualified name, so scipy's lazy submodule loading defers ``scipy.linalg``,
+``scipy.sparse``, ``scipy.integrate`` and ``scipy.special`` to a route's
+first call.  The checks run in a fresh interpreter, where no other test can
+have loaded a submodule already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.special",
+              "scipy.optimize")
+
+
+def loaded_after(script: str, tmp_path) -> list[str]:
+    """The scipy submodules of SUBMODULES loaded once ``script`` has run in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    tail = f"import sys, json; print(json.dumps([m for m in {SUBMODULES!r} if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", f"{script}\n{tail}"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_listing_and_a_refused_config_load_no_scipy_submodule(tmp_path):
+    modules = sorted(p.stem for p in (SRC / "finitebath").glob("*.py") if p.stem != "__init__")
+    script = f"""
+import importlib, json
+for name in {modules!r}:
+    importlib.import_module("finitebath." + name)
+from finitebath import cli, presets
+assert cli.main(["list-presets"]) == 0
+cfg = presets.preset("fig2-row1-ci")
+cfg["solvers"] = ["emme-markov", "magic"]
+with open("bad.json", "w") as fh:
+    json.dump(cfg, fh)
+assert cli.main(["run", "bad.json", "--out", "o"]) == 2
+"""
+    assert loaded_after(script, tmp_path) == []
+
+
+def test_exact_and_population_route_load_neither_integrate_nor_special(tmp_path):
+    script = """
+from finitebath import cli, presets
+cfg = presets.preset("quench-ci")
+cfg["t_grid"]["dt"] = 8.0
+cfg["solvers"] = ["exact", "emme-markov"]
+assert cli.run(cfg, "out", name="quench") == 0
+"""
+    loaded = loaded_after(script, tmp_path)
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(loaded)
+    # the guard has teeth only if the run reached the routes that do load scipy
+    assert {"scipy.linalg", "scipy.sparse"} <= set(loaded)

@@ -6,19 +6,9 @@ a change in ``src/`` would otherwise surface only when a benchmark run
 fails.
 """
 
-import importlib.util
-from pathlib import Path
-
 from finitebath import bms, cli, emme, exact, presets, rates, thermo
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_wrap_target_exists():
