@@ -32,7 +32,7 @@ POSITIVITY_TOL = 1e-10
 # amplified by sum_a p_a (Pi_max / Pi_a)^{1/2}; above this factor the
 # component is propagated by expm at each point instead
 AMPLIFICATION_LIMIT = 1e3
-# integrator tolerances of the conditioned-state and the comparison equations
+# integrator tolerances of the conditioned-state equation (its DOP853 route)
 RTOL = 1e-11
 ATOL = 1e-13
 
@@ -400,11 +400,11 @@ def _walk_segments(
         if t1 > t0:
             targets = np.unique(np.concatenate([grid, [t1]]))
             out = solve(t0, y, targets)
-            for t_rec, y_rec in zip(targets, out):
-                if grid.size and np.min(np.abs(grid - t_rec)) < 1e-12:
-                    times.append(float(t_rec))
-                    states.append(y_rec)
-                    levels.append(seg.levels)
+            # t1 is recorded only if it is a grid point of this segment
+            keep = np.isin(targets, grid)
+            times.extend(targets[keep].tolist())
+            states.extend(out[keep])
+            levels.extend([seg.levels] * int(keep.sum()))
             y = out[-1]
     return np.array(times), np.stack(states), np.stack(levels)
 
@@ -461,9 +461,36 @@ def _distinct_levels(levels: np.ndarray) -> bool:
     return all(len(set(row)) == len(row) for row in omegas + [list(c) for c in zip(*omegas)])
 
 
+def connected_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of the undirected graph on nodes 0..n-1 with edges (rows[e], cols[e]).
+
+    Returns the number of components and each node's label; labels count
+    the components in the order of their first node, as
+    ``scipy.sparse.csgraph.connected_components(directed=False)`` does.
+    Union-find with path compression, the larger root attached under the
+    smaller, so every root is its component's first node.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots, labels = np.unique([find(a) for a in range(n)], return_inverse=True)
+    return roots.size, labels
+
+
 def _shell_labels(rates: scipy.sparse.csr_array) -> np.ndarray:
     """Connected component of each joint state under the positive jump rates."""
-    return scipy.sparse.csgraph.connected_components(rates > 0, directed=False)[1]
+    return connected_components(rates.shape[0], *(rates > 0).nonzero())[1]
 
 
 def _population_solver(

@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
-from .emme import SystemSpec
+from .emme import SystemSpec, connected_components
 from .errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from .trajectory import Trajectory
 
@@ -84,7 +84,7 @@ def sector_components(
     for s_op, b_op in zip(s_ops, realization.matrices):
         b_links = np.array([[np.any(b_op[si, sj]) for sj in slices] for si in slices])
         links |= np.kron(np.asarray(s_op) != 0, b_links)
-    n_comp, labels = scipy.sparse.csgraph.connected_components(links, directed=False)
+    n_comp, labels = connected_components(len(links), *np.nonzero(links))
     # sector k * n_win + i covers basis indices k * d_b + slices[i]
     basis_labels = np.repeat(labels, np.tile([w.volume for w in windows], d_s))
     return [np.flatnonzero(basis_labels == c) for c in range(n_comp)]

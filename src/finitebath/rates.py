@@ -284,6 +284,14 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
     non-decayed tail nor finite-size recurrences pollute the rates.  Refuses
     a correlation function that never decays (the Markov approximation is
     then invalid, e.g. single-level windows).
+
+    The quadrature is one fixed Simpson rule (see :func:`_simpson_weights`),
+    whatever scipy is installed.  That is the rule of scipy >= 1.11; before
+    1.11 ``scipy.integrate.simpson`` defaulted to ``even="avg"``, which
+    differs on an even number of samples (the default tau grid has 2000).
+    Rates from finitebath releases that called ``simpson`` under scipy 1.10
+    therefore differ from these in the last interval; that difference has
+    not been checked against a scipy 1.10 install.
     """
     c0 = abs(corr.values[0])
     if c0 == 0.0:
@@ -308,11 +316,38 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
     tau = corr.tau[mask]
     vals = corr.values[mask] * _taper_window(tau, tau_max)
     integrand = vals * np.exp(1j * omega * tau)
-    g = corr.volume_right * (
-        scipy.integrate.simpson(integrand.real, x=tau)
-        + 1j * scipy.integrate.simpson(integrand.imag, x=tau)
-    )
-    return complex(g)
+    return complex(corr.volume_right * (_simpson_weights(tau) @ integrand))
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w of composite Simpson's rule on the increasing samples x: int y dx ~ w @ y.
+
+    The rule of ``scipy.integrate.simpson(y, x=x)`` from scipy 1.11 on:
+    Simpson on consecutive interval pairs with the irregular-spacing
+    coefficients, and for an even number of samples the last interval by
+    Cartwright's correction.  One sample gives 0 and two the trapezoid.
+    """
+    n = x.size
+    w = np.zeros(n)
+    h = np.diff(x)
+    if n == 2:
+        w[:] = 0.5 * h[0]
+    if n < 3:
+        return w
+    m = n if n % 2 else n - 1  # samples the pairs cover
+    h0, h1 = h[0 : m - 2 : 2], h[1 : m - 1 : 2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    c = hsum / 6.0
+    w[0 : m - 2 : 2] += c * (2.0 - 1.0 / h0divh1)
+    w[1 : m - 1 : 2] += c * (hsum * (hsum / (h0 * h1)))
+    w[2:m:2] += c * (2.0 - h0divh1)
+    if m < n:
+        a, b = h[-2], h[-1]
+        w[-1] += (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        w[-2] += (b**2 + 3.0 * a * b) / (6 * a)
+        w[-3] -= b**3 / (6 * a * (a + b))
+    return w
 
 
 def default_tau_grid(delta: float, n: int = 2000) -> np.ndarray:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
+from finitebath.cli import ScenarioRun, build_scenario
 from finitebath.bms import BmsRates, bms_generator, bms_rates_from_table, choose_reference_temperature, evolve_bms
 from finitebath.emme import ProtocolSegment, SystemSpec, s_omega_decomposition
 from finitebath.errors import ConfigurationError
+from finitebath.presets import preset
 from finitebath.rates import rate_table_rmt
 
 from conftest import SIGMA_X
@@ -173,3 +176,84 @@ def test_quench_off_the_grid_is_a_configuration_error():
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ConfigurationError, match="align"):
         evolve_bms(rho0, quench_system(3.3), rates, np.linspace(0.0, 10.0, 11))
+
+
+def per_point_expm(rho0, system, rates, t_grid):
+    """Reference populations: expm(gen (t - t0)) on the state at each segment's start t0."""
+    y = np.asarray(rho0, dtype=complex).ravel()
+    s_op = system.couplings[0][0]
+    out = []
+    for _, seg, t0, t1, grid in system.grid_segments(t_grid):
+        gen = bms_generator(rates, s_omega_decomposition(s_op, seg.levels), np.diag(seg.levels))
+        out += [scipy.linalg.expm(gen * (t - t0)) @ y for t in grid]
+        y = scipy.linalg.expm(gen * (t1 - t0)) @ y
+    d = len(rho0)
+    return np.array(out)[:, :: d + 1].real
+
+
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho).real
+
+
+def quench_ci_case():
+    cfg = preset("quench-ci")
+    cfg["solvers"] = ["bms"]
+    scenario = build_scenario(cfg)
+    meta = ScenarioRun(scenario).run_solver("bms").meta
+    rho0 = np.zeros((2, 2), dtype=complex)
+    rho0[scenario.initial_level, scenario.initial_level] = 1.0
+    return rho0, scenario.system, BmsRates(meta["t_can"], meta["down_rates"]), scenario.t_grid
+
+
+def generator_case(n, t_grid, seed=0):
+    levels, s_op, rates = GENERATOR_CASES[n]
+    system = SystemSpec(np.array(levels), [[np.asarray(s_op, dtype=complex)]])
+    return random_state(len(levels), seed), system, rates, t_grid
+
+
+STEPPER_CASES = {
+    "quench-ci": quench_ci_case,
+    "degenerate-levels": lambda: generator_case(4, np.linspace(0.0, 60.0, 241)),
+    "t-can-zero": lambda: generator_case(1, np.linspace(0.0, 40.0, 81)),
+    "t-can-infinite": lambda: generator_case(2, np.linspace(0.0, 40.0, 81)),
+    "non-uniform-grid": lambda: generator_case(
+        3, np.cumsum(np.random.default_rng(5).uniform(0.01, 2.0, 60)) - 0.01),
+    # steps of 0.1 that differ in their last bits; the quench at 120 is on the grid
+    "arange-grid": lambda: (*quench_ci_case()[:3], np.arange(0.0, 240.05, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", list(STEPPER_CASES))
+def test_cached_steps_match_expm_from_each_segment_start(case):
+    rho0, system, rates, t_grid = STEPPER_CASES[case]()
+    traj = evolve_bms(rho0, system, rates, t_grid)
+    assert np.array_equal(traj.times, t_grid)
+    assert np.max(np.abs(traj.populations - per_point_expm(rho0, system, rates, t_grid))) <= 1e-13
+
+
+def test_long_time_populations_are_gibbs_at_reference_temperature():
+    # three distinct levels, three gaps and dephasing, from a state with coherences
+    rho0, system, rates, _ = generator_case(3, None, seed=2)
+    p = evolve_bms(rho0, system, rates, np.array([0.0, 2000.0])).populations[-1]
+    gibbs = np.exp(-system.levels / rates.t_can)
+    assert np.max(np.abs(p - gibbs / gibbs.sum())) <= 1e-12
+
+
+def test_meta_counts_one_expm_per_distinct_step():
+    rates = BmsRates(1.0, {1.0: 0.1, 2.0: 0.1})
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    # steps 0.5, 0.5, 1, 1, 1 before the quench at 4 and 0.5, 0.5, 1 after it
+    t = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0])
+    traj = evolve_bms(rho0, quench_system(4.0), rates, t)
+    assert traj.meta["route"] == "expm"
+    assert traj.meta["expm_calls"] == 4
+
+
+def test_rounding_noise_of_a_uniform_grid_costs_no_extra_expm():
+    rho0, system, rates, _ = quench_ci_case()
+    t = np.arange(0.0, 240.05, 0.1)
+    assert np.unique(np.diff(t)).size > 2
+    assert evolve_bms(rho0, system, rates, t).meta["expm_calls"] == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from finitebath.emme import (
     SystemSpec,
     analytic_spin_solution,
     check_time_grid,
+    connected_components,
     dissipator_envelope,
     evolve,
     reachable_keys,
@@ -923,3 +926,36 @@ def test_integrator_route_is_kept_where_populations_do_not_close(case):
     assert traj.meta["route"] == "integrator"
     ref = integrator_populations(state, system, tables, t, variant, RTOL, ATOL)
     assert np.array_equal(traj.populations, ref)
+
+
+@st.composite
+def adjacencies(draw):
+    """Directed, asymmetric adjacency with self-loops; sparse draws leave nodes isolated."""
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((n, n)) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacencies())
+def test_connected_components_equal_csgraph(links):
+    n_comp, labels = connected_components(len(links), *np.nonzero(links))
+    want_n, want = scipy.sparse.csgraph.connected_components(links, directed=False)
+    assert n_comp == want_n
+    assert np.array_equal(labels, want)
+
+
+def test_connected_components_of_a_scrambled_long_path_equal_csgraph():
+    # two paths of 10^4 nodes each in random node order: union-find depth
+    # is not bounded by the diameter
+    n = 20_000
+    order = np.random.default_rng(3).permutation(n)
+    rows, cols = order[:-1], order[1:]
+    keep = np.arange(n - 1) != n // 2
+    rows, cols = rows[keep], cols[keep]
+    n_comp, labels = connected_components(n, rows, cols)
+    graph = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    want_n, want = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    assert n_comp == want_n == 2
+    assert np.array_equal(labels, want)

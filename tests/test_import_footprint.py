@@ -3,8 +3,10 @@
 Each module imports the bare ``scipy`` package and calls its functions by
 qualified name, so scipy's lazy submodule loading defers ``scipy.linalg``,
 ``scipy.sparse``, ``scipy.integrate`` and ``scipy.special`` to a route's
-first call.  The checks run in a fresh interpreter, where no other test can
-have loaded a submodule already.
+first call.  ``scipy.integrate`` (which loads ``scipy.optimize``) serves
+only the EMME integrator route, and ``scipy.sparse.csgraph`` (which loads
+``scipy.linalg``) no route at all.  The checks run in a fresh interpreter,
+where no other test can have loaded a submodule already.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.special",
-              "scipy.optimize")
+              "scipy.optimize", "scipy.sparse.csgraph")
 
 
 def loaded_after(script: str, tmp_path) -> list[str]:
@@ -57,3 +59,42 @@ assert cli.run(cfg, "out", name="quench") == 0
     assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(loaded)
     # the guard has teeth only if the run reached the routes that do load scipy
     assert {"scipy.linalg", "scipy.sparse"} <= set(loaded)
+
+
+def test_quadrature_rates_and_bms_load_neither_integrate_nor_csgraph(tmp_path):
+    # four windows of a sampled bath, two coupling operators, quadrature rates
+    script = """
+from finitebath import cli
+windows = [{"center": float(j), "width": 0.5, "volume": v}
+           for j, v in enumerate([60, 80, 100, 120])]
+cfg = {
+    "seed": 3,
+    "t_grid": {"t_max": 20.0, "dt": 1.0},
+    "system": {"levels": [0.0, 1.0],
+               "coupling": [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 1.0], [1.0, -0.5]]]},
+    "baths": [{"windows": windows, "spectrum": "random-uniform",
+               "coupling": {"lambda": 3.0e-3, "variance": 1.0, "block_mean": 0.5}}],
+    "initial": {"system_level": 1, "bath_windows": [0], "fill": "full"},
+    "solvers": ["emme-markov", "emme-redfield", "bms"],
+    "rates_method": "quadrature",
+}
+assert cli.run(cfg, "out", name="quadrature") == 0
+"""
+    loaded = loaded_after(script, tmp_path)
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse.csgraph"} & set(loaded)
+    # the guard has teeth only if the run reached the routes that do load scipy
+    # (the generator, the finite-time envelope and the BMS step exponentials)
+    assert {"scipy.sparse", "scipy.special", "scipy.linalg"} <= set(loaded)
+
+
+def test_population_route_loads_neither_linalg_nor_csgraph(tmp_path):
+    script = """
+from finitebath import cli, presets
+cfg = presets.preset("twobath")
+cfg["solvers"] = ["emme-markov"]
+runner = cli.ScenarioRun(cli.build_scenario(cfg))
+assert runner.run_solver("emme-markov").meta["route"] == "populations"
+"""
+    loaded = loaded_after(script, tmp_path)
+    assert not {"scipy.linalg", "scipy.sparse.csgraph"} & set(loaded)
+    assert "scipy.sparse" in loaded

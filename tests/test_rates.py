@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid, quad, simpson
 
 # the oscillatory quadrature oracle for the closed-form kernel reports
 # harmless roundoff near its 1e4 cutoff
@@ -20,6 +20,7 @@ from finitebath.emme import s_omega_decomposition
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.rates import (
     RateTable,
+    _simpson_weights,
     breve_h,
     correlation_exact,
     correlation_functions,
@@ -757,3 +758,25 @@ def test_quadrature_lamb_shift_matches_loop():
     assert not np.any(table.a_coeff(1.0)[np.arange(3), np.arange(3)])
     s_ops = [SIGMA_X, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex)]
     assert_lamb_shift_matches_loop(table, s_ops, np.array([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 60), st.sampled_from([1999, 2000])), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_simpson_weights_match_scipy_simpson(n, uniform, seed):
+    # scipy's rule on both parities, uniform and irregular grids; rounding
+    # in either sum scales with the integral of |y|, which bounds the error
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = np.linspace(-1.0, rng.uniform(0.0, 50.0), n)
+    else:
+        x = np.cumsum(np.exp(rng.uniform(-3.0, 3.0, n)))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = _simpson_weights(x)
+    got = w @ y
+    want = simpson(y.real, x=x) + 1j * simpson(y.imag, x=x)
+    assert abs(got - want) <= 1e-14 * (np.abs(w) @ np.abs(y))
+    if n == 1:
+        assert got == 0.0
+    if n == 2:
+        assert got == pytest.approx(0.5 * (x[1] - x[0]) * (y[0] + y[1]), rel=1e-15)
