@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import dataclass, field
@@ -38,15 +39,134 @@ from .rates import correlation_exact, default_tau_grid, rate_table_heuristic, ra
 from .thermo import ThermoLedger, build_ledger
 from .trajectory import Trajectory
 
-KNOWN_SOLVERS = ("exact", "emme-markov", "emme-redfield", "bms", "analytic")
-ENSEMBLE_KINDS = ("typicality", "basis-ensemble")
-RATES_METHODS = ("rmt", "heuristic", "quadrature")
 SMALL_VOLUME_LIMIT = 100  # below this the master equation is known to degrade
+
+REQUIRED = object()  # no default: the key must be given
+OPTIONAL = object()  # no default: a key left out stays out
+
+
+def _default_seed(cfg: dict) -> int:
+    """0 for a deterministic scenario; a stochastic one must name its seed."""
+    if cfg["ensemble"]["kind"] == "typicality" or any(
+        b["spectrum"] == "random-uniform" or b["coupling"]["variance"] > 0 for b in cfg["baths"]
+    ):
+        raise ConfigurationError("a seed is mandatory when the scenario has stochastic elements")
+    return 0
+
+
+# The configuration schema: each key's path, type, default and allowed values.
+# "[]" in a path stands for each item of a list.  A type is a type, [type]
+# for a list of them, or a tuple of alternatives (None for null).  A callable
+# default is computed from the rest of the resolved configuration.  Allowed
+# values are a tuple of strings or the smallest integer.
+SCHEMA = {
+    "seed": (int, _default_seed, 0),
+    "t_grid": (dict, {"t_max": 100.0, "dt": 0.5}, None),  # its points, or t_max and dt
+    "t_grid.points": ([float], OPTIONAL, None),
+    "t_grid.t_max": (float, OPTIONAL, None),
+    "t_grid.dt": (float, OPTIONAL, None),
+    "system": (dict, REQUIRED, None),
+    "system.levels": ([float], REQUIRED, None),
+    "system.coupling": ((str, list), "sigma_x", ("sigma_x",)),  # or a matrix, or a list of them
+    "system.protocol": ([dict], OPTIONAL, None),
+    "system.protocol[].t_start": (float, REQUIRED, None),
+    "system.protocol[].levels": ([float], REQUIRED, None),
+    "baths": ([dict], REQUIRED, None),
+    "baths[].windows": ([dict], REQUIRED, None),
+    "baths[].windows[].center": (float, REQUIRED, None),
+    "baths[].windows[].width": (float, REQUIRED, None),
+    "baths[].windows[].volume": (int, REQUIRED, None),
+    "baths[].spectrum": (str, "regular", ("regular", "random-uniform")),
+    "baths[].coupling": (dict, REQUIRED, None),
+    "baths[].coupling.lambda": (float, REQUIRED, None),
+    "baths[].coupling.variance": (float, 1.0, None),
+    "baths[].coupling.block_mean": ((float, [float]), 0.0, None),  # or [re, im]
+    "initial": (dict, {}, None),
+    "initial.system_level": (int, lambda cfg: len(cfg["system"]["levels"]) - 1, None),
+    "initial.bath_windows": ([int], lambda cfg: [0] * len(cfg["baths"]), None),
+    "initial.fill": (str, "full", ("full", "half")),
+    "solvers": ([str], REQUIRED, ("exact", "emme-markov", "emme-redfield", "bms", "analytic")),
+    "ensemble": (dict, {}, None),
+    "ensemble.kind": (str, "typicality", ("typicality", "basis-ensemble")),
+    "ensemble.members": (int, 20, None),
+    "rates_method": (str, "rmt", ("rmt", "heuristic", "quadrature")),
+    "bms": (dict, {}, None),
+    "bms.t_can": ((float, None), None, None),  # None: from the initial bath marginal
+    "mi_stride": (int, 0, 0),
+    "dim_cap": (int, 5000, None),
+}
+_FIELDS: dict[str, list[str]] = {}  # the keys of the mapping at each path ("" the top)
+for _path in SCHEMA:
+    _FIELDS.setdefault(_path.rpartition(".")[0], []).append(_path.rpartition(".")[2])
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list",
+               dict: "a mapping", None: "null"}
+
+
+def resolve_config(cfg: dict) -> dict:
+    """``cfg`` checked against SCHEMA with every default filled in (``cfg`` is left as it is).
+
+    An unknown key (the first in sorted order), a missing required key, a
+    value of the wrong type and a value that is not allowed raise
+    ConfigurationError naming the key's path, e.g. ``baths[0].coupling.lamda``.
+    """
+    later: list = []
+    out = _resolve(cfg, dict, None, "", "", later)
+    for node, key, default in later:
+        node[key] = default(out)
+    return out
+
+
+def _resolve(value, kind, allowed, pattern: str, path: str, later: list):
+    """``value`` as the SCHEMA type ``kind``; a mapping's keys are those under ``pattern``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for t in kinds:
+        if t is list and isinstance(value, (list, tuple)):
+            return copy.deepcopy(list(value))
+        if isinstance(t, list) and isinstance(value, (list, tuple)):
+            return [_resolve(v, t[0], allowed, f"{pattern}[]", f"{path}[{n}]", later)
+                    for n, v in enumerate(value)]
+        if t is dict and isinstance(value, dict):
+            unknown = sorted(set(value) - set(_FIELDS[pattern]), key=str)
+            if unknown:
+                where = f"{path}.{unknown[0]}".lstrip(".")
+                raise ConfigurationError(f"unknown configuration key {where}")
+            out = {}
+            for key in _FIELDS[pattern]:
+                sub, where = f"{pattern}.{key}".lstrip("."), f"{path}.{key}".lstrip(".")
+                default = SCHEMA[sub][1]
+                if key not in value and default is REQUIRED:
+                    raise ConfigurationError(f"missing configuration key {where}")
+                if key not in value and callable(default):
+                    later.append((out, key, default))
+                elif key in value or default is not OPTIONAL:
+                    out[key] = _resolve(value[key] if key in value else default,
+                                        SCHEMA[sub][0], SCHEMA[sub][2], sub, where, later)
+            return out
+        if t is None and value is None:
+            return None
+        if t is str and isinstance(value, str):
+            if value not in allowed:
+                noun = " ".join(w[:-3].removesuffix("s") if w.endswith("[]") else w
+                                for w in pattern.split(".")).replace("_", " ")
+                raise ConfigurationError(f"unknown {noun} {value!r} at {path}; "
+                                         f"allowed: {', '.join(allowed)}")
+            return value
+        if isinstance(value, bool) or t not in (int, float) or not isinstance(value, (int, float)):
+            continue
+        if t is float:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            if allowed is not None and value < allowed:
+                raise ConfigurationError(f"{path} must be at least {allowed}, not {value!r}")
+            return int(value)
+    expected = " or ".join("a list" if isinstance(t, list) else _TYPE_NAMES[t] for t in kinds)
+    shown = _TYPE_NAMES[type(value)] if type(value) in (dict, list) else repr(value)
+    raise ConfigurationError(f"{path or 'a configuration'} must be {expected}, not {shown}")
 
 
 @dataclass
 class Scenario:
-    """Validated, fully seeded scenario ready to run."""
+    """Validated, fully seeded scenario; ``config`` is the resolved configuration."""
 
     name: str
     seed: int
@@ -56,18 +176,10 @@ class Scenario:
     couplings: list[list[CouplingSpec]]
     initial_level: int
     initial_windows: tuple[int, ...]
-    fill: str
     solvers: list[str]
-    ensemble_kind: str
-    ensemble_members: int
     ensemble_seed: int
-    rates_method: str
-    t_can: float | None
     mi_stride: int
-    dim_cap: int
-    emme_rtol: float
-    emme_atol: float
-    raw: dict = field(repr=False, default_factory=dict)
+    config: dict = field(repr=False, default_factory=dict)
 
 
 def _coupling_matrices(spec, d_s: int) -> list[np.ndarray]:
@@ -75,143 +187,69 @@ def _coupling_matrices(spec, d_s: int) -> list[np.ndarray]:
         if d_s != 2:
             raise ConfigurationError("sigma_x coupling needs a two-level system")
         return [np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)]
-    arr = np.asarray(spec, dtype=complex)
-    if arr.ndim == 2:
-        return [arr]
-    if arr.ndim == 3:
-        return [a for a in arr]
-    raise ConfigurationError("coupling must be 'sigma_x', a matrix, or a list of matrices")
+    try:
+        arr = np.asarray(spec, dtype=complex)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (d_s, d_s):
+        raise ConfigurationError(f"system.coupling must be 'sigma_x', a {d_s}x{d_s} matrix, "
+                                 "or a list of them")
+    return [arr] if arr.ndim == 2 else list(arr)
 
 
 def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
-    """Validate a raw configuration dict and derive component seeds."""
-    try:
-        return _build_scenario(cfg, name)
-    except KeyError as exc:
-        raise ConfigurationError(f"missing configuration key: {exc}") from exc
-
-
-def _build_scenario(cfg: dict, name: str) -> Scenario:
-    levels = np.asarray(cfg["system"]["levels"], dtype=float)
-    baths_cfg = cfg["baths"]
-    solvers = list(cfg["solvers"])
+    """Resolve a configuration (see :func:`resolve_config`) and derive component seeds."""
+    cfg = resolve_config(cfg)
+    system_cfg, baths_cfg, tg, initial = cfg["system"], cfg["baths"], cfg["t_grid"], cfg["initial"]
     if not baths_cfg:
         raise ConfigurationError("no baths")
-    if not solvers:
+    if not cfg["solvers"]:
         raise ConfigurationError("empty solver list")
-    for s in solvers:
-        if s not in KNOWN_SOLVERS:
-            raise ConfigurationError(f"unknown solver {s!r}")
-
-    tg = cfg.get("t_grid", {"t_max": 100.0, "dt": 0.5})
-    if "points" in tg:
+    if set(tg) == {"points"}:
         t_grid = np.asarray(tg["points"], dtype=float)
+    elif set(tg) == {"t_max", "dt"}:
+        # a step that is not positive, or an end that is not finite, gives no grid, refused below
+        t_max, dt = tg["t_max"], tg["dt"]
+        t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 and t_max < np.inf else np.empty(0)
     else:
-        t_max, dt = float(tg["t_max"]), float(tg["dt"])
-        # a step that is not positive gives no grid, refused below
-        t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 else np.empty(0)
+        raise ConfigurationError("t_grid takes points, or t_max and dt")
 
-    ensemble = cfg.get("ensemble", {"kind": "typicality", "members": 20})
-    kind = ensemble.get("kind", "typicality")
-    if kind not in ENSEMBLE_KINDS:
-        raise ConfigurationError(f"unknown ensemble kind {kind!r}")
-    members = int(ensemble.get("members", 20))
-    rates_method = cfg.get("rates_method", "rmt")
-    if rates_method not in RATES_METHODS:
-        raise ConfigurationError(f"unknown rates method {rates_method!r}")
-
-    stochastic = kind == "typicality"
-    for b in baths_cfg:
-        if b.get("spectrum", "regular") == "random-uniform":
-            stochastic = True
-        if b["coupling"].get("variance", 1.0) > 0:
-            stochastic = True
-    seed = cfg.get("seed")
-    if seed is None:
-        if stochastic:
-            raise ConfigurationError("a seed is mandatory when the scenario has stochastic elements")
-        seed = 0
-    seed = int(seed)
-
-    d_s = len(levels)
-    ops = _coupling_matrices(cfg["system"].get("coupling", "sigma_x"), d_s)
-    ss = np.random.SeedSequence(seed)
-    children = iter(ss.spawn((1 + len(ops)) * len(baths_cfg) + 1))
-
-    def take() -> int:
-        return int(next(children).generate_state(1)[0])
-
+    levels = system_cfg["levels"]
+    ops = _coupling_matrices(system_cfg["coupling"], len(levels))
+    children = np.random.SeedSequence(cfg["seed"]).spawn((1 + len(ops)) * len(baths_cfg) + 1)
+    seeds = iter([int(child.generate_state(1)[0]) for child in children])
     bath_specs, couplings = [], []
-    for b in baths_cfg:
-        windows = [
-            EnergyWindow(float(w["center"]), float(w["width"]), int(w["volume"]))
-            for w in b["windows"]
-        ]
+    for nu, b in enumerate(baths_cfg):
+        windows = [EnergyWindow(w["center"], w["width"], w["volume"]) for w in b["windows"]]
         if len({w.width for w in windows}) > 1:
             raise ConfigurationError("the windows of one bath must share one width")
-        bath_specs.append(
-            BathSpec(windows, b.get("spectrum", "regular"), seed=take())
-        )
-        c = b["coupling"]
-        bm = c.get("block_mean", 0.0)
-        if isinstance(bm, (list, tuple)):
-            bm = complex(bm[0], bm[1])
-        couplings.append(
-            [
-                CouplingSpec(
-                    lam=float(c["lambda"]),
-                    block_mean=bm,
-                    variance=float(c.get("variance", 1.0)),
-                    seed=take(),
-                    operator_label=alpha,
-                )
-                for alpha in range(len(ops))
-            ]
-        )
+        bath_specs.append(BathSpec(windows, b["spectrum"], seed=next(seeds)))
+        c, bm = b["coupling"], b["coupling"]["block_mean"]
+        if isinstance(bm, list) and len(bm) != 2:
+            raise ConfigurationError(f"baths[{nu}].coupling.block_mean must be a number "
+                                     "or [re, im]")
+        bm = complex(*bm) if isinstance(bm, list) else bm
+        couplings.append([CouplingSpec(lam=c["lambda"], block_mean=bm, variance=c["variance"],
+                                       seed=next(seeds), operator_label=alpha)
+                          for alpha in range(len(ops))])
 
-    protocol = None
-    if "protocol" in cfg["system"]:
-        protocol = [
-            ProtocolSegment(float(seg["t_start"]), np.asarray(seg["levels"], dtype=float))
-            for seg in cfg["system"]["protocol"]
-        ]
+    protocol = [ProtocolSegment(seg["t_start"], seg["levels"])
+                for seg in system_cfg["protocol"]] if "protocol" in system_cfg else None
     system = SystemSpec(levels, [ops for _ in baths_cfg], protocol)
     # the grid and the protocol, refused before anything runs or is written
     system.grid_segments(t_grid)
 
-    initial = cfg.get("initial", {"system_level": d_s - 1, "bath_windows": [0] * len(baths_cfg)})
-    init_level = int(initial.get("system_level", d_s - 1))
-    init_windows = tuple(int(j) for j in initial.get("bath_windows", [0] * len(baths_cfg)))
-    if not 0 <= init_level < d_s:
+    init_level, init_windows = initial["system_level"], tuple(initial["bath_windows"])
+    if not 0 <= init_level < len(levels):
         raise ConfigurationError(f"initial.system_level {init_level} is not a level index")
     if len(init_windows) != len(baths_cfg) or not all(
         0 <= j < len(spec.windows) for j, spec in zip(init_windows, bath_specs)
     ):
         raise ConfigurationError("initial.bath_windows must name one window of each bath")
-
-    emme_cfg = cfg.get("emme", {})
-    return Scenario(
-        name=name,
-        seed=seed,
-        t_grid=t_grid,
-        system=system,
-        bath_specs=bath_specs,
-        couplings=couplings,
-        initial_level=init_level,
-        initial_windows=init_windows,
-        fill=initial.get("fill", "full"),
-        solvers=solvers,
-        ensemble_kind=kind,
-        ensemble_members=members,
-        ensemble_seed=take(),
-        rates_method=rates_method,
-        t_can=cfg.get("bms", {}).get("t_can"),
-        mi_stride=int(cfg.get("mi_stride", 0)),
-        dim_cap=int(cfg.get("dim_cap", 5000)),
-        emme_rtol=float(emme_cfg.get("rtol", 1e-11)),
-        emme_atol=float(emme_cfg.get("atol", 1e-13)),
-        raw=cfg,
-    )
+    return Scenario(name=name, seed=cfg["seed"], t_grid=t_grid, system=system,
+                    bath_specs=bath_specs, couplings=couplings, initial_level=init_level,
+                    initial_windows=init_windows, solvers=cfg["solvers"],
+                    ensemble_seed=next(seeds), mi_stride=cfg["mi_stride"], config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +287,13 @@ class ScenarioRun:
     @property
     def tables(self):
         if self._tables is None:
-            method = self.scenario.rates_method
+            method = self.scenario.config["rates_method"]
             if method == "rmt":
-                self._tables = [
-                    rate_table_rmt(self.scenario.couplings[nu], self.windows[nu])
-                    for nu in range(len(self.windows))
-                ]
-            elif method == "heuristic":
-                self._tables = [rate_table_heuristic(r) for r in self.realizations]
-            elif method == "quadrature":
-                self._tables = [rate_table_quadrature(r) for r in self.realizations]
+                self._tables = [rate_table_rmt(c, w)
+                                for c, w in zip(self.scenario.couplings, self.windows)]
             else:
-                raise ConfigurationError(f"unknown rates method {method!r}")
+                build = rate_table_heuristic if method == "heuristic" else rate_table_quadrature
+                self._tables = [build(r) for r in self.realizations]
         return self._tables
 
     def initial_state(self) -> ConditionedState:
@@ -270,51 +303,35 @@ class ScenarioRun:
         return ConditionedState({self.scenario.initial_windows: block})
 
     def run_solver(self, solver: str) -> Trajectory:
-        sc = self.scenario
+        sc, cfg = self.scenario, self.scenario.config
         if solver in ("emme-markov", "emme-redfield"):
             variant = solver.split("-")[1]
-            traj = evolve(
-                self.initial_state(), sc.system, self.tables, sc.t_grid,
-                variant=variant, rtol=sc.emme_rtol, atol=sc.emme_atol,
-            )
+            traj = evolve(self.initial_state(), sc.system, self.tables, sc.t_grid, variant=variant)
         elif solver == "exact":
             if len(self.windows) != 1:
                 raise ConfigurationError("the exact benchmark supports a single bath")
-            check_dimension(sc.system.dim, self.windows[0], sc.dim_cap)
+            check_dimension(sc.system.dim, self.windows[0], cfg["dim_cap"])
             ens = prepare_initial(
-                sc.ensemble_kind, self.windows[0], sc.initial_windows[0],
-                sc.initial_level, sc.system.dim,
-                members=sc.ensemble_members, seed=sc.ensemble_seed, fill=sc.fill,
+                cfg["ensemble"]["kind"], self.windows[0], sc.initial_windows[0],
+                sc.initial_level, sc.system.dim, members=cfg["ensemble"]["members"],
+                seed=sc.ensemble_seed, fill=cfg["initial"]["fill"],
             )
-            traj = run_exact(
-                sc.system, self.realizations[0], ens, sc.t_grid,
-                mi_stride=sc.mi_stride, dim_cap=sc.dim_cap,
-            )
+            traj = run_exact(sc.system, self.realizations[0], ens, sc.t_grid,
+                             mi_stride=sc.mi_stride, dim_cap=cfg["dim_cap"])
         elif solver == "bms":
             if len(self.windows) != 1:
                 raise ConfigurationError("the comparison equation supports a single bath")
-            table = rate_table_rmt(sc.couplings[0], self.windows[0])
-            t_can = sc.t_can
-            if t_can is None:
-                p_win = np.zeros(len(self.windows[0]))
-                p_win[sc.initial_windows[0]] = 1.0
+            table, (j0,) = self.tables[0], sc.initial_windows
+            t_can = cfg["bms"]["t_can"]
+            if t_can is None:  # the effective temperature of the initial bath window
                 t_can = choose_reference_temperature(
-                    p_win, table.centers, table.volumes
-                )
-            rates = bms_rates_from_table(
-                table, sc.initial_windows[0], sc.system, t_can
-            )
-            d = sc.system.dim
-            rho0 = np.zeros((d, d), dtype=complex)
-            rho0[sc.initial_level, sc.initial_level] = 1.0
+                    np.eye(len(table.centers))[j0], table.centers, table.volumes)
+            rates = bms_rates_from_table(table, j0, sc.system, t_can)
+            rho0 = self.initial_state().blocks[sc.initial_windows]  # the initial level
             traj = evolve_bms(rho0, sc.system, rates, sc.t_grid)
-        elif solver == "analytic":
-            table = rate_table_rmt(sc.couplings[0], self.windows[0])
-            traj = spin_oracle_trajectory(
-                self.initial_state(), sc.system, table, sc.t_grid, variant="redfield"
-            )
-        else:
-            raise ConfigurationError(f"unknown solver {solver!r}")
+        else:  # analytic
+            traj = spin_oracle_trajectory(self.initial_state(), sc.system, self.tables[0],
+                                          sc.t_grid, variant="redfield")
         self.trajectories[solver] = traj
         return traj
 
@@ -415,8 +432,7 @@ def run(cfg: dict, out_dir: str | Path, name: str = "scenario") -> int:
         "version": __version__,
         "seed": scenario.seed,
         "solvers": scenario.solvers,
-        "parameters": scenario.raw,
-        "tolerances": {"emme_rtol": scenario.emme_rtol, "emme_atol": scenario.emme_atol},
+        "parameters": scenario.config,
         "conventions": {
             "gain_convention": "conserving",
             "units": "energies in system-splitting units, hbar = k_B = 1",

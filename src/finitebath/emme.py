@@ -12,7 +12,6 @@ oracle for the two-level case.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -50,9 +49,9 @@ class SystemSpec:
     ``couplings[nu]`` is the list of coupling operators S^alpha (matrices in
     the level basis) attached to bath nu.  The protocol, a piecewise constant
     schedule of level energies, alone says which levels are in force when
-    (default: ``levels`` from t = -inf on), and ``levels`` must equal its
-    first segment's.  Segments must share one level count and start in
-    strictly increasing order.
+    (by default, or if empty: ``levels`` from t = -inf on), and ``levels``
+    must equal its first segment's.  Segments must share one level count
+    and start in strictly increasing order.
     """
 
     levels: np.ndarray
@@ -61,11 +60,12 @@ class SystemSpec:
 
     def __post_init__(self):
         self.levels = np.asarray(self.levels, dtype=float)
-        if self.protocol is None:
+        if not self.protocol:
             self.protocol = [ProtocolSegment(-np.inf, self.levels)]
         starts = [seg.t_start for seg in self.protocol]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigurationError("protocol segment boundaries must be strictly increasing")
+        self._quenches = np.array(starts[1:])
         for seg in self.protocol:
             seg.levels = np.asarray(seg.levels, dtype=float)
             if seg.levels.shape != self.levels.shape:
@@ -83,13 +83,14 @@ class SystemSpec:
     def n_baths(self) -> int:
         return len(self.couplings)
 
-    def segment_index(self, t: float) -> int:
-        """Index of the segment in force at time t.
+    def segment_index(self, t):
+        """Index of the segment in force at time t (or each time of an array).
 
-        A time on a quench belongs to the segment that starts there, snapped
-        at 1e-12; a time before the first start maps to the first segment.
+        It counts the quenches (the starts after the first) at or before
+        t + 1e-12: a time on a quench belongs to the segment that starts
+        there, and a time before the first start to the first segment.
         """
-        return max(bisect_right([seg.t_start for seg in self.protocol], t + 1e-12) - 1, 0)
+        return self._quenches.searchsorted(t + 1e-12, side="right")
 
     def grid_segments(self, t_grid: np.ndarray):
         """(segment index, segment, t0, t1, its grid points) for each segment a grid reaches.
@@ -108,7 +109,7 @@ class SystemSpec:
             if t_grid[0] < b < t_grid[-1] and np.min(np.abs(t_grid - b)) > 1e-9:
                 raise ConfigurationError(f"protocol quench at t={b} does not align with "
                                          "the time grid")
-        owner = np.array([self.segment_index(t) for t in t_grid])
+        owner = self.segment_index(t_grid)
         pieces = []
         for n, (seg, end) in enumerate(zip(self.protocol, starts[1:] + [np.inf])):
             t0, t1, grid = max(seg.t_start, t_grid[0]), min(end, t_grid[-1]), t_grid[owner == n]
@@ -386,27 +387,26 @@ def _walk_segments(
     the segment that starts there.  Returns the recorded times, the states
     (one row per time) and the level energies in force.
     """
-    times: list[float] = []
+    times: list[np.ndarray] = []
     states: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
     y = y0
     for n, seg, t0, t1, grid in system.grid_segments(t_grid):
         solve = segment_solver(n, seg)
         if grid.size and abs(grid[0] - t0) < 1e-12:
-            times.append(float(grid[0]))
-            states.append(y)
-            levels.append(seg.levels)
+            times.append(grid[:1])
+            states.append(y[None])
             grid = grid[1:]
         if t1 > t0:
             targets = np.unique(np.concatenate([grid, [t1]]))
             out = solve(t0, y, targets)
             # t1 is recorded only if it is a grid point of this segment
             keep = np.isin(targets, grid)
-            times.extend(targets[keep].tolist())
-            states.extend(out[keep])
-            levels.extend([seg.levels] * int(keep.sum()))
+            times.append(targets[keep])
+            states.append(out[keep])
             y = out[-1]
-    return np.array(times), np.stack(states), np.stack(levels)
+    recorded = np.concatenate(times)
+    levels = np.stack([seg.levels for seg in system.protocol])[system.segment_index(recorded)]
+    return recorded, np.concatenate(states), levels
 
 
 def _integrate_segments(
@@ -547,9 +547,6 @@ def evolve(
     tables: list[RateTable],
     t_grid: np.ndarray,
     variant: str = "markov",
-    *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> Trajectory:
     """Solve the conditioned-state master equation on a time grid.
 
@@ -558,15 +555,15 @@ def evolve(
     :func:`_distinct_levels`) and the variant is Markov or all baths share
     one window width, the blocks stay diagonal and the populations follow
     p' = f(t) W p with one envelope f, solved in closed form (see
-    :func:`_population_solver`); there rtol/atol are not used.
-    Otherwise the integrator route runs DOP853 on the packed blocks with
-    rtol/atol.  The trace is conserved by the generator and is deliberately
-    not renormalized; drift beyond tolerance indicates a bug, not noise.  At
-    protocol quenches the state is carried across continuously while the
-    level energies and jump operators are rebuilt.  Raises on a population
-    (population route) or block eigenvalue (integrator route) below
-    -``POSITIVITY_TOL``.  ``meta`` records the route; the population route
-    adds its counters.
+    :func:`_population_solver`).  Otherwise the integrator route runs DOP853
+    on the packed blocks at the fixed tolerances RTOL/ATOL.  The trace is
+    conserved by the generator and is deliberately not renormalized; drift
+    beyond tolerance indicates a bug, not noise.  At protocol quenches the
+    state is carried across continuously while the level energies and jump
+    operators are rebuilt.  Raises on a population (population route) or
+    block eigenvalue (integrator route) below -``POSITIVITY_TOL``.  ``meta``
+    records the route; the population route adds its counters, the
+    integrator route its tolerances.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     check_time_grid(t_grid)
@@ -587,7 +584,7 @@ def evolve(
     diagonal = np.array_equal(y0, populations.real[:, :, None] * np.eye(d))
     one_envelope = variant == "markov" or len({tb.delta for tb in tables}) == 1
     generators: dict[int, EmmeGenerator] = {}
-    meta = {"variant": variant, "rtol": rtol, "atol": atol}
+    meta = {"variant": variant}
     if diagonal and one_envelope and all(_distinct_levels(seg.levels) for seg in system.protocol):
         def clock(t):
             # the running integral of the one envelope (from the first grid point)
@@ -619,7 +616,7 @@ def evolve(
             return lambda t, y: gen.derivative(y, envelope(t))
 
         times, states, levels = _integrate_segments(
-            system, t_grid, y0.ravel(), segment_rhs, rtol, atol
+            system, t_grid, y0.ravel(), segment_rhs, RTOL, ATOL
         )
         blocks = states.reshape(len(times), len(keys), d, d)
         hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
@@ -627,13 +624,10 @@ def evolve(
         bad = np.argwhere((w_min < -POSITIVITY_TOL).T)
         if bad.size:
             n, m = bad[0]
-            raise NumericalFailure(
-                f"block {keys[n]} lost positivity at t={times[m]:g} "
-                f"(min eigenvalue {w_min[m, n]:.3e}); tighten rtol/atol "
-                f"(currently {rtol:g}/{atol:g})"
-            )
+            raise NumericalFailure(f"block {keys[n]} lost positivity at t={times[m]:g} "
+                                   f"(min eigenvalue {w_min[m, n]:.3e})")
         pops = np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy()
-        meta["route"] = "integrator"
+        meta.update(route="integrator", rtol=RTOL, atol=ATOL)
 
     rate_model = PopulationRateModel(system, generators, envelope)
     return Trajectory(

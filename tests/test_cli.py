@@ -1,13 +1,20 @@
+import copy
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitebath import cli
-from finitebath.cli import build_scenario, main, run
+from finitebath import cli, presets as preset_module
+from finitebath.bms import bms_rates_from_table
+from finitebath.cli import build_scenario, main, resolve_config, run
+from finitebath.emme import spin_oracle_trajectory
 from finitebath.errors import ConfigurationError
 from finitebath.presets import preset, presets, scale_volumes
+
+from conftest import load_perfbench
 
 
 def mini_config(**overrides):
@@ -50,7 +57,9 @@ def test_unknown_solver_rejected():
 @pytest.mark.parametrize("solvers", [["analytic"], ["emme-markov"], ["exact", "bms"]])
 @pytest.mark.parametrize("t_grid", [{"points": [0, 2, 1, 3]}, {"points": [0, 1, 1, 2]},
                                     {"points": []}, {"t_max": 10.0, "dt": 0.0},
-                                    {"points": [0, float("nan"), 2]}])
+                                    {"points": [0, float("nan"), 2]},
+                                    {"t_max": float("inf"), "dt": 1.0},
+                                    {"t_max": float("nan"), "dt": 1.0}])
 def test_time_grid_not_strictly_increasing_exits_2(tmp_path, solvers, t_grid):
     # the analytic oracle never walks the protocol segments, so the grid is
     # checked once for every solver set before anything runs or is written
@@ -100,6 +109,31 @@ BAD_CONFIGS = {
 }
 
 
+def with_coupling(**entries):
+    """mini_config with entries added to (or replacing those of) the bath's coupling."""
+    cfg = mini_config()
+    cfg["baths"][0]["coupling"].update(entries)
+    return cfg
+
+
+# keys and values the schema refuses, each with the path its message names
+MALFORMED = {
+    "misspelled-top-level-key": (lambda: mini_config(t_grd={"t_max": 5.0, "dt": 1.0}), "t_grd"),
+    "misspelled-nested-key": (lambda: with_coupling(lamda=1e-2), "baths[0].coupling.lamda"),
+    "lambda-not-a-number": (lambda: with_coupling(**{"lambda": "x"}), "baths[0].coupling.lambda"),
+    "volume-not-a-number": (lambda: edited("baths", 0, "windows", 1, "volume", value="many"),
+                            "baths[0].windows[1].volume"),
+    "levels-not-a-list": (lambda: edited("system", "levels", value=5), "system.levels"),
+    "baths-not-a-list": (lambda: mini_config(baths=mini_config()["baths"][0]), "baths"),
+    "t_can-not-a-number": (lambda: mini_config(bms={"t_can": "hot"}), "bms.t_can"),
+    "solvers-not-a-list": (lambda: mini_config(solvers="bms"), "solvers"),
+    "negative-mi_stride": (lambda: mini_config(mi_stride=-1), "mi_stride"),
+    # the integrator tolerances are fixed; the section that set them is gone
+    "emme-tolerances": (lambda: mini_config(emme={"rtol": 1e-3}), "emme"),
+}
+BAD_CONFIGS.update({case: make for case, (make, _) in MALFORMED.items()})
+
+
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
 def test_inconsistent_configuration_exits_2_with_one_line(tmp_path, capsys, case):
     cfg = BAD_CONFIGS[case]()
@@ -110,7 +144,16 @@ def test_inconsistent_configuration_exits_2_with_one_line(tmp_path, capsys, case
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    if case in MALFORMED:
+        assert MALFORMED[case][1] in err
     assert not (tmp_path / "o").exists()
+
+
+def test_unknown_keys_report_the_first_in_sorted_order():
+    cfg = mini_config(zz=1, aa=2)
+    cfg["baths"][0]["coupling"]["lamda"] = 1.0
+    with pytest.raises(ConfigurationError, match=r"^unknown configuration key aa$"):
+        build_scenario(cfg)
 
 
 @pytest.mark.parametrize("cfg, value", [
@@ -118,6 +161,11 @@ def test_inconsistent_configuration_exits_2_with_one_line(tmp_path, capsys, case
     (edited("ensemble", "kind", value="basis"), "ensemble kind 'basis'"),
     (mini_config(rates_method="quadratur", solvers=["bms", "analytic"]),
      "rates method 'quadratur'"),
+    # fill is read only by the exact solver, which does not run here
+    (mini_config(initial={"system_level": 1, "bath_windows": [0], "fill": "hlf"},
+                 solvers=["emme-markov", "bms"]), "initial fill 'hlf' at initial.fill"),
+    (mini_config(solvers=["emme-markov", "magic"]), "solver 'magic' at solvers[1]"),
+    (edited("baths", 0, "spectrum", value="regualr"), "bath spectrum 'regualr' at baths[0].spectrum"),
 ])
 def test_unknown_choice_exits_2_and_names_the_value(tmp_path, capsys, cfg, value):
     cfg_path = tmp_path / "cfg.json"
@@ -125,6 +173,110 @@ def test_unknown_choice_exits_2_and_names_the_value(tmp_path, capsys, cfg, value
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert value in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def entries(node, path=()):
+    """(path, value) of every key of a mapping and every item of a list in node, nested."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from entries(value, path + (key,))
+
+
+LEAVES = st.one_of(st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3),
+                   st.dictionaries(st.text(max_size=4), st.integers(), max_size=2), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_config_resolves_or_is_refused(data):
+    # delete or rename a key, or swap a value for a string, list, mapping or null,
+    # one to three times; no solver runs
+    cfg = mini_config()
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [path for path, _ in entries(cfg)]
+        if not paths:
+            break
+        *parents, last = data.draw(st.sampled_from(paths))
+        node = cfg
+        for key in parents:
+            node = node[key]
+        action = data.draw(st.sampled_from(["delete", "rename", "swap"]))
+        if action == "delete":
+            del node[last]
+        elif action == "rename" and isinstance(node, dict):
+            node[data.draw(st.text(max_size=8))] = node.pop(last)
+        else:  # a list item has no key to rename
+            node[last] = data.draw(LEAVES)
+    before = copy.deepcopy(cfg)
+    try:
+        scenario = build_scenario(cfg)
+    except ConfigurationError:
+        scenario = None
+    assert scenario is None or isinstance(scenario, cli.Scenario)
+    assert cfg == before
+
+
+def every_config():
+    """Every preset and the configuration of every benchmark workload at two seeds."""
+    workloads = load_perfbench("workloads")
+    configs = {name: preset(name) for name in presets()}
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 7):
+            configs[f"{workload}@{seed}"] = workloads.make_config(workload, seed, preset_module)
+    return configs
+
+
+def test_every_preset_and_workload_resolves_once_for_all():
+    for name, cfg in every_config().items():
+        before = copy.deepcopy(cfg)
+        scenario = build_scenario(cfg, name)
+        assert cfg == before, name  # the argument is left as it is
+        resolved = scenario.config
+        assert resolve_config(resolved) == resolved, name
+        assert json.loads(json.dumps(resolved)) == resolved, name
+
+
+def test_context_defaults_are_written_back():
+    cfg = mini_config(solvers=["emme-markov"], ensemble={"kind": "basis-ensemble"})
+    del cfg["seed"], cfg["initial"], cfg["t_grid"]
+    cfg["baths"][0]["coupling"].update(variance=0.0, block_mean=[0.5, 0.0])
+    resolved = build_scenario(cfg).config
+    assert resolved["seed"] == 0  # deterministic
+    assert resolved["initial"] == {"system_level": 1, "bath_windows": [0], "fill": "full"}
+    assert resolved["t_grid"] == {"t_max": 100.0, "dt": 0.5}
+    assert resolved["ensemble"] == {"kind": "basis-ensemble", "members": 20}
+    assert resolved["bms"] == {"t_can": None} and "protocol" not in resolved["system"]
+
+
+@pytest.mark.parametrize("name", ["twobath", "quench-ci", "fig2-row1-col1-ci"])
+def test_metadata_parameters_rerun_to_the_same_files(tmp_path, name):
+    assert run(preset(name), tmp_path / "a", name=name) == 0
+    meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+    assert "tolerances" not in meta
+    assert run(meta["parameters"], tmp_path / "b", name=name) == 0
+    files = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for f in files:
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("method", ["heuristic", "quadrature"])
+def test_comparison_equation_and_oracle_read_the_runs_rate_table(method):
+    runner = cli.ScenarioRun(build_scenario(
+        mini_config(rates_method=method, solvers=["bms", "analytic"])))
+    sc, table = runner.scenario, runner.tables[0]
+    bms = runner.run_solver("bms")
+    assert bms.meta["down_rates"] == bms_rates_from_table(
+        table, sc.initial_windows[0], sc.system, bms.meta["t_can"]).down
+    oracle = spin_oracle_trajectory(runner.initial_state(), sc.system, table, sc.t_grid,
+                                    variant="redfield")
+    assert np.array_equal(runner.run_solver("analytic").populations, oracle.populations)
 
 
 def test_quench_ci_comparison_equation_relaxes_after_the_quench():

@@ -43,6 +43,11 @@ cfg["solvers"] = ["emme-markov", "magic"]
 with open("bad.json", "w") as fh:
     json.dump(cfg, fh)
 assert cli.main(["run", "bad.json", "--out", "o"]) == 2
+cfg = presets.preset("fig2-row1-ci")
+cfg["t_grd"] = cfg.pop("t_grid")
+with open("typo.json", "w") as fh:
+    json.dump(cfg, fh)
+assert cli.main(["run", "typo.json", "--out", "o"]) == 2
 """
     assert loaded_after(script, tmp_path) == []
 
