@@ -154,7 +154,10 @@ def _resolve(value, kind, allowed, pattern: str, path: str, later: list):
         if isinstance(value, bool) or t not in (int, float) or not isinstance(value, (int, float)):
             continue
         if t is float:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigurationError(f"{path} is an integer beyond the float range") from None
         if isinstance(value, int) or value.is_integer():
             if allowed is not None and value < allowed:
                 raise ConfigurationError(f"{path} must be at least {allowed}, not {value!r}")

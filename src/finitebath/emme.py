@@ -3,11 +3,11 @@
 The state is a map from a vector of bath window indices to an unnormalized
 positive system block; its evolution couples neighboring blocks through
 jump operators resolved by the resonance rule.  The generator of each
-protocol segment is assembled once as sparse operators on the packed blocks.
-Both the Markov form and the finite-time variant (all dissipation rates
-multiplied by the envelope zeta(t)) are provided, together with the
-autonomous population rate equation, stationary states, and a closed-form
-oracle for the two-level case.
+protocol segment is built as sparse operators on the packed blocks on the
+integrator route only; the population rate equation is the transition rates
+W on the joint index.  Both the Markov form and the finite-time variant (all
+dissipation rates multiplied by the envelope zeta(t)) are provided, together
+with stationary states and a closed-form oracle for the two-level case.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ import numpy as np
 import scipy
 
 from .errors import ConfigurationError, NumericalFailure
-# transition_rates, the closed form of the population rates, is unused here
-# but stays importable: perfbench/trace.py wraps it in this namespace
-from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta  # noqa: F401
+from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
@@ -239,13 +237,6 @@ class EmmeGenerator:
     quantum, which conserves the coarse-grained total energy.  ``markov`` is
     their sum.  A bath's superoperator blocks depend only on its window, so
     each is built once per window (or window pair) and shared by the blocks.
-
-    ``population_rates[nu]`` is the population-to-population block of
-    ``dissipators[nu]`` (the packed entries n d^2 + k (d + 1), in the joint
-    index order n d + k; the coherent part has no element there): entry
-    (n d + k, m d + q) is the rate W_kq(E_i, E_j) / V_j of the jump from
-    level q of block m to level k of block n.  A W that is negative beyond
-    the roundoff of the largest table entry raises.
     """
 
     def __init__(
@@ -263,15 +254,12 @@ class EmmeGenerator:
         self.dim = d
         eye = np.eye(d)
         n_blocks = len(self.keys)
-        windows = np.array(self.keys, dtype=int).reshape(n_blocks, len(tables))
-        pops = (np.arange(n_blocks)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
 
         self._levels = np.asarray(levels, dtype=float)
         self._tables = tables
-        self._windows = windows
+        self._windows = np.array(self.keys, dtype=int).reshape(n_blocks, len(tables))
         self._s_omegas: list[dict[float, list[np.ndarray]]] = []
         self.dissipators: list[scipy.sparse.csr_array] = []
-        self.population_rates: list[scipy.sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
             s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
             self._s_omegas.append(s_omega)
@@ -322,12 +310,6 @@ class EmmeGenerator:
                 np.array(rows, dtype=int), np.array(cols, dtype=int),
                 np.array(sups).reshape(-1, d * d, d * d)[ids], n_blocks, d,
             ))
-            self.population_rates.append(self.dissipators[-1][pops][:, pops].real)
-            jumps = self.population_rates[-1].tocoo()
-            w = jumps.data * np.repeat(table.volumes[windows[:, nu]], d)[jumps.col]
-            w_min = np.min(w[jumps.row != jumps.col], initial=0.0)
-            if w_min < -1e-12 * max(np.max(np.abs(table.gamma), initial=0.0), 1.0):
-                raise NumericalFailure(f"negative transition rate W = {w_min:g} in bath {nu}")
 
     @cached_property
     def coherent(self) -> scipy.sparse.csr_array:
@@ -488,17 +470,38 @@ def connected_components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[in
     return roots.size, labels
 
 
-def _shell_labels(rates: scipy.sparse.csr_array) -> np.ndarray:
-    """Connected component of each joint state under the positive jump rates."""
-    return connected_components(rates.shape[0], *(rates > 0).nonzero())[1]
+def population_rates(levels: np.ndarray, couplings: list[list[np.ndarray]], tables: list[RateTable],
+                     keys: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """COO arrays (bath, rows, cols, rates) of the rate equation on the joint index n d + k.
+
+    Each positive W_kq(E_i, E_j) of :func:`transition_rates` for bath nu,
+    with j its window in key m and i its window in key n (the other windows
+    equal), gives a gain W / V_j at (n d + k, m d + q) and the matching loss
+    -W / V_j at (m d + q, m d + q).  ``keys`` must be closed under the jumps,
+    as :func:`reachable_keys` makes them (a KeyError otherwise).
+    """
+    d = len(levels)
+    key_index = {key: n for n, key in enumerate(keys)}
+    entries = []
+    for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
+        jumps: dict[int, list] = {}  # source window -> (k, q, target window, W / V_j)
+        for (k, q, i, j), w in transition_rates(table, s_ops, levels).items():
+            if w > 0:
+                jumps.setdefault(j, []).append((k, q, i, w / table.volumes[j]))
+        for m, key in enumerate(keys):
+            for k, q, i, rate in jumps.get(key[nu], ()):
+                n = key_index[key[:nu] + (i,) + key[nu + 1 :]]
+                entries += [(nu, n * d + k, m * d + q, rate), (nu, m * d + q, m * d + q, -rate)]
+    bath, rows, cols, rates = np.array(entries, dtype=float).reshape(-1, 4).T
+    return bath.astype(int), rows.astype(int), cols.astype(int), rates
 
 
 def _population_solver(
-    gen: EmmeGenerator, log_weights: np.ndarray, clock: Callable, counters: dict
+    rates: tuple[np.ndarray, ...], log_weights: np.ndarray, clock: Callable, counters: dict
 ) -> Callable:
     """Closed-form solve(t0, p, times) of p' = f(t) W p for one segment (see :func:`_walk_segments`).
 
-    W = sum_nu ``gen.population_rates[nu]`` splits into shell components.
+    W, the sum over baths of :func:`population_rates`, splits into shell components.
     Local detailed balance makes Pi^{-1/2} W_c Pi^{1/2} symmetric for the
     volume-product weights Pi, so one ``eigh`` per component that holds
     probability gives p(t) = Pi^{1/2} U exp(Lambda x) U^T Pi^{-1/2} p(t0) at
@@ -512,8 +515,8 @@ def _population_solver(
     segment's list of the slowest relaxation rate of each occupied
     component of more than one state.
     """
-    rates = sum(gen.population_rates)
-    labels = _shell_labels(rates)
+    _, rows, cols, w = rates
+    labels = connected_components(log_weights.size, rows[w > 0], cols[w > 0])[1]
     slowest: list[float] = []
     counters["relaxation_rates"].append(slowest)
 
@@ -523,7 +526,9 @@ def _population_solver(
         for c in np.unique(labels[p != 0]):
             idx = np.flatnonzero(labels == c)
             sq = np.exp(0.5 * (log_weights[idx] - log_weights[idx].max()))
-            w_c = rates[idx][:, idx].toarray()
+            local, mine = np.cumsum(labels == c) - 1, labels[rows] == c
+            w_c = np.zeros((idx.size, idx.size))
+            np.add.at(w_c, (local[rows[mine]], local[cols[mine]]), w[mine])
             sym = w_c * sq / sq[:, None]
             lam, u = np.linalg.eigh(0.5 * (sym + sym.T))
             counters["eigh_calls"] += 1
@@ -583,7 +588,7 @@ def evolve(
     populations = np.diagonal(y0, axis1=1, axis2=2)
     diagonal = np.array_equal(y0, populations.real[:, :, None] * np.eye(d))
     one_envelope = variant == "markov" or len({tb.delta for tb in tables}) == 1
-    generators: dict[int, EmmeGenerator] = {}
+    rate_model = PopulationRateModel(system, tables, keys, envelope)
     meta = {"variant": variant}
     if diagonal and one_envelope and all(_distinct_levels(seg.levels) for seg in system.protocol):
         def clock(t):
@@ -597,8 +602,7 @@ def evolve(
                     "relaxation_rates": []}
 
         def segment_solver(n, seg):
-            gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
-            return _population_solver(gen, log_weights, clock, counters)
+            return _population_solver(rate_model.rates[n], log_weights, clock, counters)
 
         times, pops, levels = _walk_segments(
             system, t_grid, populations.real.ravel(), segment_solver)
@@ -612,7 +616,7 @@ def evolve(
         meta.update(route="populations", **counters)
     else:
         def segment_rhs(n, seg):
-            gen = generators[n] = EmmeGenerator(seg.levels, system.couplings, tables, keys)
+            gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
             return lambda t, y: gen.derivative(y, envelope(t))
 
         times, states, levels = _integrate_segments(
@@ -629,7 +633,6 @@ def evolve(
         pops = np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy()
         meta.update(route="integrator", rtol=RTOL, atol=ATOL)
 
-    rate_model = PopulationRateModel(system, generators, envelope)
     return Trajectory(
         solver=f"emme-{variant}",
         times=times,
@@ -652,26 +655,28 @@ def evolve(
 class PopulationRateModel:
     """Autonomous classical master equation on the joint (level, windows) index.
 
-    Reads the population block of each segment's generator (see
-    ``EmmeGenerator.population_rates``), so it is the diagonal of the block
-    generator exactly: jumps (eps_q, E_j) -> (eps_k, E_i) occur at
-    rate W_kq(E_i, E_j) / V_j, with window moves in one bath component at a
-    time.  ``generators`` maps the index of each protocol segment a run
-    reaches to its generator; at a time t of the run the rates are
-    sum_nu f_nu(t) M_nu of the segment in force, with f = ``envelope(t)``
-    (see :func:`dissipator_envelope`).
+    Jumps (eps_q, E_j) -> (eps_k, E_i) occur at rate W_kq(E_i, E_j) / V_j,
+    with window moves in one bath component at a time: ``rates[n]`` holds
+    :func:`population_rates` at the levels of protocol segment n.  At a
+    time t the rates are sum_nu f_nu(t) W_nu of the segment in force, with
+    f = ``envelope(t)`` (see :func:`dissipator_envelope`).
     """
 
-    def __init__(self, system: SystemSpec, generators: dict[int, EmmeGenerator], envelope):
-        self.system = system
-        self.generators = generators
-        self.envelope = envelope
+    def __init__(self, system: SystemSpec, tables: list[RateTable], keys, envelope):
+        self.system, self.envelope = system, envelope
+        self.rates = [population_rates(seg.levels, system.couplings, tables, keys)
+                      for seg in system.protocol]
 
-    def dpdt(self, t: float, p: np.ndarray) -> np.ndarray:
-        mats = self.generators[self.system.segment_index(t)].population_rates
-        factors = self.envelope(t) or [1.0] * len(mats)
-        # one mat-vec per bath: forming the sum would cost more than the products
-        return sum(f * (m @ p) for f, m in zip(factors, mats))
+    def dpdt(self, t, p: np.ndarray) -> np.ndarray:
+        """dp/dt at time t, or at each time of an array with one row of p per time."""
+        times, pops = np.atleast_1d(t), np.atleast_2d(p)
+        owner, out = self.system.segment_index(times), np.zeros(pops.shape)
+        for n in np.unique(owner):
+            bath, rows, cols, w = self.rates[n]
+            at, factors = np.flatnonzero(owner == n)[:, None], self.envelope(times[owner == n])
+            flow = pops[at, cols] * (w if factors is None else np.array(factors)[bath].T * w)
+            np.add.at(out, (at, rows), flow)  # one scatter for every time of the segment
+        return out.reshape(np.shape(p))
 
 
 def stationary_populations(
@@ -689,9 +694,9 @@ def stationary_populations(
     """
     omega_sets = _omega_sets(system.couplings, system.levels)
     keys = reachable_keys({key for (_, key) in populations}, tables, omega_sets)
-    gen = EmmeGenerator(system.levels, system.couplings, tables, keys)
-    labels = _shell_labels(sum(gen.population_rates))
+    _, rows, cols, w = population_rates(system.levels, system.couplings, tables, keys)
     joint_index = [(k, key) for key in keys for k in range(system.dim)]
+    labels = connected_components(len(joint_index), rows[w > 0], cols[w > 0])[1]
     p0 = np.array([populations.get(s, 0.0) for s in joint_index])
     weights = np.array(
         [np.prod([tables[nu].volumes[j] for nu, j in enumerate(key)]) for (_, key) in joint_index],

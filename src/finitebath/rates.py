@@ -577,7 +577,8 @@ def transition_rates(
             s_kq = np.array([s[k, q] for s in s_ops])
             if not np.any(s_kq):
                 continue
-            omega_bath = levels[q] - levels[k]  # energy released to the bath
+            # energy released to the bath, rounded as in emme.s_omega_decomposition
+            omega_bath = round(float(levels[q] - levels[k]), 12)
             for j in range(len(table.centers)):
                 i = table.target_window(j, omega_bath)
                 if i is None:

@@ -327,7 +327,7 @@ def build_ledger(traj: Trajectory) -> ThermoLedger:
 
     # entropy production rate dS_obs/dt, from the rate equation when available
     if traj.pop_rate is not None:
-        dp_dt = np.stack([traj.pop_rate(t, p) for t, p in zip(times, pops)])
+        dp_dt = traj.pop_rate(times, pops)
     else:
         dp_dt = np.gradient(pops, times, axis=0)
     sigma = np.sum(dp_dt * (log_v - np.log(np.maximum(pops, P_FLOOR))), axis=1)

@@ -27,7 +27,8 @@ class Trajectory:
     bath_centers: list[np.ndarray]
     bath_volumes: list[np.ndarray]
     blocks: dict[tuple[int, ...], np.ndarray] | None = None  # key -> (T, d, d)
-    pop_rate: Callable[[float, np.ndarray], np.ndarray] | None = None
+    # dp/dt at a time, or at each time of an array with one row of populations per time
+    pop_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     mi: np.ndarray | None = None
     mi_times: np.ndarray | None = None
     meta: dict = field(default_factory=dict)

@@ -128,6 +128,10 @@ MALFORMED = {
     "t_can-not-a-number": (lambda: mini_config(bms={"t_can": "hot"}), "bms.t_can"),
     "solvers-not-a-list": (lambda: mini_config(solvers="bms"), "solvers"),
     "negative-mi_stride": (lambda: mini_config(mi_stride=-1), "mi_stride"),
+    # JSON integers beyond the float range (json.dump writes them out in full)
+    "lambda-beyond-float": (lambda: with_coupling(**{"lambda": 10**400}),
+                            "baths[0].coupling.lambda"),
+    "t_max-beyond-float": (lambda: edited("t_grid", "t_max", value=10**400), "t_grid.t_max"),
     # the integrator tolerances are fixed; the section that set them is gone
     "emme-tolerances": (lambda: mini_config(emme={"rtol": 1e-3}), "emme"),
 }

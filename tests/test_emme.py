@@ -21,6 +21,7 @@ from finitebath.emme import (
     connected_components,
     dissipator_envelope,
     evolve,
+    population_rates,
     reachable_keys,
     s_omega_decomposition,
     spin_oracle_trajectory,
@@ -472,6 +473,23 @@ def test_pop_rate_follows_a_segment_that_starts_on_the_last_point():
             assert abs(block[k, k].real - dp[pos[(k, key)]]) <= 1e-12
 
 
+def test_pop_rate_of_a_time_array_equals_its_calls_point_by_point():
+    # two baths of unequal width in the finite-time form, across a quench
+    t1 = make_bath([40, 60, 90])
+    t2 = rate_table_rmt(CouplingSpec(lam=3e-3, block_mean=0.0, variance=1.0, seed=1),
+                        [EnergyWindow(float(c), 0.8, v) for c, v in enumerate([30, 50, 70])])
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X], [SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 2.0])],
+    )
+    t = np.linspace(0.0, 10.0, 21)
+    for variant in ("markov", "redfield"):
+        traj = evolve(ConditionedState({(0, 0): excited_block()}), system, [t1, t2], t, variant)
+        each = np.stack([traj.pop_rate(tm, p) for tm, p in zip(t, traj.populations)])
+        assert np.array_equal(traj.pop_rate(t, traj.populations), each)
+
+
 def test_two_bath_stationary_matches_volume_products():
     t1 = make_bath([40, 60], centers=[0.0, 1.0])
     t2 = make_bath([30, 50], centers=[0.0, 1.0])
@@ -724,17 +742,18 @@ def test_time_grid_that_is_not_strictly_increasing_is_refused(t_grid):
 
 
 def test_population_rates_refuse_negative_rates_beyond_table_roundoff():
-    def generator(gamma):
+    def rates(gamma):
         g = np.zeros((3, 3, 1, 1), dtype=complex)
         for (i, j), val in gamma.items():
             g[i, j] = g[j, i] = val
         table = RateTable(np.array([0.0, 1.0, 2.0]), np.array([2.0, 3.0, 4.0]), 0.5, g)
-        return EmmeGenerator(np.array([0.0, 1.0]), [[SIGMA_X]], [table], [(0,), (1,), (2,)])
+        return population_rates(np.array([0.0, 1.0]), [[SIGMA_X]], [table], [(0,), (1,), (2,)])
 
-    # -1e-11 is roundoff next to a 100 entry elsewhere in the table
-    generator({(0, 1): -1e-11, (0, 2): 100.0})
-    with pytest.raises(NumericalFailure, match=r"negative transition rate W = -1e-11 in bath 0"):
-        generator({(0, 1): -1e-11})
+    # -1e-11 is roundoff next to a 100 entry elsewhere in the table: it is clipped to no jump
+    assert rates({(0, 1): -1e-11, (0, 2): 100.0})[3].size == 0
+    with pytest.raises(NumericalFailure,
+                       match=r"negative transition rate W\[\(0, 1, 1, 0\)\] = -1e-11$"):
+        rates({(0, 1): -1e-11})
 
 
 @st.composite
@@ -777,11 +796,17 @@ def test_population_block_equals_closed_form_rates(scenario):
     levels, couplings, tables, initial, variant, t = scenario
     system = SystemSpec(levels, couplings)
     keys = state_keys({initial}, system, tables, levels)
-    gen = EmmeGenerator(levels, couplings, tables, keys)
-    model = PopulationRateModel(system, {0: gen}, dissipator_envelope(tables, variant))
+    d, n = len(levels), len(keys) * len(levels)
+    model = PopulationRateModel(system, tables, keys, dissipator_envelope(tables, variant))
+    bath, rows, cols, w = model.rates[0]
+    rates = np.zeros((len(tables), n, n))
+    np.add.at(rates, (bath, rows, cols), w)
+    # the population-to-population block of each bath's dense np.kron dissipator
+    pops = (np.arange(len(keys))[:, None] * d * d + np.arange(d) * (d + 1)).ravel()
+    blocks = [m[np.ix_(pops, pops)].real for m in dense_generator(levels, couplings, tables, keys)[1]]
     factors = [1.0 if variant == "markov" else zeta(t, tb.delta) for tb in tables]
-    want = sum(f * m for f, m in zip(factors, closed_form_rates(levels, couplings, tables, keys)))
-    got = sum(f * m for f, m in zip(factors, gen.population_rates)).toarray()
+    want = sum(f * m for f, m in zip(factors, blocks))
+    got = sum(f * m for f, m in zip(factors, rates))
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     joint_index = [(k, key) for key in keys for k in range(len(levels))]
     p = np.random.default_rng(0).uniform(size=len(joint_index))
@@ -793,8 +818,44 @@ def test_population_block_equals_closed_form_rates(scenario):
     p0 = {(k, initial): 1.0 / len(levels) for k in range(len(levels))}
     p_eq = stationary_populations(p0, system, tables)
     v = np.array([p_eq[s] for s in joint_index])
-    markov = sum(gen.population_rates).toarray()
+    markov = sum(blocks)
     assert np.all(np.abs(markov @ v) <= 1e-12 * (np.abs(markov) @ v))
+
+
+def test_population_route_and_stationary_state_build_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the population route built the conditioned-state generator")
+
+    monkeypatch.setattr(EmmeGenerator, "__init__", refuse)
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[SIGMA_X], [SIGMA_X]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 2.0])],
+    )
+    tables = [make_bath([40, 60, 90]), make_bath([30, 50, 70])]
+    state = ConditionedState({(0, 0): excited_block()})
+    t = np.linspace(0.0, 10.0, 21)
+    for variant in ("markov", "redfield"):
+        traj = evolve(state, system, tables, t, variant)
+        assert traj.meta["route"] == "populations"
+        traj.pop_rate(t, traj.populations)
+    stationary_populations({(1, (0, 0)): 1.0}, system, tables)
+
+
+def test_a_gap_on_the_resonance_edge_resolves_as_the_reachable_keys_round_it():
+    # the gap 0.25 + 1 ulp would sit just past the edge (tol = 0.25) of window 0 and
+    # resolve to window 1; rounded to 12 digits, as the reachable keys round it, it
+    # stays in window 0, where the window diagonal of the table gives no jump
+    levels = np.array([0.0, 0.25000000000000006])
+    table = make_bath([10, 20, 30], centers=[0.0, 0.5, 1.0])
+    assert (0, 1, 1, 0) not in transition_rates(table, [SIGMA_X], levels)
+    system = SystemSpec(levels, [[SIGMA_X]])
+    traj = evolve(ConditionedState({(0,): excited_block()}), system, [table],
+                  np.linspace(0.0, 5.0, 6))
+    assert traj.joint_index == [(0, (0,)), (1, (0,))]
+    assert np.array_equal(traj.populations, np.tile([0.0, 1.0], (6, 1)))
+    assert stationary_populations({(1, (0,)): 1.0}, system, [table]) == {
+        (0, (0,)): 0.0, (1, (0,)): 1.0}
 
 
 # ---------------------------------------------------------------------------
