@@ -38,6 +38,10 @@ class EnergyWindow:
         return self.center + self.width / 2.0
 
 
+# the kinds of microscopic spectrum, the default first
+SPECTRUM_KINDS = ("regular", "random-uniform")
+
+
 @dataclass
 class BathSpec:
     """Window layout and the kind of microscopic spectrum to generate.
@@ -49,11 +53,11 @@ class BathSpec:
     """
 
     windows: list[EnergyWindow]
-    spectrum_kind: str = "regular"
+    spectrum_kind: str = SPECTRUM_KINDS[0]
     seed: int | None = None
 
     def __post_init__(self):
-        if self.spectrum_kind not in ("regular", "random-uniform"):
+        if self.spectrum_kind not in SPECTRUM_KINDS:
             raise ConfigurationError(
                 f"unknown spectrum kind {self.spectrum_kind!r}"
             )

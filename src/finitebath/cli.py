@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bath import (
+    SPECTRUM_KINDS,
     BathSpec,
     CouplingSpec,
     EnergyWindow,
@@ -32,7 +33,15 @@ from .bath import (
 from .bms import bms_rates_from_table, choose_reference_temperature, evolve_bms
 from .emme import ConditionedState, ProtocolSegment, SystemSpec, evolve, spin_oracle_trajectory
 from .errors import ConfigurationError, DimensionCapExceeded, FiniteBathError, NumericalFailure
-from .exact import check_dimension, prepare_initial, run_exact
+from .exact import (
+    DEFAULT_DIM_CAP,
+    DEFAULT_MEMBERS,
+    ENSEMBLE_KINDS,
+    FILLS,
+    check_dimension,
+    prepare_initial,
+    run_exact,
+)
 from .presets import preset as get_preset
 from .presets import presets, scale_volumes
 from .rates import correlation_exact, default_tau_grid, rate_table_heuristic, rate_table_quadrature, rate_table_rmt
@@ -40,6 +49,9 @@ from .thermo import ThermoLedger, build_ledger
 from .trajectory import Trajectory
 
 SMALL_VOLUME_LIMIT = 100  # below this the master equation is known to degrade
+# most points of a t_max/dt grid: every solver stores arrays per point, so a
+# larger grid is refused before np.arange builds it
+MAX_GRID_POINTS = 10**6
 
 REQUIRED = object()  # no default: the key must be given
 OPTIONAL = object()  # no default: a key left out stays out
@@ -76,7 +88,7 @@ SCHEMA = {
     "baths[].windows[].center": (float, REQUIRED, None),
     "baths[].windows[].width": (float, REQUIRED, None),
     "baths[].windows[].volume": (int, REQUIRED, None),
-    "baths[].spectrum": (str, "regular", ("regular", "random-uniform")),
+    "baths[].spectrum": (str, SPECTRUM_KINDS[0], SPECTRUM_KINDS),
     "baths[].coupling": (dict, REQUIRED, None),
     "baths[].coupling.lambda": (float, REQUIRED, None),
     "baths[].coupling.variance": (float, 1.0, None),
@@ -84,16 +96,16 @@ SCHEMA = {
     "initial": (dict, {}, None),
     "initial.system_level": (int, lambda cfg: len(cfg["system"]["levels"]) - 1, None),
     "initial.bath_windows": ([int], lambda cfg: [0] * len(cfg["baths"]), None),
-    "initial.fill": (str, "full", ("full", "half")),
+    "initial.fill": (str, FILLS[0], FILLS),
     "solvers": ([str], REQUIRED, ("exact", "emme-markov", "emme-redfield", "bms", "analytic")),
     "ensemble": (dict, {}, None),
-    "ensemble.kind": (str, "typicality", ("typicality", "basis-ensemble")),
-    "ensemble.members": (int, 20, None),
+    "ensemble.kind": (str, ENSEMBLE_KINDS[0], ENSEMBLE_KINDS),
+    "ensemble.members": (int, DEFAULT_MEMBERS, None),
     "rates_method": (str, "rmt", ("rmt", "heuristic", "quadrature")),
     "bms": (dict, {}, None),
     "bms.t_can": ((float, None), None, None),  # None: from the initial bath marginal
     "mi_stride": (int, 0, 0),
-    "dim_cap": (int, 5000, None),
+    "dim_cap": (int, DEFAULT_DIM_CAP, None),
 }
 _FIELDS: dict[str, list[str]] = {}  # the keys of the mapping at each path ("" the top)
 for _path in SCHEMA:
@@ -213,7 +225,13 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
     elif set(tg) == {"t_max", "dt"}:
         # a step that is not positive, or an end that is not finite, gives no grid, refused below
         t_max, dt = tg["t_max"], tg["dt"]
-        t_grid = np.arange(0.0, t_max + 0.5 * dt, dt) if dt > 0 and t_max < np.inf else np.empty(0)
+        t_grid = np.empty(0)
+        if dt > 0 and t_max < np.inf:
+            # np.arange makes ceil(t_max / dt + 1/2) points; count them before it runs
+            if t_max / dt + 0.5 > MAX_GRID_POINTS:
+                raise ConfigurationError(f"t_grid.dt {dt:g} gives more than {MAX_GRID_POINTS} "
+                                         f"points up to t_max {t_max:g}")
+            t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     else:
         raise ConfigurationError("t_grid takes points, or t_max and dt")
 

@@ -24,6 +24,8 @@ from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
+# largest relative change of the total probability the population route accepts
+TRACE_TOL = 1e-8
 # the closed-form propagator of a shell component reads its populations in
 # the coordinates Pi^{-1/2} p, so the eigenvectors' round-off reaches p
 # amplified by sum_a p_a (Pi_max / Pi_a)^{1/2}; above this factor the
@@ -566,7 +568,9 @@ def evolve(
     beyond tolerance indicates a bug, not noise.  At protocol quenches the
     state is carried across continuously while the level energies and jump
     operators are rebuilt.  Raises on a population (population route) or
-    block eigenvalue (integrator route) below -``POSITIVITY_TOL``.  ``meta``
+    block eigenvalue (integrator route) below -``POSITIVITY_TOL``, and on a
+    population sum that leaves the initial trace by more than ``TRACE_TOL``
+    of it (population route).  ``meta``
     records the route; the population route adds its counters, the
     integrator route its tolerances.
     """
@@ -613,6 +617,12 @@ def evolve(
             m, col = bad[0]
             raise NumericalFailure(f"block {keys[col // d]} lost positivity at t={times[m]:g} "
                                    f"(population {pops[m, col]:.3e})")
+        total = populations.real.sum()
+        # negated so that a NaN fails too
+        bad = np.flatnonzero(~(np.abs(pops.sum(axis=1) - total) <= TRACE_TOL * total))
+        if bad.size:
+            raise NumericalFailure(f"populations sum to {pops[bad[0]].sum():.6g} at "
+                                   f"t={times[bad[0]]:g}, not {total:.6g}")
         meta.update(route="populations", **counters)
     else:
         def segment_rhs(n, seg):

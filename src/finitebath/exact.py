@@ -4,9 +4,14 @@ Honest brute force at desk scale: the total Hamiltonian splits into the
 invariant subspaces spanned by connected (system level, bath window)
 sectors; the blocks that the initial ensemble occupies are assembled
 densely, diagonalized once per protocol segment, and mixed states are
-propagated as pure-state ensembles (one member per occupied microlevel, or a
-few random vectors from the occupied subspace).  Coarse-graining the result
-gives the same trajectory contract as the master-equation solvers.
+represented as pure-state ensembles (one member per occupied microlevel, or
+a few random vectors from the occupied subspace).  The coarse-grained
+populations and blocks, the same trajectory contract as the master-equation
+solvers, are quadratic forms in the phases e^{-iEt} of each segment's
+eigenbasis (the energy-eigenbasis evaluation of <O(t)>, D'Alessio et al.,
+Adv. Phys. 65, 239 (2016)), so their cost per grid point does not grow with
+the number of members; member states are built only where something reads
+them: the quench carries and the mutual-information samples.
 """
 
 from __future__ import annotations
@@ -23,11 +28,22 @@ from .errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
 from .trajectory import Trajectory
 
 DEFAULT_DIM_CAP = 5000
+# initial ensembles (see prepare_initial), each tuple's default first
+ENSEMBLE_KINDS = ("typicality", "basis-ensemble")
+FILLS = ("full", "half")
+DEFAULT_MEMBERS = 20
 NORM_TOL = 1e-8
 # bytes of one batch's phase stack e^{-iE dt} phi0 (and of its product with
 # the eigenvectors): wide enough that one product streams the eigenvector
 # matrix once for several grid points, small enough to stay out of peak RSS
 BATCH_BYTES = 2 * 2**20
+# the quadratic-form route (see _SegmentPropagator.blocks): bytes of one
+# column chunk of a cell matrix, small because four such buffers are alive at
+# once and at small d_c nothing larger sets the peak RSS; and bytes of the
+# phases e^{-iEt} of one batch of grid points: every batch forms each cell
+# anew, so a batch spans as many points as fit, in the presets a whole segment
+FORM_BYTES = 2**19
+PHASE_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -149,9 +165,9 @@ def prepare_initial(
     window_index: int,
     system_state,
     d_s: int,
-    members: int = 20,
+    members: int = DEFAULT_MEMBERS,
     seed: int | None = None,
-    fill: str = "full",
+    fill: str = FILLS[0],
 ) -> FullEnsemble:
     """Build the initial ensemble in one bath window.
 
@@ -161,9 +177,9 @@ def prepare_initial(
     the occupied product states.  fill "half" occupies only the lower half
     of the window's levels.
     """
-    if kind not in ("basis-ensemble", "typicality"):
+    if kind not in ENSEMBLE_KINDS:
         raise ConfigurationError(f"unknown ensemble kind {kind!r}")
-    if fill not in ("full", "half"):
+    if fill not in FILLS:
         raise ConfigurationError(f"unknown fill {fill!r}")
     if not 0 <= window_index < len(windows):
         raise ConfigurationError(f"unknown window index {window_index}")
@@ -225,10 +241,13 @@ class _SegmentPropagator:
 
     def __init__(self, sectors: list[tuple[np.ndarray, np.ndarray]], dim: int):
         # a sector covering the whole basis is addressed by a slice, so
-        # gathering its amplitudes copies nothing
-        self.eig = [
-            (slice(None) if index.size == dim else index, *_eigh(h)) for index, h in sectors
-        ]
+        # gathering its amplitudes copies nothing; the eigenvectors are kept
+        # row-major, so the rows of one sector state are one contiguous block
+        self.eig = []
+        for index, h in sectors:
+            evals, evecs = _eigh(h)
+            self.eig.append((slice(None) if index.size == dim else index, evals,
+                             np.ascontiguousarray(evecs)))
         self.dim = dim
 
     def prepare(self, psi: np.ndarray) -> list[np.ndarray]:
@@ -253,6 +272,103 @@ class _SegmentPropagator:
                 psi[index] = product[:, cols]
             yield psi
 
+    def norms(self, phi0: list[np.ndarray], dts: np.ndarray) -> np.ndarray:
+        """Member norms at each offset, shaped (len(dts), m), from the phases alone.
+
+        For unitary V, ||psi_mu||^2 = sum_E |e^{-iE dt}|^2 |phi0_{E mu}|^2: one
+        real product per sector, which reads exactly ||phi0_mu||^2 unless an
+        eigenvalue has left the real axis.
+        """
+        return np.sqrt(sum(np.exp(2 * np.outer(dts, np.imag(evals))) @ np.abs(phi) ** 2
+                           for (_, evals, _), phi in zip(self.eig, phi0)))
+
+    def blocks(self, phi0: list[np.ndarray], weights: np.ndarray, dts: np.ndarray,
+               cells: dict, out: np.ndarray) -> float:
+        """Write the coarse-grained blocks at each offset into ``out`` (len(dts), n_win, d_s, d_s).
+
+        With phi(t) = e^{-iEt} over a sector's eigenvalues, R = Phi0_a W
+        Phi0_b^dag and V_(k,j) the eigenvector rows of sector state (k, j),
+        every block entry is a quadratic form in the phases:
+
+            rho_S(E_j)_kl(t) = phi_a(t)^T [R o (V_(k,j)^T conj(V_(l,j)))] conj(phi_b(t)),
+
+        for a cell (j, k, l) of :func:`_cells`, (k, j) in sector a and (l, j)
+        in sector b.  So a batch of offsets costs one (T x d_a)(d_a x d_b)
+        product per cell, whatever the number of members.  The cell matrix
+        is formed by column chunks of ``FORM_BYTES``, one chunk of one cell
+        at a time, so no d_a x d_b matrix besides V is ever held.  For k = l
+        it is Hermitian, R o conj(V_(k,j)^dag V_(k,j)), and only its upper
+        triangle enters (the diagonal halved, twice the real part), which
+        halves the work.  Those Grams sum to V^dag V over a sector; the
+        largest deviation of the sum from the identity is returned.
+        """
+        amp = [phi * np.sqrt(weights) for phi in phi0]
+        values = {cell[:3]: np.zeros(dts.size, dtype=complex)
+                  for group in cells.values() for cell in group}
+        deviation = 0.0
+        points = max(2, PHASE_BYTES // (16 * sum(evals.size for _, evals, _ in self.eig)))
+        # at least two offsets per batch: a one-row product takes BLAS's
+        # matrix-vector route, whose rounding differs, and a point's value
+        # should not depend on how the grid is batched
+        n_batches = max(1, min(-(-dts.size // points), dts.size // 2))
+        for batch in np.array_split(np.arange(dts.size), n_batches):
+            phases = [np.exp(-1j * dts[batch, None] * evals) for _, evals, _ in self.eig]
+            for (a, b), group in cells.items():
+                v_a, v_b = self.eig[a][2], self.eig[b][2]
+                width = max(1, FORM_BYTES // (16 * v_a.shape[0]))
+                for lo in range(0, v_b.shape[0], width):
+                    hi = min(lo + width, v_b.shape[0])
+                    chunk = np.arange(hi - lo)
+                    r = amp[a] @ amp[b][lo:hi].conj().T
+                    gram = np.zeros((hi, hi - lo), dtype=complex) if a == b else None
+                    for j, k, l, rows_k, rows_l in group:
+                        hermitian = a == b and k == l
+                        top = hi if hermitian else v_a.shape[0]
+                        m = v_a[rows_k, :top].T @ v_b[rows_l, lo:hi].conj()
+                        if hermitian:
+                            gram += m
+                        m *= r[:top]
+                        if hermitian:
+                            m[lo:hi][np.tri(hi - lo, k=-1, dtype=bool)] = 0.0
+                            m[lo + chunk, chunk] *= 0.5
+                        form = phases[a][:, :top] @ m
+                        form *= np.conj(phases[b][:, lo:hi])
+                        form = form.sum(axis=1)
+                        values[j, k, l][batch] += 2 * form.real if hermitian else form
+                    if gram is not None:
+                        gram[lo + chunk, chunk] -= 1.0
+                        # np.maximum keeps a NaN
+                        deviation = np.maximum(deviation, np.max(np.abs(gram)))
+        for (j, k, l), value in values.items():
+            out[:, j, k, l] = value
+            out[:, j, l, k] = value.conj()
+        return float(deviation)
+
+
+def _cells(occupied: list[np.ndarray], d_b: int, windows: list[EnergyWindow]) -> dict:
+    """The quadratic-form cells of the occupied sectors, grouped by sector pair.
+
+    A cell is a window j and levels k <= l whose sector states (k, j) and
+    (l, j) both lie in occupied sectors a and b (a = b, or two sectors a
+    member spans).  Maps (a, b) to a list of (j, k, l, rows of (k, j) in a,
+    rows of (l, j) in b); the rows of one sector state are contiguous in its
+    sector's ascending index.
+    """
+    n_win = len(windows)
+    window_of = np.repeat(np.arange(n_win), [w.volume for w in windows])
+    rows = {}
+    for a, index in enumerate(occupied):
+        keys = index // d_b * n_win + window_of[index % d_b]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        for start, stop in zip(starts, [*starts[1:], index.size]):
+            rows[divmod(int(keys[start]), n_win)] = (a, slice(int(start), int(stop)))
+    cells: dict[tuple[int, int], list] = {}
+    for (k, j), (a, rows_k) in sorted(rows.items()):
+        for (l, i), (b, rows_l) in sorted(rows.items()):
+            if i == j and k <= l:
+                cells.setdefault((a, b), []).append((j, k, l, rows_k, rows_l))
+    return cells
+
 
 def _occupied(index: np.ndarray, members: np.ndarray) -> bool:
     """Whether any member has a nonzero amplitude on these basis indices."""
@@ -271,6 +387,9 @@ def propagate(
     dim_cap: int,
     occupied: list[np.ndarray],
     counts: dict | None = None,
+    *,
+    explicit: np.ndarray | None = None,
+    blocks: np.ndarray | None = None,
 ):
     """Yield (t, levels in force, member matrix) along a grid through the protocol.
 
@@ -278,23 +397,40 @@ def propagate(
     the members occupy; only those are assembled and diagonalized, once per
     distinct level set.  The segments are ``SystemSpec.grid_segments``, so a
     quench must sit on the grid; there the members are carried to the
-    boundary and the Hamiltonian is switched.  Within a segment the grid
-    points go in batches of at most ``BATCH_BYTES`` of stacked phases, one
-    eigenvector product per sector for each batch and each quench carry
-    (see :meth:`_SegmentPropagator.states`); a point on the segment's start
-    gets the members as they are.  ``counts``, if given, gets
-    the number of those products added to ``"propagate_products"`` and the
-    side of every diagonalized block appended to ``"diag_dims"``.  The scheme is
-    exact diagonalization, so norms are preserved to roundoff; a drift
-    beyond 1e-8 aborts at the first grid point where it shows.
+    boundary and the Hamiltonian is switched.  A point on a segment's start
+    gets the members as they are.  Elsewhere the member matrix is built only
+    at the points the boolean mask ``explicit`` selects (default: all), in
+    batches of at most ``BATCH_BYTES`` of stacked phases, one eigenvector
+    product per sector for each batch (see :meth:`_SegmentPropagator.states`);
+    the other points yield None.
+
+    ``blocks``, if given, is an array (len(t_grid), n_win, d_s, d_s) that
+    receives every point's coarse-grained blocks: at a segment start by
+    :func:`coarse_grain` of the members, so windows they do not occupy hold
+    exactly 0, and elsewhere from quadratic forms in the eigenbasis (see
+    :meth:`_SegmentPropagator.blocks`), which build no member matrix.
+
+    ``counts``, if given, gets the explicit products (quench carries and
+    batches) added to ``"propagate_products"``, the side of every
+    diagonalized block appended to ``"diag_dims"`` and, with ``blocks``, the
+    number of quadratic-form cells per segment as ``"qf_cells"``.  The scheme
+    is exact diagonalization, so norms are preserved to roundoff: a member
+    norm drift beyond ``NORM_TOL`` (read from the phases, see
+    :meth:`_SegmentPropagator.norms`) aborts at the first grid point where it
+    shows, and so do, with ``blocks``, a Gram sum V^dag V off the identity and
+    a block trace off the weighted squared norms.
     """
     dim = system.dim * bath_dimension(realization.windows)
     members = ensemble.members.shape[1]
     batch = max(1, BATCH_BYTES // (16 * members * sum(c.size for c in occupied)))
+    explicit = np.ones(t_grid.size, dtype=bool) if explicit is None else explicit
     props: dict[tuple, _SegmentPropagator] = {}
     counts = {} if counts is None else counts
     counts.setdefault("propagate_products", 0)
     counts.setdefault("diag_dims", [])
+    if blocks is not None:
+        cells = _cells(occupied, bath_dimension(realization.windows), realization.windows)
+        counts["qf_cells"] = sum(len(group) for group in cells.values())
 
     def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
         key = _levels_key(levels)
@@ -304,7 +440,12 @@ def propagate(
             counts["diag_dims"] += [int(index.size) for index, _ in model.sectors]
         return props[key]
 
-    psi, prop = ensemble.members, None
+    def explicit_states(prop, phi0, dts):
+        for start in range(0, dts.size, batch):
+            counts["propagate_products"] += len(prop.eig)
+            yield from prop.states(phi0, dts[start : start + batch])
+
+    psi, prop, first = ensemble.members, None, 0
     for _, seg, t0, _, grid in system.grid_segments(t_grid):
         if prop is not None:
             # carry the members across the quench, then switch the Hamiltonian
@@ -312,21 +453,40 @@ def propagate(
             counts["propagate_products"] += len(prop.eig)
         prop = propagator_for(seg.levels)
         phi0, seg_t0 = prop.prepare(psi), t0
+        lo, first = first, first + grid.size
         if grid.size and abs(grid[0] - t0) < 1e-12:
             # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
             _check_norms(psi, grid[0])
+            if blocks is not None:
+                blocks[lo] = coarse_grain(psi, ensemble.weights, system.dim, realization.windows)[1]
             yield grid[0], seg.levels, psi
-            grid = grid[1:]
-        for start in range(0, grid.size, batch):
-            times = grid[start : start + batch]
-            counts["propagate_products"] += len(prop.eig)
-            for t, psi_t in zip(times, prop.states(phi0, times - seg_t0)):
-                _check_norms(psi_t, t)
-                yield t, seg.levels, psi_t
+            grid, lo = grid[1:], lo + 1
+        if not grid.size:
+            continue
+        dts = grid - seg_t0
+        norms = prop.norms(phi0, dts)
+        if blocks is not None:
+            deviation = prop.blocks(phi0, ensemble.weights, dts, cells, blocks[lo:first])
+            if not deviation <= NORM_TOL:
+                raise NumericalFailure(f"eigenvectors off unitary by {deviation:.2e} "
+                                       f"in the segment from t={t0:g}")
+            trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:first]).real
+                                 - norms**2 @ ensemble.weights)
+        wanted = explicit[lo:first]
+        states = explicit_states(prop, phi0, dts[wanted])
+        for n, t in enumerate(grid):
+            _check_drift(norms[n], t)
+            if blocks is not None and not trace_drift[n] <= NORM_TOL:
+                raise NumericalFailure(f"block trace off the member norms by "
+                                       f"{trace_drift[n]:.2e} at t={t:g}")
+            yield t, seg.levels, next(states) if wanted[n] else None
 
 
 def _check_norms(psi: np.ndarray, t: float):
-    norms = np.linalg.norm(psi, axis=0)
+    _check_drift(np.linalg.norm(psi, axis=0), t)
+
+
+def _check_drift(norms: np.ndarray, t: float):
     drift = np.max(np.abs(norms - 1.0))
     # negated so that a NaN drift fails too
     if not drift <= NORM_TOL:
@@ -407,20 +567,25 @@ def run_exact(
 ) -> Trajectory:
     """Full benchmark run: propagate, coarse-grain, optionally track mutual information.
 
-    ``mi_stride`` > 0 samples the quantum mutual information every that many
-    grid points; each sample diagonalizes one matrix of side
-    min(d_b, d_s * members) (see :func:`quantum_mutual_information`).
-    ``meta`` records ``mi_samples`` and that side as ``mi_gram_dim`` (0
-    without samples), as ``propagate_products`` the number of batched
-    eigenvector products of the walk and as ``diag_dims`` the side of every
-    block it diagonalized (see :func:`propagate`).
+    Populations and blocks come from quadratic forms in each segment's
+    eigenbasis (see :func:`propagate`), so their cost per grid point does not
+    grow with the member count; member matrices are built only for the
+    quench carries and the mutual-information samples.  ``mi_stride`` > 0
+    samples the quantum mutual information every that many grid points;
+    each sample diagonalizes one matrix of side min(d_b, d_s * members) (see
+    :func:`quantum_mutual_information`).  ``meta`` records ``mi_samples``
+    and that side as ``mi_gram_dim`` (0 without samples), as
+    ``propagate_products`` the number of explicit eigenvector products (the
+    quench carries and the batches of MI samples), as ``qf_cells`` the
+    number of quadratic-form cells per segment and as ``diag_dims`` the side
+    of every block it diagonalized.
     """
     if system.n_baths != 1:
         raise ConfigurationError("the exact benchmark supports a single bath")
     t_grid = np.asarray(t_grid, dtype=float)
-    if ensemble.kind == "typicality" and ensemble.members.shape[1] < 20:
+    if ensemble.kind == "typicality" and ensemble.members.shape[1] < DEFAULT_MEMBERS:
         warnings.warn(
-            "fewer than 20 typicality members; sampling error "
+            f"fewer than {DEFAULT_MEMBERS} typicality members; sampling error "
             f"~{1.0 / np.sqrt(ensemble.members.shape[1] * np.exp(ensemble.subspace_entropy)):.1e} "
             "per population",
             stacklevel=2,
@@ -433,20 +598,18 @@ def run_exact(
     occupied = [c for c in components if _occupied(c, ensemble.members)]
     n_win = len(realization.windows)
 
-    pops_out = np.zeros((t_grid.size, d_s * n_win))
     levels_out = np.zeros((t_grid.size, d_s))
-    blocks_out = {(j,): np.zeros((t_grid.size, d_s, d_s), dtype=complex) for j in range(n_win)}
+    blocks = np.zeros((t_grid.size, n_win, d_s, d_s), dtype=complex)
+    explicit = np.zeros(t_grid.size, dtype=bool)
+    if mi_stride:
+        explicit[::mi_stride] = True
     mi_times, mi_vals = [], []
     counts: dict[str, int] = {}
-    walk = propagate(ensemble, system, realization, t_grid, dim_cap, occupied, counts)
+    walk = propagate(ensemble, system, realization, t_grid, dim_cap, occupied, counts,
+                     explicit=explicit, blocks=blocks)
     for n, (t, levels, psi) in enumerate(walk):
-        pops, blocks = coarse_grain(psi, ensemble.weights, d_s, realization.windows)
-        # trajectory columns: all levels of window 0, then window 1, ...
-        pops_out[n] = pops.T.ravel()
         levels_out[n] = levels
-        for j in range(n_win):
-            blocks_out[(j,)][n] = blocks[j]
-        if mi_stride and n % mi_stride == 0:
+        if explicit[n]:
             mi_times.append(t)
             mi_vals.append(
                 quantum_mutual_information(
@@ -459,11 +622,12 @@ def run_exact(
         solver="exact",
         times=t_grid,
         joint_index=joint_index,
-        populations=pops_out,
+        # columns: all levels of window 0, then window 1, ...
+        populations=np.einsum("tjkk->tjk", blocks).real.reshape(t_grid.size, -1),
         level_energies=levels_out,
         bath_centers=[realization.centers],
         bath_volumes=[realization.volumes.astype(float)],
-        blocks=blocks_out,
+        blocks={(j,): np.ascontiguousarray(blocks[:, j]) for j in range(n_win)},
         mi=np.array(mi_vals) if mi_vals else None,
         mi_times=np.array(mi_times) if mi_times else None,
         meta={
@@ -474,6 +638,7 @@ def run_exact(
             # one entry per diagonalized block, once per distinct level set
             "diag_dims": counts["diag_dims"],
             "propagate_products": counts["propagate_products"],
+            "qf_cells": counts["qf_cells"],
             "mi_samples": len(mi_vals),
             "mi_gram_dim": min(d_b, d_s * ensemble.members.shape[1]) if mi_vals else 0,
         },

@@ -370,8 +370,9 @@ class RateTable:
     shape, also zero on the window diagonal; it is absent for constructions
     that only determine the real part.
 
-    A transition (E, E', omega) is admitted iff |E' - E - omega| <=
-    ``resonance_tol`` = delta/2, which makes the target window unique.
+    A transition (E, E', omega) is admitted iff |(E' - E) - omega| <
+    ``resonance_tol`` = delta/2, which makes the target window unique for
+    windows at least delta apart (see :meth:`target_window`).
     """
 
     centers: np.ndarray
@@ -385,22 +386,26 @@ class RateTable:
         return self.delta / 2.0
 
     def target_window(self, j: int, omega: float) -> int | None:
-        """Index of the window at E_j + omega under the resonance rule.
+        """Index of the window at E_j + omega under the resonance rule, or None.
 
-        The lowest i with |E_i - x| <= tol, x = E_j + omega.  Centers
-        increase and rounding is monotone, so E_i - x is non-decreasing in
-        i and the hits are contiguous: a bisection finds the first i with
-        E_i - x >= -tol, and the steps after it absorb the rounding by which
-        E_i >= x - tol can differ from that predicate.
+        The lowest i with |(E_i - E_j) - omega| < tol.  The rule is strict
+        and written as a difference of centers, so it holds for (j, omega)
+        exactly when it holds for (i, -omega): every jump comes with its
+        reverse, as local detailed balance needs.  A point exactly between
+        two windows delta apart is a resonance of neither, in both
+        directions.  Centers increase and rounding is monotone, so
+        (E_i - E_j) - omega is non-decreasing in i and the hits are
+        contiguous: a bisection finds the first i with E_i > x - tol, and
+        the steps after it absorb the rounding by which that predicate can
+        differ from the difference form.
         """
         c, tol = self.centers, self.resonance_tol
-        x = c[j] + omega
-        i = int(np.searchsorted(c, x - tol))
-        while i > 0 and c[i - 1] - x >= -tol:
+        i = int(np.searchsorted(c, c[j] + omega - tol, side="right"))
+        while i > 0 and (c[i - 1] - c[j]) - omega > -tol:
             i -= 1
-        while i < c.size and c[i] - x < -tol:
+        while i < c.size and not (c[i] - c[j]) - omega > -tol:
             i += 1
-        return i if i < c.size and abs(c[i] - x) <= tol else None
+        return i if i < c.size and (c[i] - c[j]) - omega < tol else None
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
@@ -564,7 +569,7 @@ def transition_rates(
     W_{kq}(E,E') = sum_{aa'} <q|S^{a'dag}|k> <k|S^a|q> gamma^{aa'}(E,E').
     The key (k, q, i, j) describes the jump (eps_q, E_j) -> (eps_k, E_i);
     the bath absorbs what the system loses, so the admitted window pairs
-    satisfy |E_i - E_j - (eps_q - eps_k)| <= tol.  The symmetry
+    satisfy |(E_i - E_j) - (eps_q - eps_k)| < tol.  The symmetry
     W_{kq}(E_i,E_j) = W_{qk}(E_j,E_i) holds with identical floats because
     each unordered pair is computed once.  Raises if a rate is negative
     beyond roundoff of the largest table entry.

@@ -132,6 +132,8 @@ MALFORMED = {
     "lambda-beyond-float": (lambda: with_coupling(**{"lambda": 10**400}),
                             "baths[0].coupling.lambda"),
     "t_max-beyond-float": (lambda: edited("t_grid", "t_max", value=10**400), "t_grid.t_max"),
+    # 1e13 points: refused from the count, before np.arange would build them
+    "grid-beyond-max-points": (lambda: edited("t_grid", "dt", value=1e-12), "t_grid.dt"),
     # the integrator tolerances are fixed; the section that set them is gone
     "emme-tolerances": (lambda: mini_config(emme={"rtol": 1e-3}), "emme"),
 }

@@ -858,6 +858,33 @@ def test_a_gap_on_the_resonance_edge_resolves_as_the_reachable_keys_round_it():
         (0, (0,)): 0.0, (1, (0,)): 1.0}
 
 
+def test_a_resonance_tie_is_a_jump_in_neither_direction(monkeypatch):
+    # windows of width 0.5 at 0, 0.5 and 1 and the gap 0.25: E_j -+ 0.25 falls exactly
+    # between two windows, which is a resonance of neither, from either side
+    spec = BathSpec([EnergyWindow(c, DELTA, v) for c, v in ((0.0, 10), (0.5, 20), (1.0, 30))])
+    table = rate_table_rmt(CouplingSpec(lam=0.03, block_mean=0.0, variance=1.0, seed=0),
+                           build_spectrum(spec))
+    levels = np.array([0.0, 0.25])
+    assert table.target_window(1, -0.25) is None and table.target_window(0, 0.25) is None
+    assert transition_rates(table, [SIGMA_X], levels) == {}
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    t_grid = np.linspace(0.0, 2000.0, 5)
+    traj = evolve(ConditionedState({(1,): ground}), spin(levels), [table], t_grid)
+    assert np.array_equal(traj.populations, np.tile([1.0, 0.0], (5, 1)))
+
+    def lowest_hit(self, j, omega):
+        # the former rule: the lowest window within tol, so the tie resolves downwards
+        # from either side and the jump 1 -> 0 has no reverse
+        hits = np.flatnonzero(np.abs(self.centers - (self.centers[j] + omega)) <= self.resonance_tol)
+        return int(hits[0]) if hits.size else None
+
+    monkeypatch.setattr(RateTable, "target_window", lowest_hit)
+    assert (1, 0, 0, 1) in transition_rates(table, [SIGMA_X], levels)
+    # without detailed balance the closed form cannot keep the trace, and says so
+    with pytest.raises(NumericalFailure, match="populations sum to .* at t=500, not 1$"):
+        evolve(ConditionedState({(1,): ground}), spin(levels), [table], t_grid)
+
+
 # ---------------------------------------------------------------------------
 # population route against the integrator
 

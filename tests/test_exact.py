@@ -468,6 +468,77 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
     assert counts["propagate_products"] == n_occupied * (2 + 3 + 1)
 
 
+def quench_walker_case(case):
+    """A WALKER_CASES realization, operator and ensemble, with a quench at t = 7."""
+    make_realization, s_op, state, n_occupied = WALKER_CASES[case]
+    real = make_realization()
+    system = SystemSpec(
+        np.array([0.0, 1.0]),
+        [[s_op]],
+        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
+    )
+    return real, system, prepare_initial("basis-ensemble", real.windows, 0, state, 2), n_occupied
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("case", list(WALKER_CASES))
+def test_run_exact_blocks_match_the_dense_reference_at_every_point(monkeypatch, case, small):
+    real, system, ens, n_occupied = quench_walker_case(case)
+    if small:
+        # column chunks of 7 columns and batches of 2 or 3 points
+        monkeypatch.setattr(exact, "FORM_BYTES", 7 * 16 * ens.members.shape[0] // 2)
+        monkeypatch.setattr(exact, "PHASE_BYTES", 2 * 16 * ens.members.shape[0])
+    t_grid = np.linspace(0.0, 16.0, 17)
+    traj = run_exact(system, real, ens, t_grid)
+    # levels 0 and 1 of both windows lie in occupied sectors: cells (0, 0), (0, 1), (1, 1)
+    # of each window, the off-diagonal ones across the two sectors in "two-sectors"
+    assert traj.meta["qf_cells"] == 6
+    # the quench carry is the only member matrix built
+    assert traj.meta["propagate_products"] == n_occupied
+    for n, psi in enumerate(dense_reference_states(system, real, ens, t_grid)):
+        pops, blocks = coarse_grain(psi, ens.weights, 2, real.windows)
+        assert np.max(np.abs(traj.populations[n] - pops.T.ravel())) <= 1e-12
+        for j in range(2):
+            assert np.max(np.abs(traj.blocks[(j,)][n] - blocks[j])) <= 1e-12
+    # the coherences are not trivially zero
+    assert np.max(np.abs(traj.blocks[(0,)][:, 0, 1])) > 1e-4
+
+
+def test_mutual_information_samples_leave_the_populations_as_they_are():
+    real, system, ens, _ = quench_walker_case("two-sectors")
+    t_grid = np.linspace(0.0, 16.0, 17)
+    plain = run_exact(system, real, ens, t_grid)
+    sampled = run_exact(system, real, ens, t_grid, mi_stride=3)
+    assert sampled.meta["mi_samples"] == 6
+    assert np.array_equal(sampled.populations, plain.populations)
+    for key, series in plain.blocks.items():
+        assert np.array_equal(sampled.blocks[key], series)
+
+
+def test_eigenvectors_off_unitary_are_refused(monkeypatch):
+    real, system, ens, _ = quench_walker_case("whole")
+    eigh = exact._eigh
+    monkeypatch.setattr(exact, "_eigh", lambda h: (eigh(h)[0], eigh(h)[1] * (1 + 1e-6)))
+    with pytest.raises(NumericalFailure, match=r"eigenvectors off unitary by 2\.0\de-06 "
+                                               r"in the segment from t=0$"):
+        run_exact(system, real, ens, np.linspace(0.0, 16.0, 17))
+
+
+def test_a_block_trace_off_the_member_norms_is_refused(monkeypatch):
+    real, system, ens, _ = quench_walker_case("whole")
+    blocks = exact._SegmentPropagator.blocks
+
+    def inflated(self, phi0, weights, dts, cells, out):
+        deviation = blocks(self, phi0, weights, dts, cells, out)
+        out[dts >= 3.0] *= 1 + 1e-6
+        return deviation
+
+    monkeypatch.setattr(exact._SegmentPropagator, "blocks", inflated)
+    with pytest.raises(NumericalFailure, match=r"block trace off the member norms by "
+                                               r"1\.0\de-06 at t=3$"):
+        run_exact(system, real, ens, np.linspace(0.0, 16.0, 17))
+
+
 def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
     real = two_band_realization(v0=20, v1=30, seed=21)
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)

@@ -508,9 +508,12 @@ def test_target_window_is_first_brute_force_hit(layout):
     n = centers.size
     table = RateTable(centers, np.ones(n), 2.0 * tol, np.zeros((n, n, 1, 1), dtype=complex))
     assert table.resonance_tol == tol
-    x = centers[j] + omega
-    hits = [i for i in range(centers.size) if abs(centers[i] - x) <= tol]
-    assert table.target_window(j, omega) == (hits[0] if hits else None)
+    hits = [i for i in range(centers.size) if abs((centers[i] - centers[j]) - omega) < tol]
+    target = table.target_window(j, omega)
+    assert target == (hits[0] if hits else None)
+    # windows at least delta apart: the jump and its reverse exist together
+    if target is not None and np.all(np.diff(centers) >= 2.0 * tol):
+        assert table.target_window(target, -omega) == j
 
 
 # ---------------------------------------------------------------------------
