@@ -127,7 +127,6 @@ class ConditionedState:
     """
 
     blocks: dict[tuple[int, ...], np.ndarray]
-    time: float = 0.0
 
     def populations(self) -> dict[tuple[int, tuple[int, ...]], float]:
         out = {}

@@ -12,6 +12,8 @@ eigenbasis (the energy-eigenbasis evaluation of <O(t)>, D'Alessio et al.,
 Adv. Phys. 65, 239 (2016)), so their cost per grid point does not grow with
 the number of members; member states are built only where something reads
 them: the quench carries and the mutual-information samples.
+:func:`run_exact` does all of this in one pass over the protocol segments
+the time grid reaches.
 """
 
 from __future__ import annotations
@@ -44,19 +46,6 @@ BATCH_BYTES = 2 * 2**20
 # anew, so a batch spans as many points as fit, in the presets a whole segment
 FORM_BYTES = 2**19
 PHASE_BYTES = 16 * 2**20
-
-
-@dataclass
-class FullModel:
-    """Total Hamiltonian H_S (x) 1 + lam sum_a S^a (x) B^a + 1 (x) H_B by invariant sectors.
-
-    ``sectors`` holds (index, block) pairs: the ascending basis indices
-    k * d_b + n of one connected component (see :func:`sector_components`)
-    and the dense Hermitian block H[index][:, index].  H has no elements
-    between different components.
-    """
-
-    sectors: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -119,13 +108,17 @@ def assemble(
     realization: BathRealization,
     dim_cap: int = DEFAULT_DIM_CAP,
     components: list[np.ndarray] | None = None,
-) -> FullModel:
-    """Exact blocks of H on ``components`` (default: all of them).
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact blocks of H = H_S (x) 1 + lam sum_a S^a (x) B^a + 1 (x) H_B on ``components``.
 
-    Re-invoked for every protocol segment.  Each block is built from the
-    system levels and the B^a blocks between the component's windows, with
-    the same floating-point operations as the dense Kronecker form, so a
-    component spanning the whole basis reproduces the dense H exactly.
+    Returns one (index, block) pair per component (default: all of them,
+    see :func:`sector_components`): its ascending basis indices k * d_b + n
+    and the dense Hermitian block H[index][:, index].  H has no elements
+    between different components.  Re-invoked for every protocol segment.
+    Each block is built from the system levels and the B^a blocks between
+    the component's windows, with the same floating-point operations as the
+    dense Kronecker form, so a component spanning the whole basis reproduces
+    the dense H exactly.
     """
     levels = np.asarray(levels, dtype=float)
     d_s = len(levels)
@@ -156,7 +149,7 @@ def assemble(
                     if s_op[k, l] != 0:
                         h[rows, cols] += lam * (s_op[k, l] * b_op[slices[i], slices[j]])
         sectors.append((index, h))
-    return FullModel(sectors)
+    return sectors
 
 
 def prepare_initial(
@@ -251,7 +244,8 @@ class _SegmentPropagator:
         self.dim = dim
 
     def prepare(self, psi: np.ndarray) -> list[np.ndarray]:
-        return [evecs.conj().T @ psi[index] for index, _, evecs in self.eig]
+        # V^dag psi as conj(V^T conj(psi)), which reads V without a conjugated copy
+        return [(evecs.T @ psi[index].conj()).conj() for index, _, evecs in self.eig]
 
     def states(self, phi0: list[np.ndarray], dts: np.ndarray):
         """Yield the member matrix at each time offset in ``dts``, one product per sector.
@@ -370,122 +364,6 @@ def _cells(occupied: list[np.ndarray], d_b: int, windows: list[EnergyWindow]) ->
     return cells
 
 
-def _occupied(index: np.ndarray, members: np.ndarray) -> bool:
-    """Whether any member has a nonzero amplitude on these basis indices."""
-    return bool(np.any(members[index] != 0))
-
-
-def _levels_key(levels: np.ndarray) -> tuple:
-    return tuple(np.round(levels, 12))
-
-
-def propagate(
-    ensemble: FullEnsemble,
-    system: SystemSpec,
-    realization: BathRealization,
-    t_grid: np.ndarray,
-    dim_cap: int,
-    occupied: list[np.ndarray],
-    counts: dict | None = None,
-    *,
-    explicit: np.ndarray | None = None,
-    blocks: np.ndarray | None = None,
-):
-    """Yield (t, levels in force, member matrix) along a grid through the protocol.
-
-    ``occupied`` lists the sector components (see :func:`sector_components`)
-    the members occupy; only those are assembled and diagonalized, once per
-    distinct level set.  The segments are ``SystemSpec.grid_segments``, so a
-    quench must sit on the grid; there the members are carried to the
-    boundary and the Hamiltonian is switched.  A point on a segment's start
-    gets the members as they are.  Elsewhere the member matrix is built only
-    at the points the boolean mask ``explicit`` selects (default: all), in
-    batches of at most ``BATCH_BYTES`` of stacked phases, one eigenvector
-    product per sector for each batch (see :meth:`_SegmentPropagator.states`);
-    the other points yield None.
-
-    ``blocks``, if given, is an array (len(t_grid), n_win, d_s, d_s) that
-    receives every point's coarse-grained blocks: at a segment start by
-    :func:`coarse_grain` of the members, so windows they do not occupy hold
-    exactly 0, and elsewhere from quadratic forms in the eigenbasis (see
-    :meth:`_SegmentPropagator.blocks`), which build no member matrix.
-
-    ``counts``, if given, gets the explicit products (quench carries and
-    batches) added to ``"propagate_products"``, the side of every
-    diagonalized block appended to ``"diag_dims"`` and, with ``blocks``, the
-    number of quadratic-form cells per segment as ``"qf_cells"``.  The scheme
-    is exact diagonalization, so norms are preserved to roundoff: a member
-    norm drift beyond ``NORM_TOL`` (read from the phases, see
-    :meth:`_SegmentPropagator.norms`) aborts at the first grid point where it
-    shows, and so do, with ``blocks``, a Gram sum V^dag V off the identity and
-    a block trace off the weighted squared norms.
-    """
-    dim = system.dim * bath_dimension(realization.windows)
-    members = ensemble.members.shape[1]
-    batch = max(1, BATCH_BYTES // (16 * members * sum(c.size for c in occupied)))
-    explicit = np.ones(t_grid.size, dtype=bool) if explicit is None else explicit
-    props: dict[tuple, _SegmentPropagator] = {}
-    counts = {} if counts is None else counts
-    counts.setdefault("propagate_products", 0)
-    counts.setdefault("diag_dims", [])
-    if blocks is not None:
-        cells = _cells(occupied, bath_dimension(realization.windows), realization.windows)
-        counts["qf_cells"] = sum(len(group) for group in cells.values())
-
-    def propagator_for(levels: np.ndarray) -> _SegmentPropagator:
-        key = _levels_key(levels)
-        if key not in props:
-            model = assemble(levels, system.couplings[0], realization, dim_cap, occupied)
-            props[key] = _SegmentPropagator(model.sectors, dim)
-            counts["diag_dims"] += [int(index.size) for index, _ in model.sectors]
-        return props[key]
-
-    def explicit_states(prop, phi0, dts):
-        for start in range(0, dts.size, batch):
-            counts["propagate_products"] += len(prop.eig)
-            yield from prop.states(phi0, dts[start : start + batch])
-
-    psi, prop, first = ensemble.members, None, 0
-    for _, seg, t0, _, grid in system.grid_segments(t_grid):
-        if prop is not None:
-            # carry the members across the quench, then switch the Hamiltonian
-            (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
-            counts["propagate_products"] += len(prop.eig)
-        prop = propagator_for(seg.levels)
-        phi0, seg_t0 = prop.prepare(psi), t0
-        lo, first = first, first + grid.size
-        if grid.size and abs(grid[0] - t0) < 1e-12:
-            # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
-            _check_norms(psi, grid[0])
-            if blocks is not None:
-                blocks[lo] = coarse_grain(psi, ensemble.weights, system.dim, realization.windows)[1]
-            yield grid[0], seg.levels, psi
-            grid, lo = grid[1:], lo + 1
-        if not grid.size:
-            continue
-        dts = grid - seg_t0
-        norms = prop.norms(phi0, dts)
-        if blocks is not None:
-            deviation = prop.blocks(phi0, ensemble.weights, dts, cells, blocks[lo:first])
-            if not deviation <= NORM_TOL:
-                raise NumericalFailure(f"eigenvectors off unitary by {deviation:.2e} "
-                                       f"in the segment from t={t0:g}")
-            trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:first]).real
-                                 - norms**2 @ ensemble.weights)
-        wanted = explicit[lo:first]
-        states = explicit_states(prop, phi0, dts[wanted])
-        for n, t in enumerate(grid):
-            _check_drift(norms[n], t)
-            if blocks is not None and not trace_drift[n] <= NORM_TOL:
-                raise NumericalFailure(f"block trace off the member norms by "
-                                       f"{trace_drift[n]:.2e} at t={t:g}")
-            yield t, seg.levels, next(states) if wanted[n] else None
-
-
-def _check_norms(psi: np.ndarray, t: float):
-    _check_drift(np.linalg.norm(psi, axis=0), t)
-
-
 def _check_drift(norms: np.ndarray, t: float):
     drift = np.max(np.abs(norms - 1.0))
     # negated so that a NaN drift fails too
@@ -567,14 +445,30 @@ def run_exact(
 ) -> Trajectory:
     """Full benchmark run: propagate, coarse-grain, optionally track mutual information.
 
-    Populations and blocks come from quadratic forms in each segment's
-    eigenbasis (see :func:`propagate`), so their cost per grid point does not
-    grow with the member count; member matrices are built only for the
-    quench carries and the mutual-information samples.  ``mi_stride`` > 0
-    samples the quantum mutual information every that many grid points;
-    each sample diagonalizes one matrix of side min(d_b, d_s * members) (see
-    :func:`quantum_mutual_information`).  ``meta`` records ``mi_samples``
-    and that side as ``mi_gram_dim`` (0 without samples), as
+    Only the sector components (see :func:`sector_components`) the members
+    occupy are assembled and diagonalized, once per distinct level set.  The
+    segments are ``SystemSpec.grid_segments``, so a quench must sit on the
+    grid; there the members are carried to the boundary and the Hamiltonian
+    is switched.  A point on a segment's start is coarse-grained from the
+    members as they are (see :func:`coarse_grain`), so windows they do not
+    occupy hold exactly 0; elsewhere populations and blocks come from
+    quadratic forms in the segment's eigenbasis (see
+    :meth:`_SegmentPropagator.blocks`), whose cost per grid point does not
+    grow with the member count.  Member matrices are built only for the
+    quench carries and the mutual-information samples: ``mi_stride`` > 0
+    samples the quantum mutual information every that many grid points, the
+    members of a segment's samples built in batches of at most
+    ``BATCH_BYTES`` of stacked phases, one eigenvector product per sector
+    each (see :meth:`_SegmentPropagator.states`); each sample diagonalizes
+    one matrix of side min(d_b, d_s * members) (see
+    :func:`quantum_mutual_information`).
+
+    The scheme is exact diagonalization, so norms are preserved to roundoff:
+    a member norm drift beyond ``NORM_TOL`` (read from the phases, see
+    :meth:`_SegmentPropagator.norms`) or a block trace off the weighted
+    squared norms aborts at the first grid point where it shows, and a Gram
+    sum V^dag V off the identity aborts the segment.  ``meta`` records
+    ``mi_samples`` and that side as ``mi_gram_dim`` (0 without samples), as
     ``propagate_products`` the number of explicit eigenvector products (the
     quench carries and the batches of MI samples), as ``qf_cells`` the
     number of quadratic-form cells per segment and as ``diag_dims`` the side
@@ -592,30 +486,69 @@ def run_exact(
         )
 
     d_s = system.dim
-    d_b = bath_dimension(realization.windows)
+    windows = realization.windows
+    n_win = len(windows)
+    d_b = bath_dimension(windows)
+    weights = ensemble.weights
     # the split depends on S and B only, so it holds for every segment
     components = sector_components(system.couplings[0], realization)
-    occupied = [c for c in components if _occupied(c, ensemble.members)]
-    n_win = len(realization.windows)
+    occupied = [c for c in components if np.any(ensemble.members[c] != 0)]
+    cells = _cells(occupied, d_b, windows)
+    batch = max(1, BATCH_BYTES // (16 * ensemble.members.shape[1] * sum(c.size for c in occupied)))
 
-    levels_out = np.zeros((t_grid.size, d_s))
     blocks = np.zeros((t_grid.size, n_win, d_s, d_s), dtype=complex)
-    explicit = np.zeros(t_grid.size, dtype=bool)
+    sampled = np.zeros(t_grid.size, dtype=bool)
     if mi_stride:
-        explicit[::mi_stride] = True
-    mi_times, mi_vals = [], []
-    counts: dict[str, int] = {}
-    walk = propagate(ensemble, system, realization, t_grid, dim_cap, occupied, counts,
-                     explicit=explicit, blocks=blocks)
-    for n, (t, levels, psi) in enumerate(walk):
-        levels_out[n] = levels
-        if explicit[n]:
-            mi_times.append(t)
-            mi_vals.append(
-                quantum_mutual_information(
-                    psi, ensemble.weights, d_s, d_b, ensemble.subspace_entropy
-                )
-            )
+        sampled[::mi_stride] = True
+    mi_vals = []
+    props: dict[tuple, _SegmentPropagator] = {}
+    diag_dims: list[int] = []
+    products = 0
+
+    def mutual_information(psi: np.ndarray) -> float:
+        return quantum_mutual_information(psi, weights, d_s, d_b, ensemble.subspace_entropy)
+
+    psi, prop, end = ensemble.members, None, 0
+    for _, seg, t0, _, grid in system.grid_segments(t_grid):
+        if prop is not None:
+            # carry the members across the quench, then switch the Hamiltonian
+            (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
+            products += len(prop.eig)
+        key = tuple(np.round(seg.levels, 12))
+        if key not in props:
+            # no reference to the Hamiltonian blocks outlives their diagonalization
+            props[key] = _SegmentPropagator(
+                assemble(seg.levels, system.couplings[0], realization, dim_cap, occupied),
+                d_s * d_b)
+            diag_dims += [evals.size for _, evals, _ in props[key].eig]
+        prop = props[key]
+        phi0, seg_t0 = prop.prepare(psi), t0
+        lo, end = end, end + grid.size
+        if grid.size and abs(grid[0] - t0) < 1e-12:
+            # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
+            _check_drift(np.linalg.norm(psi, axis=0), grid[0])
+            blocks[lo] = coarse_grain(psi, weights, d_s, windows)[1]
+            if sampled[lo]:
+                mi_vals.append(mutual_information(psi))
+            grid, lo = grid[1:], lo + 1
+        if not grid.size:
+            continue
+        dts = grid - seg_t0
+        norms = prop.norms(phi0, dts)
+        deviation = prop.blocks(phi0, weights, dts, cells, blocks[lo:end])
+        if not deviation <= NORM_TOL:
+            raise NumericalFailure(f"eigenvectors off unitary by {deviation:.2e} "
+                                   f"in the segment from t={t0:g}")
+        trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:end]).real - norms**2 @ weights)
+        for n, t in enumerate(grid):
+            _check_drift(norms[n], t)
+            if not trace_drift[n] <= NORM_TOL:
+                raise NumericalFailure(f"block trace off the member norms by "
+                                       f"{trace_drift[n]:.2e} at t={t:g}")
+        wanted = dts[sampled[lo:end]]
+        for start in range(0, wanted.size, batch):
+            products += len(prop.eig)
+            mi_vals += map(mutual_information, prop.states(phi0, wanted[start : start + batch]))
 
     joint_index = [(k, (j,)) for j in range(n_win) for k in range(d_s)]
     return Trajectory(
@@ -624,21 +557,22 @@ def run_exact(
         joint_index=joint_index,
         # columns: all levels of window 0, then window 1, ...
         populations=np.einsum("tjkk->tjk", blocks).real.reshape(t_grid.size, -1),
-        level_energies=levels_out,
+        level_energies=np.stack([seg.levels for seg in system.protocol])[
+            system.segment_index(t_grid)],
         bath_centers=[realization.centers],
         bath_volumes=[realization.volumes.astype(float)],
         blocks={(j,): np.ascontiguousarray(blocks[:, j]) for j in range(n_win)},
         mi=np.array(mi_vals) if mi_vals else None,
-        mi_times=np.array(mi_times) if mi_times else None,
+        mi_times=t_grid[sampled] if mi_vals else None,
         meta={
             "ensemble": ensemble.kind,
             "members": int(ensemble.members.shape[1]),
             "dimension": d_s * d_b,
             "sector_dims": [int(c.size) for c in components],
             # one entry per diagonalized block, once per distinct level set
-            "diag_dims": counts["diag_dims"],
-            "propagate_products": counts["propagate_products"],
-            "qf_cells": counts["qf_cells"],
+            "diag_dims": diag_dims,
+            "propagate_products": products,
+            "qf_cells": sum(len(group) for group in cells.values()),
             "mi_samples": len(mi_vals),
             "mi_gram_dim": min(d_b, d_s * ensemble.members.shape[1]) if mi_vals else 0,
         },

@@ -12,7 +12,6 @@ from finitebath.exact import (
     assemble,
     coarse_grain,
     prepare_initial,
-    propagate,
     quantum_mutual_information,
     run_exact,
     sector_components,
@@ -34,19 +33,13 @@ def spin():
     return SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X]])
 
 
-def walk(ens, real, t_grid):
-    """The exact walker for a static spin over the components the ensemble occupies."""
-    occupied = [c for c in sector_components([SIGMA_X], real) if np.any(ens.members[c])]
-    return propagate(ens, spin(), real, t_grid, exact.DEFAULT_DIM_CAP, occupied)
-
-
 def test_assemble_uncoupled_spectrum_is_sum_of_levels():
     real = two_band_realization(v0=3, v1=4, lam=0.0, seed=2)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
     # the sectors partition the basis
-    covered = np.sort(np.concatenate([index for index, _ in model.sectors]))
+    covered = np.sort(np.concatenate([index for index, _ in model]))
     assert np.array_equal(covered, np.arange(2 * 7))
-    evals = np.sort(np.concatenate([np.linalg.eigvalsh(h) for _, h in model.sectors]))
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(h) for _, h in model]))
     micro = real.microlevels()
     expect = np.sort(np.concatenate([micro + 0.0, micro + 1.0]))
     assert np.allclose(evals, expect, atol=1e-12)
@@ -55,7 +48,7 @@ def test_assemble_uncoupled_spectrum_is_sum_of_levels():
 def test_assemble_hermitian_and_capped():
     real = two_band_realization(v0=5, v1=6, seed=3)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    for _, h in model.sectors:
+    for _, h in model:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
     with pytest.raises(DimensionCapExceeded):
         assemble(np.array([0.0, 1.0]), [SIGMA_X], real, dim_cap=10)
@@ -67,7 +60,7 @@ def test_assemble_single_level_windows_coupling_block():
     # basis ordering: (k, i) -> k * d_b + i; resonant pair (1, E0) <-> (0, E1)
     idx_1e0 = 1 * 2 + 0
     idx_0e1 = 0 * 2 + 1
-    index, h = next(sec for sec in model.sectors if idx_1e0 in sec[0])
+    index, h = next(sec for sec in model if idx_1e0 in sec[0])
     assert list(index) == [idx_0e1, idx_1e0]
     assert h[1, 0] == pytest.approx(0.05 * 0.6)
     assert h[1, 1] == pytest.approx(1.0 - 0.25)
@@ -114,15 +107,12 @@ def test_propagate_identity_at_origin_and_frozen_when_uncoupled():
     real = two_band_realization(v0=4, v1=5, lam=0.0, seed=4)
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 8.0, 5)
-    pops = []
-    for t, _, psi in walk(ens, real, t_grid):
-        if t == 0.0:
-            assert np.allclose(psi, ens.members, atol=1e-12)
-        p, _ = coarse_grain(psi, ens.weights, 2, real.windows)
-        pops.append(p)
+    pops = run_exact(spin(), real, ens, t_grid).populations
+    p0, _ = coarse_grain(ens.members, ens.weights, 2, real.windows)
+    assert np.allclose(pops[0], p0.T.ravel(), atol=1e-12)
     assert np.allclose(pops[0], pops[-1], atol=1e-12)
     with pytest.raises(ConfigurationError, match="strictly increasing"):
-        next(walk(ens, real, t_grid[::-1]))
+        run_exact(spin(), real, ens, t_grid[::-1])
 
 
 def test_propagate_rabi_oscillation_against_two_level_oracle():
@@ -130,21 +120,23 @@ def test_propagate_rabi_oscillation_against_two_level_oracle():
     lam, b = 0.05, 0.6
     ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 40.0, 81)
-    for t, _, psi in walk(ens, real, t_grid):
-        p, _ = coarse_grain(psi, ens.weights, 2, real.windows)
-        assert p[1, 0] == pytest.approx(np.cos(lam * b * t) ** 2, abs=1e-10)
+    traj = run_exact(spin(), real, ens, t_grid)
+    # column 1: level 1 of window 0
+    for t, p in zip(t_grid, traj.populations[:, 1]):
+        assert p == pytest.approx(np.cos(lam * b * t) ** 2, abs=1e-10)
 
 
 def test_propagate_conserves_norm_and_energy():
     real = two_band_realization(v0=30, v1=40, seed=5)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
     ens = prepare_initial("typicality", real.windows, 0, 1, 2, members=3, seed=8)
+    prop = exact._SegmentPropagator(model, ens.members.shape[0])
     e0 = None
-    for t, _, psi in walk(ens, real, np.linspace(0.0, 50.0, 6)):
+    for psi in prop.states(prop.prepare(ens.members), np.linspace(0.0, 50.0, 6)):
         assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
         energy = sum(
             np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
-            for index, h in model.sectors
+            for index, h in model
         )
         if e0 is None:
             e0 = energy
@@ -166,8 +158,9 @@ def test_mutual_information_zero_for_product_and_bounded():
     d_b = sum(w.volume for w in real.windows)
     mi0 = quantum_mutual_information(ens.members, ens.weights, 2, d_b, ens.subspace_entropy)
     assert abs(mi0) < 1e-10
-    for t, _, psi in walk(ens, real, np.array([0.0, 30.0, 80.0])):
-        mi = quantum_mutual_information(psi, ens.weights, 2, d_b, ens.subspace_entropy)
+    traj = run_exact(spin(), real, ens, np.array([0.0, 30.0, 80.0]), mi_stride=1)
+    assert traj.meta["mi_samples"] == 3
+    for mi in traj.mi:
         assert -1e-10 <= mi <= 2 * np.log(2) + 1e-10
 
 
@@ -364,9 +357,9 @@ def test_sector_blocks_are_the_dense_hamiltonian(case):
     levels = np.array([0.0, 1.0])
     model = assemble(levels, [s_op], real)
     dense = dense_hamiltonian(levels, [s_op], real)
-    assert [index.size for index, _ in model.sectors] == dims
+    assert [index.size for index, _ in model] == dims
     outside = np.ones(dense.shape, dtype=bool)
-    for index, h in model.sectors:
+    for index, h in model:
         assert np.array_equal(h, dense[np.ix_(index, index)])
         outside[np.ix_(index, index)] = False
     assert not np.any(dense[outside])
@@ -418,7 +411,7 @@ def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
     # one block per segment, each the occupied component's
     assert len(diagonalized) == 2
     for h, levels in zip(diagonalized, ([0.0, 1.0], [0.0, 1.3])):
-        (index, block), = assemble(np.array(levels), [SIGMA_X], real, components=[occupied]).sectors
+        (index, block), = assemble(np.array(levels), [SIGMA_X], real, components=[occupied])
         assert np.array_equal(h, block)
     assert traj.meta["diag_dims"] == [occupied.size, occupied.size]
     assert traj.meta["sector_dims"] == [unoccupied.size, occupied.size]
@@ -457,15 +450,14 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
     batch_of(monkeypatch, 3, ens.members.shape[1], sum(c.size for c in occupied))
     # 7 points before the quench and 10 after: neither a multiple of the batch
     t_grid = np.linspace(0.0, 16.0, 17)
-    counts = {}
-    walk = propagate(ens, system, real, t_grid, exact.DEFAULT_DIM_CAP, occupied, counts)
-    states = list(walk)
-    assert [t for t, _, _ in states] == list(t_grid)
-    for (t, _, psi), ref in zip(states, dense_reference_states(system, real, ens, t_grid)):
-        assert np.max(np.abs(psi - ref)) <= 1e-12, t
+    traj = run_exact(system, real, ens, t_grid, mi_stride=1)
+    assert np.array_equal(traj.mi_times, t_grid)
+    d_b = real.matrices[0].shape[0]
+    for t, mi, ref in zip(t_grid, traj.mi, dense_reference_states(system, real, ens, t_grid)):
+        assert abs(mi - dense_mutual_information(ref, ens.weights, 2, d_b)[0]) <= 1e-12, t
     # each segment's start point is the carried members themselves; then
     # batches of 3 + 3 and 3 + 3 + 3 points, and the carry across the quench
-    assert counts["propagate_products"] == n_occupied * (2 + 3 + 1)
+    assert traj.meta["propagate_products"] == n_occupied * (2 + 3 + 1)
 
 
 def quench_walker_case(case):
@@ -515,6 +507,23 @@ def test_mutual_information_samples_leave_the_populations_as_they_are():
         assert np.array_equal(sampled.blocks[key], series)
 
 
+def test_run_exact_calls_the_traced_functions_per_level_set_segment_start_and_sample(
+        monkeypatch):
+    # perfbench/trace.py times these three through their module attributes
+    real, system, ens, _ = quench_walker_case("two-sectors")
+    calls = dict.fromkeys(["assemble", "coarse_grain", "quantum_mutual_information"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(exact, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counted)
+    traj = run_exact(system, real, ens, np.linspace(0.0, 16.0, 17), mi_stride=3)
+    # two level sets, two segment starts (t = 0 and the quench at t = 7)
+    assert calls == {"assemble": 2, "coarse_grain": 2,
+                     "quantum_mutual_information": traj.meta["mi_samples"]}
+
+
 def test_eigenvectors_off_unitary_are_refused(monkeypatch):
     real, system, ens, _ = quench_walker_case("whole")
     eigh = exact._eigh
@@ -550,22 +559,22 @@ def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
         return evals + 1.5e-9j, evecs
 
     monkeypatch.setattr(exact, "_eigh", leaky_eigh)
-    batch_of(monkeypatch, 3, ens.members.shape[1], 50)
-    seen = []
+    # mutual-information samples at every point, in batches 1-4, 5-8, 9-12:
+    # t = 7 sits inside the batch 5, 6, 7, 8
+    batch_of(monkeypatch, 4, ens.members.shape[1], 50)
     with pytest.raises(NumericalFailure, match=r"at t=7$"):
-        for t, _, _ in walk(ens, real, np.linspace(0.0, 12.0, 13)):
-            seen.append(t)
-    # t = 7 sits inside the batch 6, 7, 8
-    assert seen == list(range(7))
+        run_exact(spin(), real, ens, np.linspace(0.0, 12.0, 13), mi_stride=1)
 
 
 def test_check_norms_refuses_a_nan_member():
-    psi = np.zeros((4, 2), dtype=complex)
-    psi[0, 0] = psi[1, 1] = 1.0
-    exact._check_norms(psi, 0.0)
-    psi[2, 1] = np.nan
-    with pytest.raises(NumericalFailure, match="at t=3"):
-        exact._check_norms(psi, 3.0)
+    real = two_band_realization(v0=4, v1=5, seed=4)
+    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    t_grid = np.linspace(0.0, 3.0, 4)
+    run_exact(spin(), real, ens, t_grid)
+    # a zero amplitude of member 1, in the occupied window
+    ens.members[9, 1] = np.nan
+    with pytest.raises(NumericalFailure, match="member norm drifted by nan at t=0$"):
+        run_exact(spin(), real, ens, t_grid)
 
 
 def quench_ci_exact():
