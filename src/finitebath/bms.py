@@ -18,7 +18,7 @@ import scipy
 
 from .emme import SystemSpec, _walk_segments, s_omega_decomposition
 from .errors import ConfigurationError
-from .rates import RateTable
+from .rates import RateTable, frequency
 from .thermo import effective_temperature
 from .trajectory import Trajectory
 
@@ -80,7 +80,7 @@ def bms_rates_from_table(
     transients, never the (Gibbs) fixed point.
     """
     down = {}
-    gaps = {round(float(a - b), 12) for seg in system.protocol for a in seg.levels
+    gaps = {frequency(b, a) for seg in system.protocol for a in seg.levels
             for b in seg.levels if a > b}
     for omega in sorted(gaps):
         j_up = table.target_window(initial_window, omega)

@@ -20,11 +20,11 @@ import numpy as np
 import scipy
 
 from .errors import ConfigurationError, NumericalFailure
-from .rates import RateTable, lamb_shift, transition_rates, xi_integral, zeta
+from .rates import RateTable, frequency, lamb_shift, transition_rates, xi_integral, zeta
 from .trajectory import Trajectory
 
 POSITIVITY_TOL = 1e-10
-# largest relative change of the total probability the population route accepts
+# largest relative change of the total probability either route accepts
 TRACE_TOL = 1e-8
 # the closed-form propagator of a shell component reads its populations in
 # the coordinates Pi^{-1/2} p, so the eigenvectors' round-off reaches p
@@ -151,19 +151,11 @@ def s_omega_decomposition(s_op: np.ndarray, levels: np.ndarray) -> dict[float, n
         for q in range(d):
             if s_op[k, q] == 0:
                 continue
-            omega = round(float(levels[q] - levels[k]), 12)
+            omega = frequency(levels[k], levels[q])
             if omega not in pieces:
                 pieces[omega] = np.zeros((d, d), dtype=complex)
             pieces[omega][k, q] = s_op[k, q]
     return pieces
-
-
-def _merge_omegas(per_op: list[dict[float, np.ndarray]], d: int) -> dict[float, list[np.ndarray]]:
-    omegas = sorted({w for p in per_op for w in p})
-    return {
-        w: [p.get(w, np.zeros((d, d), dtype=complex)) for p in per_op]
-        for w in omegas
-    }
 
 
 def _omega_sets(couplings: list[list[np.ndarray]], levels: np.ndarray) -> list[set[float]]:
@@ -236,8 +228,11 @@ class EmmeGenerator:
     ``dissipators[nu]`` holds bath nu's loss anticommutator and its gains,
     each gain fed by the block whose bath energy is lower by the emitted
     quantum, which conserves the coarse-grained total energy.  ``markov`` is
-    their sum.  A bath's superoperator blocks depend only on its window, so
-    each is built once per window (or window pair) and shared by the blocks.
+    their sum.  A bath's superoperator blocks depend only on its window:
+    one pass per window the keys visit builds the block from each source
+    window (its gains summed in frequency order; the window's own block
+    also subtracts half the loss anticommutator), and every key whose
+    source key exists shares it.
     """
 
     def __init__(
@@ -262,21 +257,14 @@ class EmmeGenerator:
         self._s_omegas: list[dict[float, list[np.ndarray]]] = []
         self.dissipators: list[scipy.sparse.csr_array] = []
         for nu, (table, s_ops) in enumerate(zip(tables, couplings)):
-            s_omega = _merge_omegas([s_omega_decomposition(s, levels) for s in s_ops], d)
+            pieces = [s_omega_decomposition(s, levels) for s in s_ops]
+            zero = np.zeros((d, d), dtype=complex)
+            s_omega = {w: [p.get(w, zero) for p in pieces]
+                       for w in sorted({w for p in pieces for w in p})}
             self._s_omegas.append(s_omega)
-            sources = {}  # window -> the source window of each frequency's gain, or None
 
-            def gain(j: int, j_dn: int) -> np.ndarray:
-                # rate gamma(E, E - omega)/V_{E-omega}, over the frequencies fed from j_dn
-                out = np.zeros((d * d, d * d), dtype=complex)
-                g = table.gamma[j, j_dn] / table.volumes[j_dn]
-                for ops, src in zip(s_omega.values(), sources[j]):
-                    if src == j_dn:
-                        for a, ap in zip(*np.nonzero(g)):
-                            out += g[a, ap] * _kron(ops[a], ops[ap].conj())
-                return out
-
-            def diagonal(j: int) -> np.ndarray:
+            def window_blocks(j: int) -> dict[int, np.ndarray]:
+                blocks: dict[int, np.ndarray] = {}  # source window -> its block into window j
                 loss = np.zeros((d, d), dtype=complex)
                 for omega, ops in s_omega.items():
                     # loss: bath window at E + omega absorbs the emitted quantum
@@ -285,32 +273,27 @@ class EmmeGenerator:
                         g = table.gamma[j_up, j] / table.volumes[j]
                         for a, ap in zip(*np.nonzero(g)):
                             loss += g[a, ap] * (ops[ap].conj().T @ ops[a])
-                anticommutator = _kron(loss, eye) + _kron(eye, loss.T)
-                return (gain(j, j) if j in sources[j] else 0.0) - 0.5 * anticommutator
+                    # gain at rate gamma(E, E - omega)/V_{E-omega}, fed from the window below
+                    j_dn = table.target_window(j, -omega)
+                    if j_dn is not None:
+                        g = table.gamma[j, j_dn] / table.volumes[j_dn]
+                        out = blocks.setdefault(j_dn, np.zeros((d * d, d * d), dtype=complex))
+                        for a, ap in zip(*np.nonzero(g)):
+                            out += g[a, ap] * _kron(ops[a], ops[ap].conj())
+                blocks[j] = blocks.get(j, 0.0) - 0.5 * (_kron(loss, eye) + _kron(eye, loss.T))
+                return blocks
 
-            sups: list[np.ndarray] = []
-            position: dict[tuple[int, int], int] = {}
-            rows, cols, ids = [], [], []
+            visited = {j: window_blocks(j) for j in {key[nu] for key in self.keys}}
+            rows, cols, sups = [], [], []
             for n, key in enumerate(self.keys):
-                j = key[nu]
-                if j not in sources:
-                    sources[j] = [table.target_window(j, -omega) for omega in s_omega]
-                for j_src in dict.fromkeys([j] + sources[j]):
-                    if j_src is None:
-                        continue
+                for j_src, sup in visited[key[nu]].items():
                     src = key_index.get(key[:nu] + (j_src,) + key[nu + 1 :])
-                    if src is None:
-                        continue
-                    if (j, j_src) not in position:
-                        position[(j, j_src)] = len(sups)
-                        sups.append(diagonal(j) if j_src == j else gain(j, j_src))
-                    rows.append(n)
-                    cols.append(src)
-                    ids.append(position[(j, j_src)])
+                    if src is not None:
+                        rows.append(n)
+                        cols.append(src)
+                        sups.append(sup)
             self.dissipators.append(_packed_operator(
-                np.array(rows, dtype=int), np.array(cols, dtype=int),
-                np.array(sups).reshape(-1, d * d, d * d)[ids], n_blocks, d,
-            ))
+                np.array(rows), np.array(cols), np.array(sups), n_blocks, d))
 
     @cached_property
     def coherent(self) -> scipy.sparse.csr_array:
@@ -392,34 +375,6 @@ def _walk_segments(
     return recorded, np.concatenate(states), levels
 
 
-def _integrate_segments(
-    system: SystemSpec,
-    t_grid: np.ndarray,
-    y0: np.ndarray,
-    segment_rhs: Callable[[int, ProtocolSegment], Callable[[float, np.ndarray], np.ndarray]],
-    rtol: float,
-    atol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate y' = segment_rhs(n, seg)(t, y) with DOP853 across the protocol on the grid.
-
-    ``segment_rhs`` is called once for every segment n the grid reaches; the
-    walk and the result are those of :func:`_walk_segments`.
-    """
-    def segment_solver(n, seg):
-        rhs = segment_rhs(n, seg)
-
-        def solve(t0, y, times):
-            sol = scipy.integrate.solve_ivp(rhs, (t0, times[-1]), y, method="DOP853",
-                                            t_eval=times, rtol=rtol, atol=atol)
-            if not sol.success:
-                raise NumericalFailure(f"integrator failed: {sol.message}")
-            return sol.y.T
-
-        return solve
-
-    return _walk_segments(system, t_grid, y0, segment_solver)
-
-
 def dissipator_envelope(tables: list[RateTable], variant: str, t_origin: float = 0.0):
     """t -> the factor of each bath's dissipator at t, for one variant of the equation.
 
@@ -436,11 +391,11 @@ def dissipator_envelope(tables: list[RateTable], variant: str, t_origin: float =
 def _distinct_levels(levels: np.ndarray) -> bool:
     """Whether no two transitions out of (or into) one level share a frequency.
 
-    Frequencies are rounded as in :func:`s_omega_decomposition`; then every
+    Frequencies are rounded by :func:`rates.frequency`; then every
     S_omega has at most one element per row and per column, so each
     dissipator and the energy shifts map diagonal blocks to diagonal blocks.
     """
-    omegas = [[round(float(b - a), 12) for b in levels] for a in levels]
+    omegas = [[frequency(a, b) for b in levels] for a in levels]
     return all(len(set(row)) == len(row) for row in omegas + [list(c) for c in zip(*omegas)])
 
 
@@ -556,20 +511,23 @@ def evolve(
 ) -> Trajectory:
     """Solve the conditioned-state master equation on a time grid.
 
-    Population route: when every initial block is diagonal (with a real
-    diagonal), every segment's levels are distinct (see
-    :func:`_distinct_levels`) and the variant is Markov or all baths share
-    one window width, the blocks stay diagonal and the populations follow
-    p' = f(t) W p with one envelope f, solved in closed form (see
-    :func:`_population_solver`).  Otherwise the integrator route runs DOP853
-    on the packed blocks at the fixed tolerances RTOL/ATOL.  The trace is
-    conserved by the generator and is deliberately not renormalized; drift
-    beyond tolerance indicates a bug, not noise.  At protocol quenches the
-    state is carried across continuously while the level energies and jump
-    operators are rebuilt.  Raises on a population (population route) or
-    block eigenvalue (integrator route) below -``POSITIVITY_TOL``, and on a
+    The route is chosen once; one walk of the protocol (see
+    :func:`_walk_segments`) applies its segment solver.  Population route:
+    when every initial block is diagonal (with a real diagonal), every
+    segment's levels are distinct (see :func:`_distinct_levels`) and the
+    variant is Markov or all baths share one window width, the blocks stay
+    diagonal and the populations follow p' = f(t) W p with one envelope f,
+    solved in closed form (see :func:`_population_solver`).  Otherwise the
+    integrator route runs DOP853 on each segment's :class:`EmmeGenerator`
+    at the fixed tolerances RTOL/ATOL.  The trace is conserved by the
+    generator and is deliberately not renormalized; drift beyond tolerance
+    indicates a bug, not noise.  At protocol quenches the state is carried
+    across continuously while the level energies and jump operators are
+    rebuilt.  Raises on a population (population route) or block
+    eigenvalue (integrator route) below -``POSITIVITY_TOL``, and on a
     population sum that leaves the initial trace by more than ``TRACE_TOL``
-    of it (population route).  ``meta``
+    of it.  ``pop_rate`` is W p if every segment's levels are distinct;
+    otherwise coherences feed the populations, and it is None.  ``meta``
     records the route; the population route adds its counters, the
     integrator route its tolerances.
     """
@@ -590,10 +548,11 @@ def evolve(
 
     populations = np.diagonal(y0, axis1=1, axis2=2)
     diagonal = np.array_equal(y0, populations.real[:, :, None] * np.eye(d))
+    distinct = all(_distinct_levels(seg.levels) for seg in system.protocol)
     one_envelope = variant == "markov" or len({tb.delta for tb in tables}) == 1
-    rate_model = PopulationRateModel(system, tables, keys, envelope)
-    meta = {"variant": variant}
-    if diagonal and one_envelope and all(_distinct_levels(seg.levels) for seg in system.protocol):
+    closed = diagonal and distinct and one_envelope
+    rate_model = PopulationRateModel(system, tables, keys, envelope) if distinct else None
+    if closed:
         def clock(t):
             # the running integral of the one envelope (from the first grid point)
             return t if variant == "markov" else xi_integral(t - t_grid[0], tables[0].delta)
@@ -606,9 +565,24 @@ def evolve(
 
         def segment_solver(n, seg):
             return _population_solver(rate_model.rates[n], log_weights, clock, counters)
+    else:
+        def segment_solver(n, seg):
+            gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
 
-        times, pops, levels = _walk_segments(
-            system, t_grid, populations.real.ravel(), segment_solver)
+            def solve(t0, y, times):
+                sol = scipy.integrate.solve_ivp(
+                    lambda t, y: gen.derivative(y, envelope(t)), (t0, times[-1]), y,
+                    method="DOP853", t_eval=times, rtol=RTOL, atol=ATOL)
+                if not sol.success:
+                    raise NumericalFailure(f"integrator failed: {sol.message}")
+                return sol.y.T
+
+            return solve
+
+    times, states, levels = _walk_segments(
+        system, t_grid, populations.real.ravel() if closed else y0.ravel(), segment_solver)
+    if closed:
+        pops = states
         blocks = np.zeros((len(times), len(keys), d, d), dtype=complex)
         blocks[:, :, np.arange(d), np.arange(d)] = pops.reshape(len(times), len(keys), d)
         bad = np.argwhere(pops < -POSITIVITY_TOL)
@@ -616,21 +590,8 @@ def evolve(
             m, col = bad[0]
             raise NumericalFailure(f"block {keys[col // d]} lost positivity at t={times[m]:g} "
                                    f"(population {pops[m, col]:.3e})")
-        total = populations.real.sum()
-        # negated so that a NaN fails too
-        bad = np.flatnonzero(~(np.abs(pops.sum(axis=1) - total) <= TRACE_TOL * total))
-        if bad.size:
-            raise NumericalFailure(f"populations sum to {pops[bad[0]].sum():.6g} at "
-                                   f"t={times[bad[0]]:g}, not {total:.6g}")
-        meta.update(route="populations", **counters)
+        meta = {"variant": variant, "route": "populations", **counters}
     else:
-        def segment_rhs(n, seg):
-            gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
-            return lambda t, y: gen.derivative(y, envelope(t))
-
-        times, states, levels = _integrate_segments(
-            system, t_grid, y0.ravel(), segment_rhs, RTOL, ATOL
-        )
         blocks = states.reshape(len(times), len(keys), d, d)
         hermitian = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
         w_min = np.linalg.eigvalsh(hermitian).min(axis=-1)
@@ -640,7 +601,13 @@ def evolve(
             raise NumericalFailure(f"block {keys[n]} lost positivity at t={times[m]:g} "
                                    f"(min eigenvalue {w_min[m, n]:.3e})")
         pops = np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(times), -1).copy()
-        meta.update(route="integrator", rtol=RTOL, atol=ATOL)
+        meta = {"variant": variant, "route": "integrator", "rtol": RTOL, "atol": ATOL}
+    total = populations.real.sum()
+    # negated so that a NaN fails too
+    bad = np.flatnonzero(~(np.abs(pops.sum(axis=1) - total) <= TRACE_TOL * total))
+    if bad.size:
+        raise NumericalFailure(f"populations sum to {pops[bad[0]].sum():.6g} at "
+                               f"t={times[bad[0]]:g}, not {total:.6g}")
 
     return Trajectory(
         solver=f"emme-{variant}",
@@ -652,7 +619,7 @@ def evolve(
         bath_centers=[tb.centers for tb in tables],
         bath_volumes=[tb.volumes for tb in tables],
         blocks={key: blocks[:, n] for n, key in enumerate(keys)},
-        pop_rate=rate_model.dpdt,
+        pop_rate=None if rate_model is None else rate_model.dpdt,
         meta=meta,
     )
 
@@ -768,7 +735,7 @@ def spin_oracle_trajectory(
     levels = pieces[0][1].levels
     gap = levels[1] - levels[0]
     pops0 = state0.populations()
-    omega_sets = [{round(float(gap), 12), round(float(-gap), 12)}]
+    omega_sets = [{frequency(levels[0], levels[1]), frequency(levels[1], levels[0])}]
     keys = reachable_keys({key for (_, key) in pops0}, [table], omega_sets)
     joint_index = [(k, key) for key in keys for k in range(2)]
     xi = (

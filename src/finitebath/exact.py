@@ -27,6 +27,7 @@ import scipy
 from .bath import BathRealization, EnergyWindow, bath_dimension, window_slices
 from .emme import SystemSpec, connected_components
 from .errors import ConfigurationError, DimensionCapExceeded, NumericalFailure
+from .rates import FREQUENCY_DIGITS
 from .trajectory import Trajectory
 
 DEFAULT_DIM_CAP = 5000
@@ -514,7 +515,7 @@ def run_exact(
             # carry the members across the quench, then switch the Hamiltonian
             (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
             products += len(prop.eig)
-        key = tuple(np.round(seg.levels, 12))
+        key = tuple(np.round(seg.levels, FREQUENCY_DIGITS))
         if key not in props:
             # no reference to the Hamiltonian blocks outlives their diagonalization
             props[key] = _SegmentPropagator(

@@ -28,6 +28,12 @@ from .bath import BathRealization, EnergyWindow, window_slices
 from .errors import ConfigurationError, NumericalFailure
 
 EULER_GAMMA = float(np.euler_gamma)
+FREQUENCY_DIGITS = 12
+
+
+def frequency(e_from: float, e_to: float) -> float:
+    """e_to - e_from rounded to FREQUENCY_DIGITS decimals: the one rounding of every frequency."""
+    return round(float(e_to - e_from), FREQUENCY_DIGITS)
 
 
 def rate_prefactor(lam: float, delta: float) -> float:
@@ -582,8 +588,8 @@ def transition_rates(
             s_kq = np.array([s[k, q] for s in s_ops])
             if not np.any(s_kq):
                 continue
-            # energy released to the bath, rounded as in emme.s_omega_decomposition
-            omega_bath = round(float(levels[q] - levels[k]), 12)
+            # energy released to the bath
+            omega_bath = frequency(levels[k], levels[q])
             for j in range(len(table.centers)):
                 i = table.target_window(j, omega_bath)
                 if i is None:

@@ -36,6 +36,21 @@ def two_band_realization(v0=400, v1=600, delta=0.5, kind="regular",
     return sample_coupling(coup, wins)
 
 
+def degenerate_config():
+    """A CLI scenario with two degenerate upper levels, so it runs on the EMME integrator route."""
+    windows = [{"center": float(j), "width": 0.5, "volume": v}
+               for j, v in enumerate([40, 60, 90, 130])]
+    return {
+        "seed": 7,
+        "t_grid": {"t_max": 200.0, "dt": 0.5},
+        "system": {"levels": [0.0, 1.0, 1.0],
+                   "coupling": [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]},
+        "baths": [{"windows": windows, "coupling": {"lambda": 3.0e-3}}],
+        "solvers": ["emme-markov"],
+        "rates_method": "rmt",
+    }
+
+
 def scaled(table, factor):
     """The rate table with every rate and dispersive coefficient multiplied by factor."""
     a = table.a_coeff

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from finitebath import cli, presets as preset_module
 from finitebath.bms import bms_rates_from_table
 from finitebath.cli import build_scenario, main, resolve_config, run
-from finitebath.emme import spin_oracle_trajectory
+from finitebath.emme import evolve, spin_oracle_trajectory
 from finitebath.errors import ConfigurationError
 from finitebath.presets import preset, presets, scale_volumes
 
-from conftest import load_perfbench
+from conftest import degenerate_config, load_perfbench
 
 
 def mini_config(**overrides):
@@ -417,6 +417,33 @@ def test_solvers_share_the_time_grid(tmp_path):
     lines = (tmp_path / "joined.csv").read_text().splitlines()
     t_joined = [float(l.split(",")[0]) for l in lines[1:]]
     assert t_joined == list(np.arange(0.0, 10.5, 1.0))
+
+
+def unequal_widths_twobath():
+    cfg = preset("twobath")
+    for window in cfg["baths"][1]["windows"]:
+        window["width"] = 0.8
+    cfg["solvers"] = ["emme-redfield"]
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [unequal_widths_twobath, degenerate_config])
+def test_inputs_without_a_closed_population_equation_run_on_the_integrator(
+        tmp_path, monkeypatch, make_config):
+    # two envelopes, or coherences that feed the populations
+    routes = []
+
+    def recording(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        routes.append(traj.meta["route"])
+        return traj
+
+    monkeypatch.setattr(cli, "evolve", recording)
+    cfg = make_config()
+    assert run(cfg, tmp_path, name="integrator") == 0
+    assert routes == ["integrator"]
+    thermo = np.loadtxt(tmp_path / f"thermo_{cfg['solvers'][0]}.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(thermo).all()
 
 
 def test_main_exit_codes(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitebath.bath import BathSpec, CouplingSpec, EnergyWindow, build_spectrum
@@ -26,7 +28,7 @@ from finitebath.emme import (
     s_omega_decomposition,
     spin_oracle_trajectory,
     stationary_populations,
-    _integrate_segments,
+    _walk_segments,
 )
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.exact import prepare_initial, run_exact
@@ -38,6 +40,7 @@ from finitebath.rates import (
     xi_integral,
     zeta,
 )
+from finitebath.thermo import P_FLOOR, build_ledger
 
 from conftest import SIGMA_X, load_perfbench, scaled, two_band_realization, unshifted
 
@@ -490,6 +493,27 @@ def test_pop_rate_of_a_time_array_equals_its_calls_point_by_point():
         assert np.array_equal(traj.pop_rate(t, traj.populations), each)
 
 
+def test_degenerate_levels_leave_the_entropy_production_to_finite_differences():
+    # the two upper levels share every frequency, so coherences feed the
+    # populations and the rate equation's W p is not dp/dt
+    system = SystemSpec(np.array([0.0, 1.0, 1.0]), [[three_level_coupling()]])
+    tables = [make_bath([40, 60, 90, 130])]
+    t = np.linspace(0.0, 200.0, 401)
+    traj = evolve(ConditionedState({(0,): np.diag([0.0, 0.0, 1.0]).astype(complex)}),
+                  system, tables, t)
+    assert traj.meta["route"] == "integrator" and traj.pop_rate is None
+    keys = list(traj.blocks)
+    gen = EmmeGenerator(system.levels, system.couplings, tables, keys)
+    y = np.stack([traj.blocks[key] for key in keys], axis=1).reshape(t.size, -1)
+    d = system.dim
+    dp_dt = np.diagonal((gen.markov @ y.T).T.reshape(t.size, len(keys), d, d),
+                        axis1=2, axis2=3).real.reshape(t.size, -1)
+    log_v = np.log([tables[0].volumes[key[0]] for _, key in traj.joint_index])
+    sigma = np.sum(dp_dt * (log_v - np.log(np.maximum(traj.populations, P_FLOOR))), axis=1)
+    ledger = build_ledger(traj).entropy_production_rate
+    assert np.all(np.abs(ledger - sigma)[1:-1] <= 1e-4 * np.abs(sigma[1:-1]))
+
+
 def test_two_bath_stationary_matches_volume_products():
     t1 = make_bath([40, 60], centers=[0.0, 1.0])
     t2 = make_bath([30, 50], centers=[0.0, 1.0])
@@ -889,27 +913,63 @@ def test_a_resonance_tie_is_a_jump_in_neither_direction(monkeypatch):
 # population route against the integrator
 
 
-def integrator_populations(state, system, tables, t_grid, variant, rtol, atol):
-    """Populations from DOP853 on the packed blocks, by the same calls as evolve's integrator route."""
+def packed_initial(state, system, tables):
+    """The keys every segment reaches and the initial blocks on them, as evolve packs them."""
     omegas = [set() for _ in tables]
     for seg in system.protocol:
         for nu, ops in enumerate(system.couplings):
             omegas[nu] |= {w for s in ops for w in s_omega_decomposition(s, seg.levels)}
     keys = reachable_keys(set(state.blocks), tables, omegas)
-    d = system.dim
-    y0 = np.zeros((len(keys), d, d), dtype=complex)
+    y0 = np.zeros((len(keys), system.dim, system.dim), dtype=complex)
     for n, key in enumerate(keys):
         if key in state.blocks:
             y0[n] = state.blocks[key]
+    return keys, y0
+
+
+def integrator_populations(state, system, tables, t_grid, variant, rtol, atol):
+    """Populations from DOP853 on the packed blocks, by the same calls as evolve's integrator route."""
+    keys, y0 = packed_initial(state, system, tables)
     envelope = dissipator_envelope(tables, variant, t_grid[0])
 
-    def segment_rhs(n, seg):
+    def segment_solver(n, seg):
         gen = EmmeGenerator(seg.levels, system.couplings, tables, keys)
-        return lambda t, y: gen.derivative(y, envelope(t))
 
-    _, states, _ = _integrate_segments(system, t_grid, y0.ravel(), segment_rhs, rtol, atol)
-    blocks = states.reshape(-1, len(keys), d, d)
+        def solve(t0, y, times):
+            sol = scipy.integrate.solve_ivp(
+                lambda t, y: gen.derivative(y, envelope(t)), (t0, times[-1]), y,
+                method="DOP853", t_eval=times, rtol=rtol, atol=atol)
+            assert sol.success, sol.message
+            return sol.y.T
+
+        return solve
+
+    _, states, _ = _walk_segments(system, t_grid, y0.ravel(), segment_solver)
+    blocks = states.reshape(-1, len(keys), system.dim, system.dim)
     return np.diagonal(blocks, axis1=2, axis2=3).real.reshape(len(blocks), -1)
+
+
+def expm_populations(state, system, tables, t_grid, variant):
+    """Populations from scipy.linalg.expm of the population block of dense_generator.
+
+    For the population route's scenarios (one envelope, quenches on grid
+    points): from each grid point to the next, p <- expm(W x) p, with W the
+    population block of the segment in force and x the elapsed clock, t or
+    Xi(t).
+    """
+    keys, y0 = packed_initial(state, system, tables)
+    d = system.dim
+    pops = (np.arange(len(keys))[:, None] * d * d + np.arange(d) * (d + 1)).ravel()
+    rates = []
+    for seg in system.protocol:
+        dissipators = dense_generator(seg.levels, system.couplings, tables, keys)[1]
+        rates.append(sum(dissipators)[np.ix_(pops, pops)])
+    clock = t_grid if variant == "markov" else xi_integral(t_grid - t_grid[0], tables[0].delta)
+    owner = system.segment_index(t_grid)
+    out = [y0.ravel()[pops]]
+    for m in range(1, t_grid.size):
+        out.append(scipy.linalg.expm(rates[owner[m - 1]] * (clock[m] - clock[m - 1])) @ out[-1])
+    return np.array(out).real
 
 
 @st.composite
@@ -954,14 +1014,35 @@ def population_route_scenarios(draw):
     return state, system, tables, draw(st.sampled_from(["markov", "redfield"]))
 
 
+def stiff_scenario():
+    """Two baths of two unit-volume windows and operator entries up to 5: a stiff draw.
+
+    DOP853 at rtol 1e-13 is 4.4e-9 off scipy.linalg.expm here, while the
+    closed form agrees with it to round-off.
+    """
+    rng = np.random.default_rng(249)
+    couplings, tables = [], []
+    for _ in range(2):
+        spec = CouplingSpec(lam=0.1, block_mean=complex(*rng.uniform(-1.0, 1.0, 2)),
+                            variance=float(rng.uniform(0.1, 2.0)))
+        windows = [EnergyWindow(0.0, DELTA, 1), EnergyWindow(1.0, DELTA, 1)]
+        tables.append(rate_table_rmt(spec, windows))
+        raw = rng.uniform(-2.5, 2.5, (2, 2)) + 1j * rng.uniform(-2.5, 2.5, (2, 2))
+        couplings.append([raw + raw.conj().T])
+    p = rng.uniform(size=2)
+    state = ConditionedState({(0, 0): np.diag(p / p.sum()).astype(complex)})
+    return state, SystemSpec(np.array([0.0, 1.0]), couplings), tables, "markov"
+
+
 @settings(max_examples=40, deadline=None)
 @given(population_route_scenarios())
-def test_population_route_matches_the_integrator_and_conserves_shells(scenario):
+@example(stiff_scenario())
+def test_population_route_matches_expm_and_conserves_shells(scenario):
     state, system, tables, variant = scenario
     t = np.linspace(0.0, 4.0, 9)
     traj = evolve(state, system, tables, t, variant=variant)
     assert traj.meta["route"] == "populations"
-    ref = integrator_populations(state, system, tables, t, variant, 1e-13, 1e-15)
+    ref = expm_populations(state, system, tables, t, variant)
     assert np.max(np.abs(traj.populations - ref)) <= 1e-9
 
     # no dissipator (nor the coherent part) feeds a coherence from a population
@@ -1012,6 +1093,20 @@ ROUTE_CASES = {
 }
 
 
+@pytest.mark.parametrize("variant", ["markov", "redfield"])
+def test_population_route_agrees_with_the_integrator(variant):
+    # a fixed, non-stiff case across a quench pins the two routes to each other
+    system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X], [SIGMA_X]],
+                        [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(100.0, [0.0, 2.0])])
+    tables = [make_bath([40, 60, 90]), make_bath([30, 50, 70])]
+    state = ConditionedState({(0, 0): excited_block()})
+    t = np.linspace(0.0, 200.0, 41)
+    traj = evolve(state, system, tables, t, variant)
+    assert traj.meta["route"] == "populations"
+    ref = integrator_populations(state, system, tables, t, variant, 1e-13, 1e-15)
+    assert np.max(np.abs(traj.populations - ref)) <= 1e-9
+
+
 @pytest.mark.parametrize("case", list(ROUTE_CASES))
 def test_integrator_route_is_kept_where_populations_do_not_close(case):
     state, system, tables, variant = ROUTE_CASES[case]()
@@ -1020,6 +1115,16 @@ def test_integrator_route_is_kept_where_populations_do_not_close(case):
     assert traj.meta["route"] == "integrator"
     ref = integrator_populations(state, system, tables, t, variant, RTOL, ATOL)
     assert np.array_equal(traj.populations, ref)
+
+
+def test_integrator_route_refuses_a_trace_drift(monkeypatch):
+    state, system, tables, variant = ROUTE_CASES["coherent-block"]()
+    derivative = EmmeGenerator.derivative
+    # a decay of every block keeps them positive and leaks the trace
+    monkeypatch.setattr(EmmeGenerator, "derivative",
+                        lambda self, y, factors=None: derivative(self, y, factors) - 1e-3 * y)
+    with pytest.raises(NumericalFailure, match=r"populations sum to 0\.9995 at t=0\.5, not 1$"):
+        evolve(state, system, tables, np.linspace(0.0, 10.0, 21), variant)
 
 
 @st.composite

@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import degenerate_config
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.special",
               "scipy.optimize", "scipy.sparse.csgraph")
@@ -102,3 +104,12 @@ runner = cli.ScenarioRun(cli.build_scenario(cfg))
 assert runner.run_solver("emme-markov").meta["route"] == "populations"
 """
     assert loaded_after(script, tmp_path) == []
+
+
+def test_integrator_route_loads_integrate_and_sparse(tmp_path):
+    script = f"""
+from finitebath import cli
+runner = cli.ScenarioRun(cli.build_scenario({degenerate_config()!r}))
+assert runner.run_solver("emme-markov").meta["route"] == "integrator"
+"""
+    assert {"scipy.integrate", "scipy.sparse"} <= set(loaded_after(script, tmp_path))
