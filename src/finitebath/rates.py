@@ -83,6 +83,56 @@ def _cos_sin_table(tau: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return table
 
 
+# the Chebyshev tail of e^{i beta x} that the phase interpolation may drop
+NODE_TAIL = 1e-17
+
+
+def _node_count(beta: float, limit: int) -> int:
+    """Smallest r < limit whose tail sum_{k >= r} 2 (beta/2)^k / k! is <= NODE_TAIL, else limit.
+
+    The k-th term bounds the k-th Chebyshev coefficient 2 |J_k(beta)| of
+    e^{i beta x} on [-1, 1].  The tail is taken as its upper bound
+    term_r / (1 - rho), valid once the term ratio rho = beta / (2 (r + 1))
+    is below one and at most 1 / (1 - rho) above the sum itself; it is
+    formed in logs so that a large beta cannot overflow.
+    """
+    k = np.arange(1, limit)
+    rho = 0.5 * beta / (k + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = np.log(2.0) + np.cumsum(np.log(0.5 * beta / k)) - np.log1p(-rho)
+    ok = (rho < 1.0) & (log_tail <= np.log(NODE_TAIL))
+    return int(k[ok][0]) if ok.any() else limit
+
+
+def _phase_nodes(levels: np.ndarray, tau_max: float):
+    """Frequencies whose phases e^{i nu tau} reproduce every e^{i E_p tau}, |tau| <= tau_max.
+
+    On the span [m - h, m + h] of the levels, e^{i E tau} is an entire
+    function of x = (E - m)/h of bandwidth beta = h tau_max, so its
+    interpolant at r Chebyshev points of the first kind nu_k = m + h t_k
+    gives e^{i E_p tau} = sum_k L[k, p] e^{i nu_k tau} to within
+    NODE_TAIL (1 + Lambda_r), Lambda_r <= (2/pi) log r + 1, with L the real
+    (r, V) barycentric Lagrange basis at x_p.  Returns (nodes, L), or
+    (levels, None) for the identity when r would not be below V (or h = 0).
+    """
+    lo, hi = (float(levels.min()), float(levels.max())) if levels.size else (0.0, 0.0)
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    r = _node_count(h * tau_max, levels.size) if h > 0 else levels.size
+    if r >= levels.size:
+        return levels, None
+    # the sine form makes the nodes exactly symmetric, with t = 0 for odd r
+    t = np.sin(0.5 * np.pi * np.arange(r - 1, -r, -2) / r)
+    w = np.sin(0.5 * np.pi * np.arange(1, 2 * r, 2) / r) * (-1.0) ** np.arange(r)
+    d = (levels - m)[None, :] / h - t[:, None]
+    hit = d == 0.0
+    d[hit] = 1.0
+    basis = w[:, None] / d
+    basis /= basis.sum(axis=0)
+    on_node = hit.any(axis=0)  # a level exactly on a node: l_k(t_k) = 1
+    basis[:, on_node] = hit[:, on_node]
+    return m + h * t, basis
+
+
 def _phase_sum(left: np.ndarray, right: np.ndarray, m: np.ndarray):
     """Real and imaginary parts of sum_pq m_pq exp(i (E_p - E_q) tau) for real m.
 
@@ -104,7 +154,7 @@ def correlation_functions(
     keys: list[tuple[int, int, int, int]],
     tau_grid: np.ndarray,
 ) -> dict[tuple[int, int, int, int], CorrelationFunction]:
-    """Direct double sums over microlevels for many keys in one pass over tau.
+    """Double sums over microlevels for many keys in one pass over tau.
 
     A key (i, j, alpha, alpha') selects the window pair (i, j) and the
     sampled coupling matrices of the operator pair (alpha, alpha'); the
@@ -119,14 +169,23 @@ def correlation_functions(
       w = X + iY (X, Y real), S^{alpha alpha'} = S[X] + i S[Y] and
       S^{alpha' alpha} = S[X] - i S[Y], and Y = 0 for alpha = alpha'.
 
-    Each S[M] of a real M is one real GEMM of the row window's stacked
-    cos/sin table with M, contracted against the column window's table.
-    The tau grid is walked in chunks; per chunk each window's table is built
-    once and the weights are rebuilt per representative key, so no more
-    than one chunk of tables and one key's weights are alive at a time.
-    Each key's values depend only on its own window and operator pair, not
-    on which other keys were requested.  Diagonal keys (i == j) are exact
-    zeros, the block-diagonal part of every coupling matrix being zero.
+    The sums run over each window's phase nodes (:func:`_phase_nodes`):
+    the smallest r whose Chebyshev tail bound sum_{k >= r} 2 (beta/2)^k / k!
+    is <= 1e-17, beta = h_w max|tau| with h_w the half-span of the window's
+    levels (r = 48 on ``default_tau_grid``), so that
+    e^{i E_p tau} = sum_k L_w[k, p] e^{i nu_k tau} to within
+    1e-17 (1 + Lambda_r), Lambda_r <= (2/pi) log r + 1.  S[M] is then the
+    same sum on the nodes with M replaced by L_i M L_j^T, formed once per
+    representative key; a window with no more levels than nodes keeps its
+    levels (L = identity).  Each S[M] of a real M is one real GEMM of the
+    row window's stacked cos/sin table with M, contracted against the
+    column window's table: 2 T r_i r_j multiply-adds over T tau points,
+    r_w = min(V_w, r), instead of 2 T V_i V_j.  The tau grid is walked in
+    chunks, each window's table built once per chunk.  Each key's values
+    depend only on its own window and operator pair, not on which other
+    keys were requested.  Diagonal keys (i == j) are exact zeros, the
+    block-diagonal part of every coupling matrix being zero.  A tau grid
+    that is empty, not one-dimensional or not finite is refused.
     """
     n_win, n_ops = len(realization.windows), len(realization.matrices)
     for i, j, a, ap in keys:
@@ -137,6 +196,8 @@ def correlation_functions(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ConfigurationError("tau grid must be a non-empty, one-dimensional list")
+    if not np.all(np.isfinite(tau_grid)):
+        raise ConfigurationError("tau grid must be finite")
     slices = window_slices(realization.windows)
     values = {key: np.zeros(tau_grid.size, dtype=complex) for key in keys}
     # requested keys grouped by their representative (i < j, a <= a')
@@ -145,22 +206,35 @@ def correlation_functions(
         if i != j:
             rep = (min(i, j), max(i, j), min(a, ap), max(a, ap))
             groups.setdefault(rep, []).append(((i, j, a, ap), out))
-    used = {w for rep in groups for w in rep[:2]}
+    tau_max = float(np.max(np.abs(tau_grid)))
+    used = sorted({w for rep in groups for w in rep[:2]})
+    nodes = {w: _phase_nodes(realization.windows[w].microlevels, tau_max) for w in used}
+    # each representative's real weights X (and Y), carried onto the nodes
+    # as L_i X L_j^T
+    compressed = {}
+    for i, j, a, ap in groups:
+        weights = realization.matrices[ap][slices[i], slices[j]].conj()
+        weights *= realization.matrices[a][slices[i], slices[j]]
+        parts = [weights.real] if a == ap else [weights.real, weights.imag]
+        (_, left), (_, right) = nodes[i], nodes[j]
+        if left is not None:
+            parts = [left @ m for m in parts]
+        if right is not None:
+            parts = [m @ right.T for m in parts]
+        compressed[(i, j, a, ap)] = [np.ascontiguousarray(m) for m in parts]
     chunk = 256
     for lo in range(0, tau_grid.size, chunk):
         t = tau_grid[lo : lo + chunk]
-        tables = {w: _cos_sin_table(t, realization.windows[w].microlevels) for w in used}
+        tables = {w: _cos_sin_table(t, freqs) for w, (freqs, _) in nodes.items()}
         for (i, j, a, ap), members in groups.items():
-            weights = realization.matrices[ap][slices[i], slices[j]].conj()
-            weights *= realization.matrices[a][slices[i], slices[j]]
-            x_re, x_im = _phase_sum(tables[i], tables[j], np.ascontiguousarray(weights.real))
-            if a != ap:
-                y_re, y_im = _phase_sum(tables[i], tables[j], np.ascontiguousarray(weights.imag))
+            sums = [_phase_sum(tables[i], tables[j], m) for m in compressed[(i, j, a, ap)]]
+            x_re, x_im = sums[0]
             for (ki, kj, ka, _), out in members:
                 part = out[lo : lo + chunk]
                 if a == ap:
                     part.real, part.imag = x_re, x_im
                 else:
+                    y_re, y_im = sums[1]
                     sign = 1.0 if ka == a else -1.0  # S[X] + sign * i S[Y]
                     part.real, part.imag = x_re - sign * y_im, x_im + sign * y_re
                 if ki > kj:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from finitebath.emme import s_omega_decomposition
 from finitebath.errors import ConfigurationError, NumericalFailure
 from finitebath.rates import (
     RateTable,
+    _phase_nodes,
     _simpson_weights,
     breve_h,
     correlation_exact,
@@ -131,13 +134,116 @@ def test_correlation_functions_unknown_operator_pair():
             correlation_functions(real, [(0, 1, 0, 0), (0, 1, *ops)], tau)
 
 
-@pytest.mark.parametrize("tau", [[], [[0.0, 1.0]]])
+@pytest.mark.parametrize("tau", [[], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
 def test_tau_grid_that_is_empty_or_not_one_dimensional_is_refused(tau):
     real = _three_window_two_operator_bath()
     with pytest.raises(ConfigurationError, match="tau grid"):
         correlation_functions(real, [(0, 1, 0, 0)], np.array(tau))
     with pytest.raises(ConfigurationError, match="tau grid"):
         rate_table_quadrature(real, np.array(tau))
+
+
+def double_sum_oracle(real, key, tau):
+    """lam^2/V_j sum_pq conj(B^a'_pq) B^a_pq e^{i E_p tau} e^{-i E_q tau} from the exact phase of every level."""
+    i, j, a, ap = key
+    slices = window_slices(real.windows)
+    w = real.matrices[ap][slices[i], slices[j]].conj() * real.matrices[a][slices[i], slices[j]]
+    p_i, p_j = (np.exp(1j * np.multiply.outer(tau, real.windows[k].microlevels)) for k in (i, j))
+    return np.einsum("tq,tq->t", p_i @ w, p_j.conj()) * real.lam**2 / real.windows[j].volume
+
+
+def assert_matches_oracle(real, tau, keys):
+    corrs = correlation_functions(real, keys, tau)
+    for key, corr in corrs.items():
+        ref = double_sum_oracle(real, key, tau)
+        assert np.max(np.abs(corr.values - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+
+
+def chebyshev_node_count(beta):
+    """Smallest r with sum_{k >= r} 2 (beta/2)^k / k! <= 1e-17, summed term by term."""
+    def tail(r):
+        return sum(2.0 * math.exp(k * math.log(beta / 2) - math.lgamma(k + 1))
+                   for k in range(r, r + 400))
+    r = 1
+    while tail(r) > 1e-17:
+        r += 1
+    return r
+
+
+def table_widths(monkeypatch):
+    """Record the column count of every cos/sin table the kernel builds."""
+    import finitebath.rates as rates_mod
+
+    widths, original = [], rates_mod._cos_sin_table
+
+    def recording(tau, levels):
+        widths.append(levels.size)
+        return original(tau, levels)
+
+    monkeypatch.setattr(rates_mod, "_cos_sin_table", recording)
+    return widths
+
+
+def test_compressed_kernel_matches_double_sum_on_the_default_grid(monkeypatch):
+    # on default_tau_grid the bandwidth is below 5 pi, so every window of
+    # 60 or more levels is summed on at most 48 Chebyshev nodes
+    real = _three_window_two_operator_bath((60, 100, 150))
+    widths = table_widths(monkeypatch)
+    assert_matches_oracle(real, default_tau_grid(0.5), ALL_KEYS)
+    assert set(widths) <= set(range(40, 49))
+
+
+def test_kernel_mixes_a_compressed_and_a_direct_window(monkeypatch):
+    real = _three_window_two_operator_bath((30, 120, 10))
+    widths = table_widths(monkeypatch)
+    keys = [(0, 1, a, ap) for a in range(2) for ap in range(2)]
+    assert_matches_oracle(real, default_tau_grid(0.5), keys + [(1, 0, 1, 0)])
+    assert 30 in widths and max(widths) < 120
+
+
+def test_level_on_the_middle_node_takes_the_exact_hit_branch():
+    # a regular window of odd volume has a level on the midpoint of its span,
+    # which is the middle node x = 0 of an odd node count
+    wins = build_spectrum(BathSpec([EnergyWindow(0.0, 0.5, 61), EnergyWindow(1.0, 0.5, 75)]))
+    real = sample_coupling(CouplingSpec(lam=2e-3, block_mean=0.5, variance=1.0, seed=8), wins)
+    tau = default_tau_grid(0.5)
+    for win in wins:
+        _, basis = _phase_nodes(win.microlevels, tau[-1])
+        r = basis.shape[0]
+        assert r % 2 == 1 and r < win.volume
+        assert np.array_equal(basis[:, win.volume // 2], np.eye(r)[r // 2])
+    assert_matches_oracle(real, tau, [(0, 1, 0, 0), (1, 0, 0, 0)])
+
+
+def test_levels_outside_the_nominal_window_are_interpolated_on_their_own_span(monkeypatch):
+    # a hand-built realization whose levels spread well beyond [lo, hi); nodes
+    # on the nominal window would extrapolate the phases there
+    rng = np.random.default_rng(4)
+    windows = [
+        EnergyWindow(0.0, 0.5, 120, np.sort(rng.uniform(-1.0, 0.8, 120))),
+        EnergyWindow(1.0, 0.5, 90, np.sort(rng.uniform(0.6, 2.5, 90))),
+    ]
+    coups = [CouplingSpec(lam=2e-3, block_mean=0.5, variance=1.0, seed=s) for s in (3, 4)]
+    real = sample_coupling(coups, windows)
+    widths = table_widths(monkeypatch)
+    keys = [(i, j, a, ap) for i, j in [(0, 1), (1, 0)] for a in range(2) for ap in range(2)]
+    assert_matches_oracle(real, np.linspace(0.0, 20.0, 700), keys)
+    assert max(widths) < 90
+
+
+def test_kernel_tables_have_min_of_volume_and_node_count_columns(monkeypatch):
+    real = _three_window_two_operator_bath((30, 60, 150))
+    widths = table_widths(monkeypatch)
+    tau = default_tau_grid(0.5)
+    correlation_functions(real, ALL_KEYS, tau)
+    want = []
+    for win in real.windows:
+        half_span = 0.5 * (win.microlevels.max() - win.microlevels.min())
+        want.append(min(win.volume, chebyshev_node_count(half_span * tau[-1])))
+    assert want[0] == 30 and max(want) <= 48
+    # one table per window and tau chunk
+    assert sorted(widths) == sorted(want * 8)
+    assert chebyshev_node_count(5 * np.pi) == 48
 
 
 COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -147,13 +253,13 @@ COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=
 def sampled_baths(draw):
     """A sampled realization with a tau grid symmetric about zero.
 
-    2-4 windows of 1-40 levels on a regular or random-uniform spectrum,
+    2-4 windows of 1-120 levels on a regular or random-uniform spectrum,
     1-3 operators whose block means are one complex constant or a dict over
     some window pairs, and a grid of 258-600 points (more than one tau
     chunk) made of a nonnegative half and its exact negative.
     """
     n = draw(st.integers(2, 4))
-    volumes = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    volumes = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n))
     kind = draw(st.sampled_from(["regular", "random-uniform"]))
     windows = [EnergyWindow(float(c), 0.5, v) for c, v in enumerate(volumes)]
     spec = BathSpec(windows, kind, seed=draw(st.integers(0, 2**32 - 1)))
@@ -181,18 +287,12 @@ def test_correlation_kernel_matches_oracle_and_exchange_identities(bath, data):
     keys = [(i, j, a, ap) for i in range(n) for j in range(n)
             for a in range(n_ops) for ap in range(n_ops)]
     corrs = correlation_functions(real, keys, tau)
-    slices = window_slices(real.windows)
     vol = [w.volume for w in real.windows]
     for i in range(n):
         for j in range(n):
-            gap = np.subtract.outer(real.windows[i].microlevels, real.windows[j].microlevels)
-            phase = np.exp(1j * tau[:, None, None] * gap)
             for a in range(n_ops):
                 for ap in range(n_ops):
-                    b_a = real.matrices[a][slices[i], slices[j]]
-                    b_ap = real.matrices[ap][slices[i], slices[j]]
-                    ref = np.einsum("pq,pq,tpq->t", b_ap.conj(), b_a, phase)
-                    ref *= real.lam**2 / vol[j]
+                    ref = double_sum_oracle(real, (i, j, a, ap), tau)
                     got = corrs[(i, j, a, ap)].values
                     scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
                     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
