@@ -5,7 +5,7 @@ Subpackages:
 * ``bath``: window layouts, spectra, random coupling matrices
 * ``rates``: correlation functions and the three dissipation-rate routes
 * ``emme``: the conditioned-state master equation and its solvers
-* ``exact``: full Hilbert-space benchmark with pure-state ensembles
+* ``exact``: full Hilbert-space benchmark from the microcanonical initial state
 * ``bms``: fixed-reference-bath comparison equation
 * ``thermo``: nonequilibrium thermodynamic ledger
 * ``cli``: reproducible scenario runner

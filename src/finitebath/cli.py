@@ -35,8 +35,6 @@ from .emme import ConditionedState, ProtocolSegment, SystemSpec, evolve, spin_or
 from .errors import ConfigurationError, DimensionCapExceeded, FiniteBathError, NumericalFailure
 from .exact import (
     DEFAULT_DIM_CAP,
-    DEFAULT_MEMBERS,
-    ENSEMBLE_KINDS,
     FILLS,
     check_dimension,
     prepare_initial,
@@ -59,9 +57,8 @@ OPTIONAL = object()  # no default: a key left out stays out
 
 def _default_seed(cfg: dict) -> int:
     """0 for a deterministic scenario; a stochastic one must name its seed."""
-    if cfg["ensemble"]["kind"] == "typicality" or any(
-        b["spectrum"] == "random-uniform" or b["coupling"]["variance"] > 0 for b in cfg["baths"]
-    ):
+    if any(b["spectrum"] == "random-uniform" or b["coupling"]["variance"] > 0
+           for b in cfg["baths"]):
         raise ConfigurationError("a seed is mandatory when the scenario has stochastic elements")
     return 0
 
@@ -98,9 +95,6 @@ SCHEMA = {
     "initial.bath_windows": ([int], lambda cfg: [0] * len(cfg["baths"]), None),
     "initial.fill": (str, FILLS[0], FILLS),
     "solvers": ([str], REQUIRED, ("exact", "emme-markov", "emme-redfield", "bms", "analytic")),
-    "ensemble": (dict, {}, None),
-    "ensemble.kind": (str, ENSEMBLE_KINDS[0], ENSEMBLE_KINDS),
-    "ensemble.members": (int, DEFAULT_MEMBERS, None),
     "rates_method": (str, "rmt", ("rmt", "heuristic", "quadrature")),
     "bms": (dict, {}, None),
     "bms.t_can": ((float, None), None, None),  # None: from the initial bath marginal
@@ -192,7 +186,6 @@ class Scenario:
     initial_level: int
     initial_windows: tuple[int, ...]
     solvers: list[str]
-    ensemble_seed: int
     mi_stride: int
     config: dict = field(repr=False, default_factory=dict)
 
@@ -237,7 +230,7 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
 
     levels = system_cfg["levels"]
     ops = _coupling_matrices(system_cfg["coupling"], len(levels))
-    children = np.random.SeedSequence(cfg["seed"]).spawn((1 + len(ops)) * len(baths_cfg) + 1)
+    children = np.random.SeedSequence(cfg["seed"]).spawn((1 + len(ops)) * len(baths_cfg))
     seeds = iter([int(child.generate_state(1)[0]) for child in children])
     bath_specs, couplings = [], []
     for nu, b in enumerate(baths_cfg):
@@ -270,7 +263,7 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
     return Scenario(name=name, seed=cfg["seed"], t_grid=t_grid, system=system,
                     bath_specs=bath_specs, couplings=couplings, initial_level=init_level,
                     initial_windows=init_windows, solvers=cfg["solvers"],
-                    ensemble_seed=next(seeds), mi_stride=cfg["mi_stride"], config=cfg)
+                    mi_stride=cfg["mi_stride"], config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +325,8 @@ class ScenarioRun:
             if len(self.windows) != 1:
                 raise ConfigurationError("the exact benchmark supports a single bath")
             check_dimension(sc.system.dim, self.windows[0], cfg["dim_cap"])
-            ens = prepare_initial(
-                cfg["ensemble"]["kind"], self.windows[0], sc.initial_windows[0],
-                sc.initial_level, sc.system.dim, members=cfg["ensemble"]["members"],
-                seed=sc.ensemble_seed, fill=cfg["initial"]["fill"],
-            )
+            ens = prepare_initial(self.windows[0], sc.initial_windows[0], sc.initial_level,
+                                  sc.system.dim, fill=cfg["initial"]["fill"])
             traj = run_exact(sc.system, self.realizations[0], ens, sc.t_grid,
                              mi_stride=sc.mi_stride, dim_cap=cfg["dim_cap"])
         elif solver == "bms":
@@ -454,10 +444,7 @@ def run(cfg: dict, out_dir: str | Path, name: str = "scenario") -> int:
         "seed": scenario.seed,
         "solvers": scenario.solvers,
         "parameters": scenario.config,
-        "conventions": {
-            "gain_convention": "conserving",
-            "units": "energies in system-splitting units, hbar = k_B = 1",
-        },
+        "conventions": {"units": "energies in system-splitting units, hbar = k_B = 1"},
         "regime_warnings": runner.warnings,
         "ledger_flags": {s: led.flags for s, led in runner.ledgers.items()},
         "diagnostics": runner.diagnostics(),

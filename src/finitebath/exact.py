@@ -2,10 +2,11 @@
 
 Honest brute force at desk scale: the total Hamiltonian splits into the
 invariant subspaces spanned by connected (system level, bath window)
-sectors; the blocks that the initial ensemble occupies are assembled
-densely, diagonalized once per protocol segment, and mixed states are
-represented as pure-state ensembles (one member per occupied microlevel, or
-a few random vectors from the occupied subspace).  The coarse-grained
+sectors; the blocks that the initial state occupies are assembled
+densely and diagonalized once per protocol segment.  The initial state is
+the microcanonical |eps><eps| (x) Pi / n, Pi the projector on the n
+occupied levels of one bath window, represented exactly as a pure-state
+ensemble with one member per occupied level.  The coarse-grained
 populations and blocks, the same trajectory contract as the master-equation
 solvers, are quadratic forms in the phases e^{-iEt} of each segment's
 eigenbasis (the energy-eigenbasis evaluation of <O(t)>, D'Alessio et al.,
@@ -18,7 +19,6 @@ the time grid reaches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +31,8 @@ from .rates import FREQUENCY_DIGITS
 from .trajectory import Trajectory
 
 DEFAULT_DIM_CAP = 5000
-# initial ensembles (see prepare_initial), each tuple's default first
-ENSEMBLE_KINDS = ("typicality", "basis-ensemble")
+# occupied levels of the initial window (see prepare_initial), the default first
 FILLS = ("full", "half")
-DEFAULT_MEMBERS = 20
 NORM_TOL = 1e-8
 # bytes of one batch's phase stack e^{-iE dt} phi0 (and of its product with
 # the eigenvectors): wide enough that one product streams the eigenvector
@@ -51,25 +49,34 @@ PHASE_BYTES = 16 * 2**20
 
 @dataclass
 class FullEnsemble:
-    """Weighted pure-state ensemble representing a mixed initial state.
+    """The microcanonical initial state |eps><eps| (x) Pi / n as a pure-state ensemble.
 
-    ``subspace_entropy`` is the von Neumann entropy of the intended initial
-    mixed state (log of the number of occupied microlevels); it is invariant
-    under the exact unitary evolution and reused for the mutual-information
-    series.
+    Pi projects onto the ``occupied`` bath levels i, n of them; the members
+    are |eps> (x) |i>, one per occupied level with weight 1/n, so they
+    represent the mixed state exactly.  Its von Neumann entropy, log n, is
+    invariant under the exact unitary evolution and reused for the
+    mutual-information series.  The (d_s d_b) x n member matrix is built
+    only on request (see :meth:`members`).
     """
 
-    members: np.ndarray  # (d, m) unit columns
-    weights: np.ndarray
-    kind: str
-    subspace_entropy: float
+    system_state: np.ndarray  # |eps>, a unit d_s-vector
+    occupied: np.ndarray  # ascending bath basis indices
+    d_b: int
 
-    def __post_init__(self):
-        norms = np.linalg.norm(self.members, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise ConfigurationError("ensemble members must be normalized")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("ensemble weights must be a distribution")
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.occupied.size, 1.0 / self.occupied.size)
+
+    @property
+    def subspace_entropy(self) -> float:
+        return float(np.log(self.occupied.size))
+
+    def members(self) -> np.ndarray:
+        """The member matrix, one column |eps> (x) |i> per occupied level i."""
+        d_s, n = self.system_state.size, self.occupied.size
+        cols = np.zeros((d_s, self.d_b, n), dtype=complex)
+        cols[:, self.occupied, np.arange(n)] = self.system_state[:, None]
+        return cols.reshape(d_s * self.d_b, n)
 
 
 def sector_components(
@@ -154,65 +161,33 @@ def assemble(
 
 
 def prepare_initial(
-    kind: str,
     windows: list[EnergyWindow],
     window_index: int,
     system_state,
     d_s: int,
-    members: int = DEFAULT_MEMBERS,
-    seed: int | None = None,
     fill: str = FILLS[0],
 ) -> FullEnsemble:
-    """Build the initial ensemble in one bath window.
+    """The initial state |eps><eps| (x) Pi / n in one bath window.
 
-    kind "basis-ensemble" takes one member per occupied microlevel with
-    equal weights (exact representation of the projector state); kind
-    "typicality" draws ``members`` Haar-random unit vectors from the span of
-    the occupied product states.  fill "half" occupies only the lower half
-    of the window's levels.
+    ``system_state`` is a level index or a vector (normalized here); Pi
+    projects onto the window's levels, or with fill "half" onto the lower
+    half of them.
     """
-    if kind not in ENSEMBLE_KINDS:
-        raise ConfigurationError(f"unknown ensemble kind {kind!r}")
     if fill not in FILLS:
         raise ConfigurationError(f"unknown fill {fill!r}")
     if not 0 <= window_index < len(windows):
         raise ConfigurationError(f"unknown window index {window_index}")
-    d_b = bath_dimension(windows)
     sl = window_slices(windows)[window_index]
     occupied = np.arange(sl.start, sl.stop)
     if fill == "half":
         occupied = occupied[: len(occupied) // 2]
-    n_occ = len(occupied)
-
     sys_vec = np.zeros(d_s, dtype=complex)
     if np.isscalar(system_state):
         sys_vec[int(system_state)] = 1.0
     else:
         sys_vec[:] = np.asarray(system_state, dtype=complex)
         sys_vec /= np.linalg.norm(sys_vec)
-
-    dim = d_s * d_b
-    if kind == "basis-ensemble":
-        cols = np.zeros((dim, n_occ), dtype=complex)
-        for m, i in enumerate(occupied):
-            vec = np.zeros((d_s, d_b), dtype=complex)
-            vec[:, i] = sys_vec
-            cols[:, m] = vec.ravel()
-        weights = np.full(n_occ, 1.0 / n_occ)
-        return FullEnsemble(cols, weights, kind, float(np.log(n_occ)))
-
-    if members < 1:
-        raise ConfigurationError("typicality requires at least one member")
-    rng = np.random.default_rng(seed)
-    cols = np.zeros((dim, members), dtype=complex)
-    for m in range(members):
-        coeff = rng.standard_normal(n_occ) + 1j * rng.standard_normal(n_occ)
-        coeff /= np.linalg.norm(coeff)
-        vec = np.zeros((d_s, d_b), dtype=complex)
-        vec[:, occupied] = np.outer(sys_vec, coeff)
-        cols[:, m] = vec.ravel()
-    weights = np.full(members, 1.0 / members)
-    return FullEnsemble(cols, weights, kind, float(np.log(n_occ)))
+    return FullEnsemble(sys_vec, occupied, bath_dimension(windows))
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +219,24 @@ class _SegmentPropagator:
                              np.ascontiguousarray(evecs)))
         self.dim = dim
 
-    def prepare(self, psi: np.ndarray) -> list[np.ndarray]:
-        # V^dag psi as conj(V^T conj(psi)), which reads V without a conjugated copy
-        return [(evecs.T @ psi[index].conj()).conj() for index, _, evecs in self.eig]
+    def prepare(self, psi: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """V^dag psi per sector, as conj(V^T conj(psi)), which reads V without a conjugated copy.
+
+        ``psi`` holds the rows ``rows`` (ascending basis indices) of the
+        member matrix, whose other rows are zero; only the matching rows of
+        V enter the product.
+        """
+        at = np.full(self.dim, -1)
+        at[rows] = np.arange(rows.size)
+        phi0 = []
+        for index, _, evecs in self.eig:
+            at_c = at[index]
+            inside = at_c >= 0
+            if not inside.all():
+                evecs = evecs[inside]
+            phi = evecs.T @ psi[at_c[inside]].conj()
+            phi0.append(np.conjugate(phi, out=phi))
+        return phi0
 
     def states(self, phi0: list[np.ndarray], dts: np.ndarray):
         """Yield the member matrix at each time offset in ``dts``, one product per sector.
@@ -311,10 +301,12 @@ class _SegmentPropagator:
             for (a, b), group in cells.items():
                 v_a, v_b = self.eig[a][2], self.eig[b][2]
                 width = max(1, FORM_BYTES // (16 * v_a.shape[0]))
+                # the Hermitian cells read only the rows of R down to the chunk's end
+                upper = a == b and all(k == l for _, k, l, _, _ in group)
                 for lo in range(0, v_b.shape[0], width):
                     hi = min(lo + width, v_b.shape[0])
                     chunk = np.arange(hi - lo)
-                    r = amp[a] @ amp[b][lo:hi].conj().T
+                    r = amp[a][: hi if upper else None] @ amp[b][lo:hi].conj().T
                     gram = np.zeros((hi, hi - lo), dtype=complex) if a == b else None
                     for j, k, l, rows_k, rows_l in group:
                         hermitian = a == b and k == l
@@ -452,7 +444,9 @@ def run_exact(
     grid; there the members are carried to the boundary and the Hamiltonian
     is switched.  A point on a segment's start is coarse-grained from the
     members as they are (see :func:`coarse_grain`), so windows they do not
-    occupy hold exactly 0; elsewhere populations and blocks come from
+    occupy hold exactly 0, and before the segment is diagonalized: only the
+    members' nonzero rows are held through the diagonalization (see
+    :meth:`_SegmentPropagator.prepare`).  Elsewhere populations and blocks come from
     quadratic forms in the segment's eigenbasis (see
     :meth:`_SegmentPropagator.blocks`), whose cost per grid point does not
     grow with the member count.  Member matrices are built only for the
@@ -478,14 +472,6 @@ def run_exact(
     if system.n_baths != 1:
         raise ConfigurationError("the exact benchmark supports a single bath")
     t_grid = np.asarray(t_grid, dtype=float)
-    if ensemble.kind == "typicality" and ensemble.members.shape[1] < DEFAULT_MEMBERS:
-        warnings.warn(
-            f"fewer than {DEFAULT_MEMBERS} typicality members; sampling error "
-            f"~{1.0 / np.sqrt(ensemble.members.shape[1] * np.exp(ensemble.subspace_entropy)):.1e} "
-            "per population",
-            stacklevel=2,
-        )
-
     d_s = system.dim
     windows = realization.windows
     n_win = len(windows)
@@ -493,9 +479,10 @@ def run_exact(
     weights = ensemble.weights
     # the split depends on S and B only, so it holds for every segment
     components = sector_components(system.couplings[0], realization)
-    occupied = [c for c in components if np.any(ensemble.members[c] != 0)]
+    psi = ensemble.members()
+    occupied = [c for c in components if np.any(psi[c] != 0)]
     cells = _cells(occupied, d_b, windows)
-    batch = max(1, BATCH_BYTES // (16 * ensemble.members.shape[1] * sum(c.size for c in occupied)))
+    batch = max(1, BATCH_BYTES // (16 * weights.size * sum(c.size for c in occupied)))
 
     blocks = np.zeros((t_grid.size, n_win, d_s, d_s), dtype=complex)
     sampled = np.zeros(t_grid.size, dtype=bool)
@@ -509,21 +496,12 @@ def run_exact(
     def mutual_information(psi: np.ndarray) -> float:
         return quantum_mutual_information(psi, weights, d_s, d_b, ensemble.subspace_entropy)
 
-    psi, prop, end = ensemble.members, None, 0
+    prop, end = None, 0
     for _, seg, t0, _, grid in system.grid_segments(t_grid):
         if prop is not None:
-            # carry the members across the quench, then switch the Hamiltonian
+            # carry the members across the quench
             (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
             products += len(prop.eig)
-        key = tuple(np.round(seg.levels, FREQUENCY_DIGITS))
-        if key not in props:
-            # no reference to the Hamiltonian blocks outlives their diagonalization
-            props[key] = _SegmentPropagator(
-                assemble(seg.levels, system.couplings[0], realization, dim_cap, occupied),
-                d_s * d_b)
-            diag_dims += [evals.size for _, evals, _ in props[key].eig]
-        prop = props[key]
-        phi0, seg_t0 = prop.prepare(psi), t0
         lo, end = end, end + grid.size
         if grid.size and abs(grid[0] - t0) < 1e-12:
             # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
@@ -532,6 +510,19 @@ def run_exact(
             if sampled[lo]:
                 mi_vals.append(mutual_information(psi))
             grid, lo = grid[1:], lo + 1
+        # only the nonzero rows are kept, so no member matrix is held during a
+        # diagonalization: of the initial members, one row per member and level
+        rows = np.flatnonzero(np.any(psi != 0, axis=1))
+        psi = psi[rows]
+        key = tuple(np.round(seg.levels, FREQUENCY_DIGITS))
+        if key not in props:
+            # no reference to the Hamiltonian blocks outlives their diagonalization
+            props[key] = _SegmentPropagator(
+                assemble(seg.levels, system.couplings[0], realization, dim_cap, occupied),
+                d_s * d_b)
+            diag_dims += [evals.size for _, evals, _ in props[key].eig]
+        prop = props[key]
+        phi0, seg_t0 = prop.prepare(psi, rows), t0
         if not grid.size:
             continue
         dts = grid - seg_t0
@@ -566,8 +557,7 @@ def run_exact(
         mi=np.array(mi_vals) if mi_vals else None,
         mi_times=t_grid[sampled] if mi_vals else None,
         meta={
-            "ensemble": ensemble.kind,
-            "members": int(ensemble.members.shape[1]),
+            "members": int(weights.size),
             "dimension": d_s * d_b,
             "sector_dims": [int(c.size) for c in components],
             # one entry per diagonalized block, once per distinct level set
@@ -575,6 +565,6 @@ def run_exact(
             "propagate_products": products,
             "qf_cells": sum(len(group) for group in cells.values()),
             "mi_samples": len(mi_vals),
-            "mi_gram_dim": min(d_b, d_s * ensemble.members.shape[1]) if mi_vals else 0,
+            "mi_gram_dim": min(d_b, d_s * weights.size) if mi_vals else 0,
         },
     )

@@ -65,7 +65,6 @@ def _quench():
         ],
         "initial": {"system_level": 1, "bath_windows": [0], "fill": "full"},
         "solvers": ["exact", "emme-markov"],
-        "ensemble": {"kind": "basis-ensemble"},
         "mi_stride": 4,
     }
 
@@ -74,7 +73,6 @@ def _appf(lam):
     cfg = _fig2((20, 40), "regular", "full", seed_shift=7)
     cfg["baths"][0]["coupling"]["lambda"] = lam
     cfg["solvers"] = ["exact", "emme-markov", "emme-redfield"]
-    cfg["ensemble"] = {"kind": "basis-ensemble"}
     return cfg
 
 
@@ -123,8 +121,6 @@ def presets() -> dict[str, dict]:
             ("col3", ("random-uniform", "half")),
         ):
             table[f"fig2-{row}-{col}"] = _fig2(volumes, spectrum, fill)
-    table["fig2-row1"] = copy.deepcopy(table["fig2-row1-col1"])
-    table["fig2-row2"] = copy.deepcopy(table["fig2-row2-col1"])
     table["quench"] = _quench()
     table["appf-weak"] = _appf(5.0e-4)
     table["appf-base"] = _appf(3.0e-3)
@@ -132,9 +128,7 @@ def presets() -> dict[str, dict]:
     table["twobath"] = _twobath()
 
     for name in [n for n in table if n.startswith("fig2")] + ["quench"]:
-        ci = scale_volumes(table[name], 4.0)
-        ci["ensemble"] = {"kind": "basis-ensemble"}
-        table[f"{name}-ci"] = ci
+        table[f"{name}-ci"] = scale_volumes(table[name], 4.0)
     return table
 
 

@@ -34,7 +34,6 @@ def mini_config(**overrides):
         ],
         "initial": {"system_level": 1, "bath_windows": [0]},
         "solvers": ["exact", "emme-markov", "emme-redfield", "bms", "analytic"],
-        "ensemble": {"kind": "basis-ensemble"},
     }
     cfg.update(overrides)
     return cfg
@@ -163,8 +162,8 @@ def test_unknown_keys_report_the_first_in_sorted_order():
 
 
 @pytest.mark.parametrize("cfg, value", [
-    # a typo must not fall back to typicality, nor go unread when no EMME solver runs
-    (edited("ensemble", "kind", value="basis"), "ensemble kind 'basis'"),
+    # the exact solver's initial state is fixed; the section that chose it is gone
+    (mini_config(ensemble={"kind": "basis-ensemble"}), "unknown configuration key ensemble"),
     (mini_config(rates_method="quadratur", solvers=["bms", "analytic"]),
      "rates method 'quadratur'"),
     # fill is read only by the exact solver, which does not run here
@@ -249,14 +248,13 @@ def test_every_preset_and_workload_resolves_once_for_all():
 
 
 def test_context_defaults_are_written_back():
-    cfg = mini_config(solvers=["emme-markov"], ensemble={"kind": "basis-ensemble"})
+    cfg = mini_config(solvers=["emme-markov"])
     del cfg["seed"], cfg["initial"], cfg["t_grid"]
     cfg["baths"][0]["coupling"].update(variance=0.0, block_mean=[0.5, 0.0])
     resolved = build_scenario(cfg).config
     assert resolved["seed"] == 0  # deterministic
     assert resolved["initial"] == {"system_level": 1, "bath_windows": [0], "fill": "full"}
     assert resolved["t_grid"] == {"t_max": 100.0, "dt": 0.5}
-    assert resolved["ensemble"] == {"kind": "basis-ensemble", "members": 20}
     assert resolved["bms"] == {"t_can": None} and "protocol" not in resolved["system"]
 
 
@@ -309,7 +307,6 @@ def test_seed_optional_when_fully_deterministic():
     cfg = mini_config(solvers=["emme-markov"])
     cfg["baths"][0]["coupling"]["variance"] = 0.0
     cfg["baths"][0]["coupling"]["block_mean"] = [0.5, 0.0]
-    cfg["ensemble"] = {"kind": "basis-ensemble"}
     del cfg["seed"]
     build_scenario(cfg)
 
@@ -344,7 +341,6 @@ def test_fig2_presets_volumes_and_spectra():
     assert [w["volume"] for w in table["fig2-row2-col1"]["baths"][0]["windows"]] == [600, 400]
     assert table["fig2-row1-col2"]["baths"][0]["spectrum"] == "random-uniform"
     assert table["fig2-row1-col3"]["initial"]["fill"] == "half"
-    assert table["fig2-row1"] == table["fig2-row1-col1"]
 
 
 def test_appf_presets_volumes_and_lambdas():
@@ -400,7 +396,6 @@ def test_run_writes_all_outputs(tmp_path):
     assert "bms:p_k1" in joined_header
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["seed"] == 99
-    assert meta["conventions"]["gain_convention"] == "conserving"
     assert any("volume" in w for w in meta["regime_warnings"])  # 25 < 100
     assert meta["diagnostics"]["delta_tau_b"] > 0
 

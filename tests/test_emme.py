@@ -394,7 +394,7 @@ def test_quench_must_align_with_grid():
         evolve_bms(excited_block(), system, BmsRates(1.0, {1.0: 0.1}), t)
     # the exact solver walks the same segments, so its quenches sit on the grid too
     real = two_band_realization(v0=3, v1=4, seed=2)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError, match="align"):
         run_exact(system, real, ens, t)
 
@@ -743,7 +743,7 @@ def test_protocol_starting_after_the_grid_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="protocol starts"):
         evolve_bms(block, system, BmsRates(1.0, {1.0: 0.1}), t)
     real = two_band_realization(v0=3, v1=4, seed=2)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError, match="protocol starts"):
         run_exact(system, real, ens, t)
 
@@ -760,7 +760,7 @@ def test_time_grid_that_is_not_strictly_increasing_is_refused(t_grid):
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         evolve(ConditionedState({(0,): excited_block()}), spin(), [make_bath([40, 60])], t)
     real = two_band_realization(v0=3, v1=4, seed=2)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         run_exact(spin(), real, ens, t)
 

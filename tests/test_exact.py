@@ -16,7 +16,7 @@ from finitebath.exact import (
     run_exact,
     sector_components,
 )
-from finitebath.presets import preset
+from finitebath.presets import preset, scale_volumes
 from finitebath.thermo import build_ledger, mutual_information_cg
 
 from conftest import SIGMA_X, two_band_realization
@@ -70,45 +70,23 @@ def test_assemble_single_level_windows_coupling_block():
 def test_prepare_initial_basis_full_and_half():
     spec = BathSpec([EnergyWindow(0.0, 0.5, 8)])
     wins = build_spectrum(spec)
-    full = prepare_initial("basis-ensemble", wins, 0, 1, 2)
-    assert full.members.shape == (2 * 8, 8)
+    full = prepare_initial(wins, 0, 1, 2)
+    assert full.members().shape == (2 * 8, 8)
     assert np.allclose(full.weights, 1 / 8)
     assert full.subspace_entropy == pytest.approx(np.log(8))
-    half = prepare_initial("basis-ensemble", wins, 0, 1, 2, fill="half")
-    assert half.members.shape[1] == 4
+    half = prepare_initial(wins, 0, 1, 2, fill="half")
+    assert half.members().shape[1] == 4
     # occupied levels are the lowest half
-    occupied = np.nonzero(np.abs(half.members).sum(axis=1) > 0)[0]
+    occupied = np.nonzero(np.abs(half.members()).sum(axis=1) > 0)[0]
     assert set(occupied) == {8 + i for i in range(4)}  # k=1 block, first 4 levels
-
-
-def test_prepare_initial_typicality_single_level():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 1), EnergyWindow(1.0, 0.5, 1)])
-    wins = build_spectrum(spec)
-    ens = prepare_initial("typicality", wins, 0, 1, 2, members=1, seed=0)
-    vec = np.zeros(4, dtype=complex)
-    vec[2] = 1.0  # |1> (x) |E_0>
-    overlap = abs(np.vdot(vec, ens.members[:, 0]))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_prepare_initial_typicality_members_live_in_subspace():
-    spec = BathSpec([EnergyWindow(0.0, 0.5, 6), EnergyWindow(1.0, 0.5, 5)])
-    wins = build_spectrum(spec)
-    ens = prepare_initial("typicality", wins, 0, 1, 2, members=4, seed=7)
-    assert ens.members.shape == (22, 4)
-    tensor = ens.members.reshape(2, 11, 4)
-    assert np.max(np.abs(tensor[0])) == 0.0  # system stays in |1>
-    assert np.max(np.abs(tensor[1, 6:, :])) == 0.0  # bath stays in window 0
-    again = prepare_initial("typicality", wins, 0, 1, 2, members=4, seed=7)
-    assert np.array_equal(ens.members, again.members)
 
 
 def test_propagate_identity_at_origin_and_frozen_when_uncoupled():
     real = two_band_realization(v0=4, v1=5, lam=0.0, seed=4)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 8.0, 5)
     pops = run_exact(spin(), real, ens, t_grid).populations
-    p0, _ = coarse_grain(ens.members, ens.weights, 2, real.windows)
+    p0, _ = coarse_grain(ens.members(), ens.weights, 2, real.windows)
     assert np.allclose(pops[0], p0.T.ravel(), atol=1e-12)
     assert np.allclose(pops[0], pops[-1], atol=1e-12)
     with pytest.raises(ConfigurationError, match="strictly increasing"):
@@ -118,7 +96,7 @@ def test_propagate_identity_at_origin_and_frozen_when_uncoupled():
 def test_propagate_rabi_oscillation_against_two_level_oracle():
     real = tiny_realization(b=0.6)
     lam, b = 0.05, 0.6
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 40.0, 81)
     traj = run_exact(spin(), real, ens, t_grid)
     # column 1: level 1 of window 0
@@ -129,10 +107,11 @@ def test_propagate_rabi_oscillation_against_two_level_oracle():
 def test_propagate_conserves_norm_and_energy():
     real = two_band_realization(v0=30, v1=40, seed=5)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    ens = prepare_initial("typicality", real.windows, 0, 1, 2, members=3, seed=8)
-    prop = exact._SegmentPropagator(model, ens.members.shape[0])
+    members = random_members(np.random.default_rng(8), 2, 70, 3)
+    prop = exact._SegmentPropagator(model, members.shape[0])
     e0 = None
-    for psi in prop.states(prop.prepare(ens.members), np.linspace(0.0, 50.0, 6)):
+    for psi in prop.states(prop.prepare(members, np.arange(members.shape[0])),
+                           np.linspace(0.0, 50.0, 6)):
         assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
         energy = sum(
             np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
@@ -145,8 +124,8 @@ def test_propagate_conserves_norm_and_energy():
 
 def test_coarse_grain_initial_state_and_normalization():
     real = two_band_realization(v0=10, v1=15, seed=6)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
-    p, blocks = coarse_grain(ens.members, ens.weights, 2, real.windows)
+    ens = prepare_initial(real.windows, 0, 1, 2)
+    p, blocks = coarse_grain(ens.members(), ens.weights, 2, real.windows)
     assert p[1, 0] == pytest.approx(1.0)
     assert p.sum() == pytest.approx(1.0)
     assert np.trace(blocks[0]).real == pytest.approx(1.0)
@@ -154,9 +133,9 @@ def test_coarse_grain_initial_state_and_normalization():
 
 def test_mutual_information_zero_for_product_and_bounded():
     real = two_band_realization(v0=12, v1=18, seed=7)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     d_b = sum(w.volume for w in real.windows)
-    mi0 = quantum_mutual_information(ens.members, ens.weights, 2, d_b, ens.subspace_entropy)
+    mi0 = quantum_mutual_information(ens.members(), ens.weights, 2, d_b, ens.subspace_entropy)
     assert abs(mi0) < 1e-10
     traj = run_exact(spin(), real, ens, np.array([0.0, 30.0, 80.0]), mi_stride=1)
     assert traj.meta["mi_samples"] == 3
@@ -226,7 +205,7 @@ def test_mutual_information_gram_route_matches_dense_reference(d_s, d_b, seed, w
 def test_quantum_mi_upper_bounds_coarse_grained_mi():
     real = two_band_realization(v0=20, v1=30, seed=9)
     system = spin()
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     traj = run_exact(system, real, ens, np.linspace(0.0, 120.0, 25), mi_stride=1)
     # 20 members of a 2-level system against d_b = 50: the Gram matrix is 40 x 40
     assert traj.meta["mi_samples"] == 25
@@ -244,34 +223,6 @@ def test_quantum_mi_upper_bounds_coarse_grained_mi():
         assert traj.mi[n] >= i_cg - 1e-9
 
 
-def test_basis_and_typicality_agree_within_sampling_error():
-    system = spin()
-    real = two_band_realization(v0=20, v1=30, seed=10)
-    t_grid = np.linspace(0.0, 80.0, 17)
-    basis = run_exact(system, real, prepare_initial("basis-ensemble", real.windows, 0, 1, 2), t_grid)
-    m = 25
-    typ_ens = prepare_initial("typicality", real.windows, 0, 1, 2, members=m, seed=11)
-    typ = run_exact(system, real, typ_ens, t_grid)
-    err_estimate = 1.0 / np.sqrt(m * 20)
-    diff = np.max(np.abs(basis.populations - typ.populations))
-    assert diff <= 3 * err_estimate
-
-
-def test_basis_and_typicality_agree_on_two_band_relaxation_scenario():
-    # the benchmark scenario at reduced volumes: exact mixed-state ensemble
-    # against 20 random-vector members
-    system = spin()
-    real = two_band_realization(v0=100, v1=150, seed=14)
-    t_grid = np.linspace(0.0, 100.0, 26)
-    basis = run_exact(system, real, prepare_initial("basis-ensemble", real.windows, 0, 1, 2), t_grid)
-    m = 20
-    typ_ens = prepare_initial("typicality", real.windows, 0, 1, 2, members=m, seed=15)
-    typ = run_exact(system, real, typ_ens, t_grid)
-    err_estimate = 1.0 / np.sqrt(m * 100)
-    diff = np.max(np.abs(basis.populations - typ.populations))
-    assert diff <= 3 * err_estimate
-
-
 def test_run_exact_quench_protocol_continuity():
     real = two_band_realization(v0=15, v1=25, seed=12)
     system = SystemSpec(
@@ -279,7 +230,7 @@ def test_run_exact_quench_protocol_continuity():
         [[SIGMA_X]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(10.0, [0.0, 2.0])],
     )
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     traj = run_exact(system, real, ens, np.linspace(0.0, 20.0, 41))
     assert traj.meta["mi_samples"] == 0 and traj.meta["mi_gram_dim"] == 0
     assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-10)
@@ -292,7 +243,7 @@ def test_run_exact_quench_protocol_continuity():
 def test_run_exact_rejects_multiple_baths():
     real = two_band_realization(v0=5, v1=5, seed=13)
     system = SystemSpec(np.array([0.0, 1.0]), [[SIGMA_X], [SIGMA_X]])
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     with pytest.raises(ConfigurationError):
         run_exact(system, real, ens, np.linspace(0.0, 1.0, 3))
 
@@ -314,7 +265,7 @@ def dense_reference_states(system, realization, ensemble, t_grid):
     """Member matrices on the grid from one dense eigh of H per protocol segment."""
     segs = system.protocol
     ends = [seg.t_start for seg in segs[1:]] + [np.inf]
-    psi, states = ensemble.members, []
+    psi, states = ensemble.members(), []
     for seg, t_end in zip(segs, ends):
         evals, evecs = np.linalg.eigh(dense_hamiltonian(seg.levels, system.couplings[0], realization))
         phi = evecs.conj().T @ psi
@@ -374,7 +325,7 @@ def test_run_exact_matches_dense_reference_through_quench(case):
         [[s_op]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(15.0, [0.0, 1.3])],
     )
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 40.0, 41)
     traj = run_exact(system, real, ens, t_grid, mi_stride=4)
     assert traj.meta["sector_dims"] == dims
@@ -395,9 +346,9 @@ def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
         [[SIGMA_X]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(5.0, [0.0, 1.3])],
     )
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     occupied, unoccupied = sector_components([SIGMA_X], real)[::-1]
-    assert np.any(ens.members[occupied]) and not np.any(ens.members[unoccupied])
+    assert np.any(ens.members()[occupied]) and not np.any(ens.members()[unoccupied])
     diagonalized = []
     eigh = exact._eigh
 
@@ -443,11 +394,11 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
         [[s_op]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
     )
-    ens = prepare_initial("basis-ensemble", real.windows, 0, state, 2)
-    occupied = [c for c in sector_components([s_op], real) if np.any(ens.members[c])]
+    ens = prepare_initial(real.windows, 0, state, 2)
+    occupied = [c for c in sector_components([s_op], real) if np.any(ens.members()[c])]
     assert len(occupied) == n_occupied
-    assert (occupied[0].size == ens.members.shape[0]) == (case == "whole")
-    batch_of(monkeypatch, 3, ens.members.shape[1], sum(c.size for c in occupied))
+    assert (occupied[0].size == ens.members().shape[0]) == (case == "whole")
+    batch_of(monkeypatch, 3, ens.members().shape[1], sum(c.size for c in occupied))
     # 7 points before the quench and 10 after: neither a multiple of the batch
     t_grid = np.linspace(0.0, 16.0, 17)
     traj = run_exact(system, real, ens, t_grid, mi_stride=1)
@@ -469,7 +420,7 @@ def quench_walker_case(case):
         [[s_op]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
     )
-    return real, system, prepare_initial("basis-ensemble", real.windows, 0, state, 2), n_occupied
+    return real, system, prepare_initial(real.windows, 0, state, 2), n_occupied
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -478,8 +429,8 @@ def test_run_exact_blocks_match_the_dense_reference_at_every_point(monkeypatch, 
     real, system, ens, n_occupied = quench_walker_case(case)
     if small:
         # column chunks of 7 columns and batches of 2 or 3 points
-        monkeypatch.setattr(exact, "FORM_BYTES", 7 * 16 * ens.members.shape[0] // 2)
-        monkeypatch.setattr(exact, "PHASE_BYTES", 2 * 16 * ens.members.shape[0])
+        monkeypatch.setattr(exact, "FORM_BYTES", 7 * 16 * ens.members().shape[0] // 2)
+        monkeypatch.setattr(exact, "PHASE_BYTES", 2 * 16 * ens.members().shape[0])
     t_grid = np.linspace(0.0, 16.0, 17)
     traj = run_exact(system, real, ens, t_grid)
     # levels 0 and 1 of both windows lie in occupied sectors: cells (0, 0), (0, 1), (1, 1)
@@ -550,7 +501,7 @@ def test_a_block_trace_off_the_member_norms_is_refused(monkeypatch):
 
 def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
     real = two_band_realization(v0=20, v1=30, seed=21)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     eigh = exact._eigh
 
     def leaky_eigh(h):
@@ -561,18 +512,20 @@ def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
     monkeypatch.setattr(exact, "_eigh", leaky_eigh)
     # mutual-information samples at every point, in batches 1-4, 5-8, 9-12:
     # t = 7 sits inside the batch 5, 6, 7, 8
-    batch_of(monkeypatch, 4, ens.members.shape[1], 50)
+    batch_of(monkeypatch, 4, ens.members().shape[1], 50)
     with pytest.raises(NumericalFailure, match=r"at t=7$"):
         run_exact(spin(), real, ens, np.linspace(0.0, 12.0, 13), mi_stride=1)
 
 
-def test_check_norms_refuses_a_nan_member():
+def test_check_norms_refuses_a_nan_member(monkeypatch):
     real = two_band_realization(v0=4, v1=5, seed=4)
-    ens = prepare_initial("basis-ensemble", real.windows, 0, 1, 2)
+    ens = prepare_initial(real.windows, 0, 1, 2)
     t_grid = np.linspace(0.0, 3.0, 4)
     run_exact(spin(), real, ens, t_grid)
     # a zero amplitude of member 1, in the occupied window
-    ens.members[9, 1] = np.nan
+    members = ens.members()
+    members[9, 1] = np.nan
+    monkeypatch.setattr(ens, "members", lambda: members)
     with pytest.raises(NumericalFailure, match="member norm drifted by nan at t=0$"):
         run_exact(spin(), real, ens, t_grid)
 
@@ -597,3 +550,13 @@ def test_exact_first_point_is_the_initial_ensemble_itself(monkeypatch):
     assert quench_ci_exact()[2] == sigma0
     monkeypatch.setattr(exact, "_eigh", np.linalg.eigh)
     assert quench_ci_exact()[2] == pytest.approx(sigma0, rel=1e-9)
+
+
+def test_mutual_information_of_the_preset_initial_state_starts_at_zero():
+    # fig2-row1-col1 at volumes / 4 (d = 500), sampled at t = 0, 25, ..., 100
+    cfg = scale_volumes(preset("fig2-row1-col1"), 4)
+    cfg["solvers"], cfg["mi_stride"] = ["exact"], 50
+    traj = ScenarioRun(build_scenario(cfg)).run_solver("exact")
+    assert traj.meta["mi_samples"] == 5 and traj.mi_times[0] == 0.0
+    assert abs(traj.mi[0]) <= 1e-10
+    assert np.all(traj.mi >= -1e-10)

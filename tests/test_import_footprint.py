@@ -41,12 +41,12 @@ for name in {modules!r}:
     importlib.import_module("finitebath." + name)
 from finitebath import cli, presets
 assert cli.main(["list-presets"]) == 0
-cfg = presets.preset("fig2-row1-ci")
+cfg = presets.preset("fig2-row1-col1-ci")
 cfg["solvers"] = ["emme-markov", "magic"]
 with open("bad.json", "w") as fh:
     json.dump(cfg, fh)
 assert cli.main(["run", "bad.json", "--out", "o"]) == 2
-cfg = presets.preset("fig2-row1-ci")
+cfg = presets.preset("fig2-row1-col1-ci")
 cfg["t_grd"] = cfg.pop("t_grid")
 with open("typo.json", "w") as fh:
     json.dump(cfg, fh)

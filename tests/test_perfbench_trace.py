@@ -31,7 +31,7 @@ def test_benchmark_gate_passes_on_a_mini_run(tmp_path, monkeypatch):
         return run_all(runner)
 
     monkeypatch.setattr(cli.ScenarioRun, "run_all", capture)
-    cfg = presets.preset("fig2-row1-ci")
+    cfg = presets.preset("fig2-row1-col1-ci")
     cfg["solvers"] = ["exact", "emme-markov", "emme-redfield", "analytic"]
     cfg["mi_stride"] = 40
     cli.run(cfg, tmp_path, name="mini")
