@@ -50,6 +50,8 @@ SMALL_VOLUME_LIMIT = 100  # below this the master equation is known to degrade
 # most points of a t_max/dt grid: every solver stores arrays per point, so a
 # larger grid is refused before np.arange builds it
 MAX_GRID_POINTS = 10**6
+# cells per formatted CSV chunk, which bounds the text held in memory at once
+CSV_CHUNK_CELLS = 2**16
 
 REQUIRED = object()  # no default: the key must be given
 OPTIONAL = object()  # no default: a key left out stays out
@@ -378,9 +380,20 @@ class ScenarioRun:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    """One row per time; 2-D columns contribute one CSV column per array column."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",",
-               header=",".join(header), comments="")
+    """One row per time; 2-D columns contribute one CSV column per array column.
+
+    The bytes of ``np.savetxt(fmt="%.12g", delimiter=",")``, formatted from
+    Python floats by one template per chunk of at most CSV_CHUNK_CELLS cells.
+    """
+    table = np.column_stack(columns)
+    n_cols = table.shape[1]
+    row = ",".join(["%.12g"] * n_cols) + "\n"
+    step = max(1, CSV_CHUNK_CELLS // n_cols)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), step):
+            chunk = table[start : start + step]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory):

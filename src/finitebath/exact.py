@@ -219,6 +219,26 @@ class _SegmentPropagator:
                              np.ascontiguousarray(evecs)))
         self.dim = dim
 
+    def gather(self, ensemble: FullEnsemble) -> list[np.ndarray]:
+        """V^dag psi per sector for the members of ``ensemble``, without a product.
+
+        Member i is |eps> (x) |i>, nonzero only in the rows k d_b + i of the
+        levels k that |eps> occupies, so V^dag psi is the sum over those k of
+        eps_k conj(V[k d_b + i]): one row gather of V per level.
+        """
+        at = np.full(self.dim, -1)
+        phi0 = []
+        for index, _, evecs in self.eig:
+            at[index] = np.arange(evecs.shape[0])
+            phi = np.zeros((ensemble.occupied.size, evecs.shape[1]), dtype=complex)
+            for k in np.flatnonzero(ensemble.system_state):
+                r = at[k * ensemble.d_b + ensemble.occupied]
+                inside = r >= 0
+                phi[inside] += ensemble.system_state[k] * evecs[r[inside]].conj()
+            at[index] = -1
+            phi0.append(np.ascontiguousarray(phi.T))
+        return phi0
+
     def prepare(self, psi: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
         """V^dag psi per sector, as conj(V^T conj(psi)), which reads V without a conjugated copy.
 
@@ -445,8 +465,10 @@ def run_exact(
     is switched.  A point on a segment's start is coarse-grained from the
     members as they are (see :func:`coarse_grain`), so windows they do not
     occupy hold exactly 0, and before the segment is diagonalized: only the
-    members' nonzero rows are held through the diagonalization (see
-    :meth:`_SegmentPropagator.prepare`).  Elsewhere populations and blocks come from
+    carried members' nonzero rows are held through the diagonalization (see
+    :meth:`_SegmentPropagator.prepare`), and the initial members are
+    projected by a row gather (see :meth:`_SegmentPropagator.gather`).
+    Elsewhere populations and blocks come from
     quadratic forms in the segment's eigenbasis (see
     :meth:`_SegmentPropagator.blocks`), whose cost per grid point does not
     grow with the member count.  Member matrices are built only for the
@@ -498,7 +520,8 @@ def run_exact(
 
     prop, end = None, 0
     for _, seg, t0, _, grid in system.grid_segments(t_grid):
-        if prop is not None:
+        carried = prop is not None
+        if carried:
             # carry the members across the quench
             (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
             products += len(prop.eig)
@@ -510,10 +533,14 @@ def run_exact(
             if sampled[lo]:
                 mi_vals.append(mutual_information(psi))
             grid, lo = grid[1:], lo + 1
-        # only the nonzero rows are kept, so no member matrix is held during a
-        # diagonalization: of the initial members, one row per member and level
-        rows = np.flatnonzero(np.any(psi != 0, axis=1))
-        psi = psi[rows]
+        # no member matrix is held during a diagonalization: carried members
+        # keep only their nonzero rows, and the initial ones are dropped, since
+        # they enter through the ensemble (see _SegmentPropagator.gather)
+        if carried:
+            rows = np.flatnonzero(np.any(psi != 0, axis=1))
+            psi = psi[rows]
+        else:
+            psi = None
         key = tuple(np.round(seg.levels, FREQUENCY_DIGITS))
         if key not in props:
             # no reference to the Hamiltonian blocks outlives their diagonalization
@@ -522,7 +549,8 @@ def run_exact(
                 d_s * d_b)
             diag_dims += [evals.size for _, evals, _ in props[key].eig]
         prop = props[key]
-        phi0, seg_t0 = prop.prepare(psi, rows), t0
+        phi0 = prop.prepare(psi, rows) if carried else prop.gather(ensemble)
+        seg_t0 = t0
         if not grid.size:
             continue
         dts = grid - seg_t0

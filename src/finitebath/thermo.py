@@ -20,7 +20,11 @@ from .trajectory import Trajectory
 
 P_FLOOR = 1e-300
 BETA_MAX = 50.0  # effective temperatures are searched in (-BETA_MAX, BETA_MAX)
-BISECTIONS = 64  # halvings of that bracket; the last ones stall at adjacent floats
+# grid on that range whose canonical energies bracket each root
+BRACKET_POINTS = 129
+# cap on the Newton-or-bisection evaluations per root: 64 halvings of the
+# whole range would end at adjacent floats, so no root needs more
+BISECTIONS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +146,17 @@ def _canonical_energy(beta, centers, log_v) -> np.ndarray:
 def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> EffectiveTemperature:
     """Solve sum_E E V_E e^{-E/T} / Z_B = U_B for T, for one or many U_B.
 
-    The canonical energy is strictly decreasing in beta, so the root is
-    unique; every U_B is bisected at once on (-BETA_MAX, BETA_MAX), and the
-    edge markers are returned beyond it.  Raises if a U_B lies outside the
-    spectrum.
+    The canonical energy U(beta) is strictly decreasing, with dU/dbeta =
+    -Var_beta(E), so the root is unique.  Each U_B is bracketed between two
+    neighbours of a BRACKET_POINTS grid on [-BETA_MAX, BETA_MAX], started
+    by linear interpolation there, and refined by Newton steps; a step that
+    leaves the bracket, which every evaluation narrows, is replaced by a
+    bisection step.  An entry stops once |U - U_B| <= 8 eps max(1, max|E|),
+    keeping that last Newton step, or once its step leaves beta unchanged,
+    and after at most BISECTIONS evaluations; stopped entries are frozen,
+    so each entry of an array answer equals the scalar answer.  The edge
+    markers are returned beyond the grid.  Raises if a U_B lies outside
+    the spectrum.
     """
     centers, log_v = _band(centers, volumes)
     if centers.size < 2:
@@ -160,22 +171,55 @@ def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> Effe
         raise ConfigurationError(
             f"bath energy {u[outside].flat[0]} outside the attainable range [{e_min}, {e_max}]"
         )
-    lo = np.full(u.shape, -BETA_MAX)
-    hi = np.full(u.shape, BETA_MAX)
+    # spaced evenly in asinh(beta W), W the band width: U(beta) turns from
+    # the top of the band to its bottom over a beta range of about 1 / W;
+    # below W = 1 / BETA_MAX the grid is close to uniform anyway
+    width = max(e_max - e_min, 1.0 / BETA_MAX)
+    reach = math.asinh(BETA_MAX * width)
+    grid = np.sinh(np.linspace(-reach, reach, BRACKET_POINTS)) / width
+    grid[0], grid[-1] = -BETA_MAX, BETA_MAX
+    table = _canonical_energy(grid, centers, log_v)
+    # U(+-BETA_MAX) can round past the band edge, so the edges themselves are markers too
+    top = min(e_max, table[0])
+    bottom = max(e_min, table[-1])
+    # U along the reversed grid, made ascending: the running maximum only
+    # irons out rounding where U is flat to double precision
+    rising = np.maximum.accumulate(table[::-1])
+    flat = u.reshape(-1)
+    beta = np.where(flat <= bottom, math.inf, np.where(flat >= top, -math.inf, 0.0))
+    todo = np.flatnonzero((flat > bottom) & (flat < top))
+    target = flat[todo]
+    # rising[j - 1] < U_B <= rising[j]: the bracket is grid[i], grid[i + 1]
+    j = np.searchsorted(rising, target)
+    i = BRACKET_POINTS - 1 - j
+    lo, hi = grid[i], grid[i + 1]
+    b = lo + (rising[j] - target) / (rising[j] - rising[j - 1]) * (hi - lo)
+    tol = 8 * np.finfo(float).eps * scale
     for _ in range(BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        too_hot = _canonical_energy(mid, centers, log_v) > u
-        lo = np.where(too_hot, mid, lo)
-        hi = np.where(too_hot, hi, mid)
-    beta = 0.5 * (lo + hi)
+        if not todo.size:
+            break
+        p, _ = _canonical_weights(b, centers, log_v)
+        z = np.sum(p, axis=-1)
+        mean = np.sum(centers * p, axis=-1) / z
+        var = np.sum((centers - mean[:, None]) ** 2 * p, axis=-1) / z
+        gap = mean - target
+        too_hot = gap > 0
+        lo = np.where(too_hot, b, lo)
+        hi = np.where(too_hot, hi, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = b + gap / var
+        inside = (newton > lo) & (newton < hi)
+        step = np.where(inside, newton, 0.5 * (lo + hi))
+        # a stopped entry keeps its last Newton step, which costs no evaluation
+        close = np.abs(gap) <= tol
+        done = close | (step == b)
+        beta[todo[done]] = np.where(close & inside, newton, b)[done]
+        keep = ~done
+        todo, target, b, lo, hi = todo[keep], target[keep], step[keep], lo[keep], hi[keep]
+    beta[todo] = b
     # snap to the infinite-temperature marker at the weighted-mean energy
     beta = np.where(np.abs(beta) < 1e-12, 0.0, beta)
-    # U(+-BETA_MAX) can round past the band edge, so the edges themselves are markers too
-    top = min(e_max, _canonical_energy(-BETA_MAX, centers, log_v))
-    bottom = max(e_min, _canonical_energy(BETA_MAX, centers, log_v))
-    beta = np.where(u >= top, -math.inf, beta)
-    beta = np.where(u <= bottom, math.inf, beta)
-    return EffectiveTemperature(beta[()])
+    return EffectiveTemperature(beta.reshape(u.shape)[()])
 
 
 def gibbs_bath_entropy(centers: np.ndarray, volumes: np.ndarray, beta) -> np.ndarray:

@@ -32,17 +32,21 @@ class Trajectory:
     mi: np.ndarray | None = None
     mi_times: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    _column_names: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_levels(self) -> int:
         return self.level_energies.shape[1]
 
     def column_names(self) -> list[str]:
-        names = []
-        for k, key in self.joint_index:
-            if key:
-                label = "x".join(f"{self.bath_centers[n][j]:g}" for n, j in enumerate(key))
-                names.append(f"p_k{k}_E{label}")
-            else:
-                names.append(f"p_k{k}")
-        return names
+        """One label per joint state, built on the first call; each call gets a copy."""
+        if self._column_names is None:
+            names = []
+            for k, key in self.joint_index:
+                if key:
+                    label = "x".join(f"{self.bath_centers[n][j]:g}" for n, j in enumerate(key))
+                    names.append(f"p_k{k}_E{label}")
+                else:
+                    names.append(f"p_k{k}")
+            self._column_names = names
+        return list(self._column_names)

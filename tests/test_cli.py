@@ -490,6 +490,28 @@ def test_mi_file_written_when_sampled(tmp_path):
     assert len(lines) == 1 + 6  # 11 grid points sampled every 2nd
 
 
+CSV_SPECIALS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 1e300, 3.0, -42.0, 2.0**60,
+                0.1, 1.0 / 3.0, -5e-324]
+
+
+@pytest.mark.parametrize("rows, chunk_cells", [
+    (1, 2**16),  # one row
+    (9, 45),  # 3 rows of 15 cells per chunk, 3 chunks
+    (10, 45),  # 3 rows per chunk and a last chunk of 1
+    (4, 2),  # fewer cells per chunk than columns: one row each
+])
+def test_write_csv_is_byte_for_byte_savetxt(tmp_path, monkeypatch, rows, chunk_cells):
+    monkeypatch.setattr(cli, "CSV_CHUNK_CELLS", chunk_cells)
+    t = np.arange(rows) * 0.25
+    specials = np.array([np.roll(CSV_SPECIALS, r) for r in range(rows)])
+    columns = [t, specials, np.random.default_rng(rows).normal(size=rows)]
+    header = ["t"] + [f"x{n}" for n in range(len(CSV_SPECIALS))] + ["y"]
+    cli._write_csv(tmp_path / "fast.csv", header, columns)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.12g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_thermo_csv_columns(tmp_path):
     run(mini_config(solvers=["emme-markov"]), tmp_path, name="mini")
     header = (tmp_path / "thermo_emme-markov.csv").read_text().splitlines()[0].split(",")

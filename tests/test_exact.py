@@ -411,6 +411,26 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
     assert traj.meta["propagate_products"] == n_occupied * (2 + 3 + 1)
 
 
+@pytest.mark.parametrize("state", [0, 1, [1.0, 1.0], [0.6, 0.8j]])
+@pytest.mark.parametrize("case", list(WALKER_CASES))
+def test_gather_is_the_product_with_the_initial_members(case, state):
+    make_realization, s_op, _, _ = WALKER_CASES[case]
+    real = make_realization()
+    ens = prepare_initial(real.windows, 0, state, 2)
+    psi = ens.members()
+    occupied = [c for c in sector_components([s_op], real) if np.any(psi[c])]
+    prop = exact._SegmentPropagator(
+        assemble(np.array([0.0, 1.0]), [s_op], real, components=occupied), psi.shape[0])
+    rows = np.flatnonzero(np.any(psi != 0, axis=1))
+    for gathered, product in zip(prop.gather(ens), prop.prepare(psi[rows], rows), strict=True):
+        assert gathered.flags.c_contiguous
+        if np.isscalar(state):
+            # one nonzero amplitude 1 per member: the product only copies rows of conj(V)
+            assert np.array_equal(gathered, product)
+        else:
+            assert np.max(np.abs(gathered - product)) <= 1e-15
+
+
 def quench_walker_case(case):
     """A WALKER_CASES realization, operator and ensemble, with a quench at t = 7."""
     make_realization, s_op, state, n_occupied = WALKER_CASES[case]

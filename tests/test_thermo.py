@@ -16,6 +16,9 @@ from finitebath.emme import (
 from finitebath.errors import ConfigurationError
 from finitebath.rates import rate_table_rmt
 from finitebath.thermo import (
+    BETA_MAX,
+    _band,
+    _canonical_energy,
     build_ledger,
     effective_temperature,
     energies_and_first_law,
@@ -173,13 +176,37 @@ def test_effective_temperature_round_trip():
         assert est.beta == pytest.approx(beta, abs=1e-9)
 
 
+def bisection_beta(centers, volumes, u_b):
+    """The former solver, kept as an oracle: 64 halvings of (-BETA_MAX, BETA_MAX), then the markers."""
+    centers, log_v = _band(centers, volumes)
+    u = np.asarray(u_b, dtype=float)
+    lo = np.full(u.shape, -BETA_MAX)
+    hi = np.full(u.shape, BETA_MAX)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        too_hot = _canonical_energy(mid, centers, log_v) > u
+        lo = np.where(too_hot, mid, lo)
+        hi = np.where(too_hot, hi, mid)
+    beta = 0.5 * (lo + hi)
+    beta = np.where(np.abs(beta) < 1e-12, 0.0, beta)
+    top = min(centers.max(), _canonical_energy(-BETA_MAX, centers, log_v))
+    bottom = max(centers.min(), _canonical_energy(BETA_MAX, centers, log_v))
+    beta = np.where(u >= top, -math.inf, beta)
+    return np.where(u <= bottom, math.inf, beta)
+
+
 @st.composite
 def canonical_baths(draw):
-    """Window centers and volumes, and the canonical energies at drawn betas."""
-    n = draw(st.integers(2, 6))
-    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    """Window centers and volumes, and the canonical energies at drawn betas.
+
+    Up to 300 windows; the gaps and volumes of one bath come from a drawn
+    seed, since hypothesis cannot hold that many draws per example.
+    """
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.uniform(0.05, 2.0, n - 1)
     centers = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
-    volumes = np.array(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)), float)
+    volumes = rng.integers(1, 10**6, n, endpoint=True).astype(float)
     betas = np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8)))
     w = np.log(volumes) - betas[:, None] * centers
     p = np.exp(w - w.max(axis=1, keepdims=True))
@@ -205,10 +232,28 @@ def test_effective_temperature_array_solves_every_energy(bath):
     centers, volumes, betas, u = bath
     est = effective_temperature(centers, volumes, u).beta
     assert np.max(np.abs(est - betas)) <= 1e-9
+    # the former bisection meets the same bound, and so agrees with the Newton answer
+    oracle = bisection_beta(centers, volumes, u)
+    assert np.max(np.abs(oracle - betas)) <= 1e-9
+    assert np.max(np.abs(est - oracle)) <= 1e-9
     scalar = [effective_temperature(centers, volumes, x).beta for x in u]
     assert np.array_equal(est, scalar)
-    edges = effective_temperature(centers, volumes, [centers[0], centers[-1]]).beta
-    assert list(edges) == [math.inf, -math.inf]
+    # the markers: the band edges, and the canonical energies at +-BETA_MAX,
+    # clipped to the band where they round past it
+    _, log_v = _band(centers, volumes)
+    edges = [centers[0], centers[-1], _canonical_energy(BETA_MAX, centers, log_v),
+             _canonical_energy(-BETA_MAX, centers, log_v)]
+    edges = np.clip(edges, centers[0], centers[-1])
+    marked = effective_temperature(centers, volumes, edges).beta
+    assert list(marked[:2]) == [math.inf, -math.inf]
+    assert np.array_equal(marked, bisection_beta(centers, volumes, edges))
+    # energies across and beyond the range, saturated ones included: a marker
+    # or a beta inside the range, as the former bisection gives
+    sweep = np.clip(_canonical_energy(np.linspace(-60.0, 60.0, 41), centers, log_v),
+                    centers[0], centers[-1])
+    swept = effective_temperature(centers, volumes, sweep).beta
+    assert np.all(np.isinf(swept) | (np.abs(swept) < BETA_MAX))
+    assert np.array_equal(np.isinf(swept), np.isinf(bisection_beta(centers, volumes, sweep)))
 
 
 # ---------------------------------------------------------------------------
