@@ -181,7 +181,7 @@ def evolve_bms(
     return Trajectory(
         solver="bms",
         times=times,
-        joint_index=[(k, ()) for k in range(d)],
+        keys=[()],
         populations=states[:, :: d + 1].real.copy(),
         level_energies=levels,
         bath_centers=[],

@@ -338,7 +338,7 @@ class ScenarioRun:
             t_can = cfg["bms"]["t_can"]
             if t_can is None:  # the effective temperature of the initial bath window
                 t_can = choose_reference_temperature(
-                    np.eye(len(table.centers))[j0], table.centers, table.volumes)
+                    np.eye(1, len(table.centers), j0)[0], table.centers, table.volumes)
             rates = bms_rates_from_table(table, j0, sc.system, t_can)
             rho0 = self.initial_state().blocks[sc.initial_windows]  # the initial level
             traj = evolve_bms(rho0, sc.system, rates, sc.t_grid)

@@ -612,8 +612,7 @@ def evolve(
     return Trajectory(
         solver=f"emme-{variant}",
         times=times,
-        # populations are ordered as all levels of block 0, then block 1, ...
-        joint_index=[(k, key) for key in keys for k in range(d)],
+        keys=keys,
         populations=pops,
         level_energies=levels,
         bath_centers=[tb.centers for tb in tables],
@@ -737,21 +736,21 @@ def spin_oracle_trajectory(
     pops0 = state0.populations()
     omega_sets = [{frequency(levels[0], levels[1]), frequency(levels[1], levels[0])}]
     keys = reachable_keys({key for (_, key) in pops0}, [table], omega_sets)
-    joint_index = [(k, key) for key in keys for k in range(2)]
+    pos = {key: n for n, key in enumerate(keys)}  # level k of keys[n] is column 2 n + k
     xi = (
         t_grid - t_grid[0]
         if variant == "markov"
         else xi_integral(t_grid - t_grid[0], table.delta)
     )
-    pops = np.zeros((t_grid.size, len(joint_index)))
+    pops = np.zeros((t_grid.size, 2 * len(keys)))
     done = set()
     for key in keys:
         j = key[0]
         jp = table.target_window(j, gap)
-        idx_exc = joint_index.index((1, key))
+        idx_exc = 2 * pos[key] + 1
         if jp is not None and (j, jp) not in done:
             done.add((j, jp))
-            idx_gnd = joint_index.index((0, (jp,)))
+            idx_gnd = 2 * pos[(jp,)]
             p0_pair = (pops0.get((1, key), 0.0), pops0.get((0, (jp,)), 0.0))
             gamma = float(table.gamma[j, jp, 0, 0].real)
             sol = analytic_spin_solution(
@@ -763,12 +762,11 @@ def spin_oracle_trajectory(
             pops[:, idx_exc] = pops0.get((1, key), 0.0)
         j_dn = table.target_window(j, -gap)
         if j_dn is None:
-            idx = joint_index.index((0, key))
-            pops[:, idx] = pops0.get((0, key), 0.0)
+            pops[:, 2 * pos[key]] = pops0.get((0, key), 0.0)
     return Trajectory(
         solver="analytic",
         times=t_grid,
-        joint_index=joint_index,
+        keys=keys,
         populations=pops,
         level_energies=np.tile(levels, (t_grid.size, 1)),
         bath_centers=[table.centers],

@@ -277,16 +277,6 @@ class _SegmentPropagator:
                 psi[index] = product[:, cols]
             yield psi
 
-    def norms(self, phi0: list[np.ndarray], dts: np.ndarray) -> np.ndarray:
-        """Member norms at each offset, shaped (len(dts), m), from the phases alone.
-
-        For unitary V, ||psi_mu||^2 = sum_E |e^{-iE dt}|^2 |phi0_{E mu}|^2: one
-        real product per sector, which reads exactly ||phi0_mu||^2 unless an
-        eigenvalue has left the real axis.
-        """
-        return np.sqrt(sum(np.exp(2 * np.outer(dts, np.imag(evals))) @ np.abs(phi) ** 2
-                           for (_, evals, _), phi in zip(self.eig, phi0)))
-
     def blocks(self, phi0: list[np.ndarray], weights: np.ndarray, dts: np.ndarray,
                cells: dict, out: np.ndarray) -> float:
         """Write the coarse-grained blocks at each offset into ``out`` (len(dts), n_win, d_s, d_s).
@@ -481,10 +471,11 @@ def run_exact(
     :func:`quantum_mutual_information`).
 
     The scheme is exact diagonalization, so norms are preserved to roundoff:
-    a member norm drift beyond ``NORM_TOL`` (read from the phases, see
-    :meth:`_SegmentPropagator.norms`) or a block trace off the weighted
-    squared norms aborts at the first grid point where it shows, and a Gram
-    sum V^dag V off the identity aborts the segment.  ``meta`` records
+    a member norm off 1 by more than ``NORM_TOL``, checked at each segment
+    start and on the members' eigenbasis amplitudes, aborts the segment; a
+    block trace off the weighted squared norms aborts at the first grid
+    point where it shows, and a Gram sum V^dag V off the identity aborts
+    the segment.  ``meta`` records
     ``mi_samples`` and that side as ``mi_gram_dim`` (0 without samples), as
     ``propagate_products`` the number of explicit eigenvector products (the
     quench carries and the batches of MI samples), as ``qf_cells`` the
@@ -554,28 +545,28 @@ def run_exact(
         if not grid.size:
             continue
         dts = grid - seg_t0
-        norms = prop.norms(phi0, dts)
         deviation = prop.blocks(phi0, weights, dts, cells, blocks[lo:end])
         if not deviation <= NORM_TOL:
             raise NumericalFailure(f"eigenvectors off unitary by {deviation:.2e} "
                                    f"in the segment from t={t0:g}")
-        trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:end]).real - norms**2 @ weights)
-        for n, t in enumerate(grid):
-            _check_drift(norms[n], t)
-            if not trace_drift[n] <= NORM_TOL:
-                raise NumericalFailure(f"block trace off the member norms by "
-                                       f"{trace_drift[n]:.2e} at t={t:g}")
+        # eigh's eigenvalues are real, so every point keeps the member norms of phi0
+        norms2 = sum(np.sum(np.abs(phi) ** 2, axis=0) for phi in phi0)
+        _check_drift(np.sqrt(norms2), t0)
+        trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:end]).real - norms2 @ weights)
+        # negated so that a NaN fails too
+        bad = np.flatnonzero(~(trace_drift <= NORM_TOL))
+        if bad.size:
+            raise NumericalFailure(f"block trace off the member norms by "
+                                   f"{trace_drift[bad[0]]:.2e} at t={grid[bad[0]]:g}")
         wanted = dts[sampled[lo:end]]
         for start in range(0, wanted.size, batch):
             products += len(prop.eig)
             mi_vals += map(mutual_information, prop.states(phi0, wanted[start : start + batch]))
 
-    joint_index = [(k, (j,)) for j in range(n_win) for k in range(d_s)]
     return Trajectory(
         solver="exact",
         times=t_grid,
-        joint_index=joint_index,
-        # columns: all levels of window 0, then window 1, ...
+        keys=[(j,) for j in range(n_win)],
         populations=np.einsum("tjkk->tjk", blocks).real.reshape(t_grid.size, -1),
         level_energies=np.stack([seg.levels for seg in system.protocol])[
             system.segment_index(t_grid)],

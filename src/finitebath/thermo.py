@@ -291,26 +291,13 @@ class ThermoLedger:
 
 
 def _grid_arrays(traj: Trajectory):
-    """Index machinery for the joint populations of a trajectory.
-
-    Returns the system level of each joint entry, each bath's window energy
-    per joint entry, the joint log volumes, the joint-bath key id of each
-    entry, and the log volume of each key (keys in sorted order).
-    """
-    k_of = np.array([k for (k, _) in traj.joint_index])
-    windows = np.array([key for (_, key) in traj.joint_index]).reshape(len(k_of), -1)
-    e_b = [traj.bath_centers[nu][windows[:, nu]] for nu in range(windows.shape[1])]
-    keys, key_of = np.unique(windows, axis=0, return_inverse=True)
-    log_v_key = np.zeros(len(keys))
-    for nu in range(windows.shape[1]):
-        log_v_key += np.log(traj.bath_volumes[nu][keys[:, nu]])
-    key_of = key_of.reshape(-1)
-    return k_of, e_b, log_v_key[key_of], key_of, log_v_key
-
-
-def _marginal(pops: np.ndarray, slot: np.ndarray, n_slots: int) -> np.ndarray:
-    """Sum the last axis of ``pops`` into ``n_slots`` bins by ``slot``."""
-    return pops @ np.eye(n_slots)[slot]
+    """Each bath's window energy and the joint log volume, per key of ``traj.keys``."""
+    windows = np.array(traj.keys, dtype=int)
+    e_key = [centers[windows[:, nu]] for nu, centers in enumerate(traj.bath_centers)]
+    log_v_key = np.zeros(len(traj.keys))
+    for nu, volumes in enumerate(traj.bath_volumes):
+        log_v_key += np.log(volumes[windows[:, nu]])
+    return e_key, log_v_key
 
 
 def energies_and_first_law(traj: Trajectory):
@@ -326,12 +313,13 @@ def energies_and_first_law(traj: Trajectory):
         raise ConfigurationError("trajectory carries no bath bookkeeping")
     pops = traj.populations
     eps_t = traj.level_energies
-    k_of, e_b, *_ = _grid_arrays(traj)
+    d = traj.n_levels
+    e_key, _ = _grid_arrays(traj)
 
-    u_s = np.sum(eps_t[:, k_of] * pops, axis=1)
-    u_b = np.stack([np.sum(e * pops, axis=1) for e in e_b], axis=1)
+    u_s = np.sum(np.tile(eps_t, len(traj.keys)) * pops, axis=1)
+    u_b = np.stack([np.sum(np.repeat(e, d) * pops, axis=1) for e in e_key], axis=1)
     u = u_s + u_b.sum(axis=1)
-    p_k = _marginal(pops, k_of, traj.n_levels)
+    p_k = pops.reshape(len(pops), -1, d).sum(axis=1)
     jumps = np.sum(np.diff(eps_t, axis=0) * p_k[1:], axis=1)
     w = np.concatenate([[0.0], np.cumsum(jumps)])
     q = -(u_b - u_b[0])
@@ -354,16 +342,21 @@ def build_ledger(traj: Trajectory) -> ThermoLedger:
         )
     times = traj.times
     pops = traj.populations
-    k_of, _, log_v, key_of, log_v_key = _grid_arrays(traj)
+    d = traj.n_levels
+    _, log_v_key = _grid_arrays(traj)
+    log_v = np.repeat(log_v_key, d)
 
     u, u_s, u_b, w, q, first_law = energies_and_first_law(traj)
 
-    p_sys = _marginal(pops, k_of, traj.n_levels)
-    p_key = _marginal(pops, key_of, len(log_v_key))
+    # the trajectory layout: axis 1 the keys, axis 2 the levels
+    grid = pops.reshape(len(times), -1, d)
+    p_sys = grid.sum(axis=1)
+    p_key = grid.sum(axis=2)
     s_obs = observational_entropy(pops, log_v)
     s_obs_s = shannon_entropy(p_sys)
     s_obs_b = observational_entropy(p_key, log_v_key)
-    i_cg = mutual_information_cg(pops, p_sys, p_key, np.stack([k_of, key_of], axis=1))
+    column = np.arange(pops.shape[1])
+    i_cg = mutual_information_cg(pops, p_sys, p_key, np.stack([column % d, column // d], axis=1))
     betas = np.stack([
         effective_temperature(centers, volumes, u).beta
         for centers, volumes, u in zip(traj.bath_centers, traj.bath_volumes, u_b.T)

@@ -1,15 +1,18 @@
 """Shared trajectory contract emitted by every solver.
 
 A trajectory is a time-ordered table of joint populations p(eps_k, E) plus,
-when the solver tracks them, the conditional system blocks.  The joint index
-pairs a system level index with a tuple of per-bath window indices; solvers
-without bath bookkeeping (the fixed-reference-bath comparison equation) use
-the empty tuple.
+when the solver tracks them, the conditional system blocks.  A key is a
+tuple of per-bath window indices; solvers without bath bookkeeping (the
+fixed-reference-bath comparison equation) have the one empty key.  Every
+solver emits one layout: the keys strictly ascending, and
+``populations[:, n * d + k]`` is level k of ``keys[n]``, d the number of
+system levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,8 +24,8 @@ JointState = tuple[int, tuple[int, ...]]
 class Trajectory:
     solver: str
     times: np.ndarray
-    joint_index: list[JointState]
-    populations: np.ndarray  # (T, N) aligned with joint_index
+    keys: list[tuple[int, ...]]  # strictly ascending window keys
+    populations: np.ndarray  # (T, len(keys) * d): level k of keys[n] in column n * d + k
     level_energies: np.ndarray  # (T, d_S), protocol applied
     bath_centers: list[np.ndarray]
     bath_volumes: list[np.ndarray]
@@ -32,21 +35,25 @@ class Trajectory:
     mi: np.ndarray | None = None
     mi_times: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    _column_names: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_levels(self) -> int:
         return self.level_energies.shape[1]
 
+    @cached_property
+    def joint_index(self) -> list[JointState]:
+        """The (level, key) of each population column."""
+        return [(k, key) for key in self.keys for k in range(self.n_levels)]
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        names = []
+        for key in self.keys:
+            # the CSV's own precision, so that distinct windows get distinct labels
+            label = "x".join(f"{self.bath_centers[n][j]:.12g}" for n, j in enumerate(key))
+            names += [f"p_k{k}_E{label}" if key else f"p_k{k}" for k in range(self.n_levels)]
+        return names
+
     def column_names(self) -> list[str]:
-        """One label per joint state, built on the first call; each call gets a copy."""
-        if self._column_names is None:
-            names = []
-            for k, key in self.joint_index:
-                if key:
-                    label = "x".join(f"{self.bath_centers[n][j]:g}" for n, j in enumerate(key))
-                    names.append(f"p_k{k}_E{label}")
-                else:
-                    names.append(f"p_k{k}")
-            self._column_names = names
-        return list(self._column_names)
+        """One label per population column, built once; each call gets a copy."""
+        return list(self._labels)

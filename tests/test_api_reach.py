@@ -1,7 +1,8 @@
-"""Every public name of the package and of the benchmark has a caller outside tests.
+"""Every name the package and the benchmark define has a caller outside tests.
 
-A module-level function or class, or a public method or property of a class
-in ``src/finitebath``, counts as reached when its name appears as an
+A module-level function or class, public or private, or a non-dunder method
+or property of a class in ``src/finitebath``, counts as reached when its
+name appears as an
 ``ast.Name``, an ``ast.Attribute`` or an import alias anywhere in
 ``src/finitebath`` or ``perfbench`` outside its own definition.  String
 constants in ``perfbench`` count too, because the tracer names the methods
@@ -41,25 +42,25 @@ def referenced_names(node: ast.AST, strings: bool = False) -> Counter:
     return names
 
 
-def is_public_def(node: ast.AST) -> bool:
+def is_checked_def(node: ast.AST) -> bool:
     is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    return is_def and not node.name.startswith("_")
+    return is_def and not (node.name.startswith("__") and node.name.endswith("__"))
 
 
 def unreached_names() -> list[str]:
-    """Public definitions whose name nothing else references; methods as Class.method."""
+    """Definitions whose name nothing else references; methods as Class.method."""
     total: Counter = Counter()
     defs = []  # (reported name, referenced name, references inside the definition)
     for path in PACKAGE + BENCHMARK:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             own = referenced_names(stmt, strings=path in BENCHMARK)
             total.update(own)
-            if is_public_def(stmt):
+            if is_checked_def(stmt):
                 defs.append((stmt.name, stmt.name, own[stmt.name]))
             if isinstance(stmt, ast.ClassDef) and path in PACKAGE:
                 defs += [
                     (f"{stmt.name}.{m.name}", m.name, referenced_names(m)[m.name])
-                    for m in stmt.body if is_public_def(m)
+                    for m in stmt.body if is_checked_def(m)
                 ]
     return sorted(label for label, name, own in defs if total[name] == own)
 

@@ -512,6 +512,31 @@ def test_write_csv_is_byte_for_byte_savetxt(tmp_path, monkeypatch, rows, chunk_c
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_window_labels_keep_the_csv_precision(tmp_path):
+    # six significant digits would label both windows E1e+06
+    cfg = rmt_config([[50, 60]], solvers=["emme-markov"])
+    for window, center in zip(cfg["baths"][0]["windows"], (1e6, 1e6 + 1)):
+        window["center"] = center
+    assert run(cfg, tmp_path, name="far") == 0
+    header = (tmp_path / "emme-markov.csv").read_text().splitlines()[0].split(",")
+    assert header == ["t", "p_k0_E1000000", "p_k1_E1000000", "p_k0_E1000001", "p_k1_E1000001"]
+
+
+@pytest.mark.parametrize("name", ["fig2-row1-col1-ci", "quench-ci", "twobath", "degenerate"])
+def test_every_solver_emits_the_trajectory_layout(name):
+    cfg = degenerate_config() if name == "degenerate" else preset(name)
+    runner = cli.ScenarioRun(build_scenario(cfg))
+    for solver in cfg["solvers"]:
+        traj = runner.run_solver(solver)
+        d = traj.n_levels
+        assert all(a < b for a, b in zip(traj.keys, traj.keys[1:])), solver
+        assert traj.joint_index == [(k, key) for key in traj.keys for k in range(d)], solver
+        assert traj.populations.shape == (traj.times.size, len(traj.keys) * d), solver
+        for n, key in enumerate(traj.keys if traj.blocks else []):
+            diagonal = np.diagonal(traj.blocks[key], axis1=1, axis2=2).real
+            assert np.array_equal(traj.populations[:, n * d : (n + 1) * d], diagonal), solver
+
+
 def test_thermo_csv_columns(tmp_path):
     run(mini_config(solvers=["emme-markov"]), tmp_path, name="mini")
     header = (tmp_path / "thermo_emme-markov.csv").read_text().splitlines()[0].split(",")

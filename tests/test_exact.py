@@ -525,16 +525,17 @@ def test_norm_drift_names_the_first_bad_point_of_a_batch(monkeypatch):
     eigh = exact._eigh
 
     def leaky_eigh(h):
-        # every norm grows as exp(1.5e-9 t): the drift first passes 1e-8 at t = 7
+        # every block trace grows as exp(1.5e-9 t): its drift first passes 1e-8 at t = 7
         evals, evecs = eigh(h)
-        return evals + 1.5e-9j, evecs
+        return evals + 0.75e-9j, evecs
 
     monkeypatch.setattr(exact, "_eigh", leaky_eigh)
-    # mutual-information samples at every point, in batches 1-4, 5-8, 9-12:
+    # the blocks of the 50 occupied amplitudes in batches 1-4, 5-8, 9-12:
     # t = 7 sits inside the batch 5, 6, 7, 8
-    batch_of(monkeypatch, 4, ens.members().shape[1], 50)
-    with pytest.raises(NumericalFailure, match=r"at t=7$"):
-        run_exact(spin(), real, ens, np.linspace(0.0, 12.0, 13), mi_stride=1)
+    monkeypatch.setattr(exact, "PHASE_BYTES", 4 * 16 * 50)
+    with pytest.raises(NumericalFailure, match=r"block trace off the member norms by "
+                                               r"1\.05e-08 at t=7$"):
+        run_exact(spin(), real, ens, np.linspace(0.0, 12.0, 13))
 
 
 def test_check_norms_refuses_a_nan_member(monkeypatch):

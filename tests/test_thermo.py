@@ -28,6 +28,7 @@ from finitebath.thermo import (
     relative_entropy_cg,
     shannon_entropy,
 )
+from finitebath.trajectory import Trajectory
 
 from conftest import SIGMA_X, clausius_holds, scaled, unshifted
 
@@ -375,3 +376,38 @@ def test_ledger_u_decomposition():
     ledger = build_ledger(traj)
     assert np.max(np.abs(ledger.u - (ledger.u_s + ledger.u_b.sum(axis=1)))) <= 1e-10
     assert np.all(ledger.s_obs >= 0)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ledger_marginals_match_a_scatter_over_the_joint_index(d):
+    rng = np.random.default_rng(40 + d)
+    centers = [np.arange(5.0), 0.5 + 0.7 * np.arange(4.0)]
+    volumes = [rng.integers(10, 100, 5).astype(float), rng.integers(10, 100, 4).astype(float)]
+    keys = sorted({(int(i), int(j)) for i, j in zip(rng.integers(0, 5, 12), rng.integers(0, 4, 12))})
+    times = np.linspace(0.0, 5.0, 6)
+    levels = np.sort(rng.uniform(0.0, 2.0, d))
+    level_energies = np.tile(levels, (times.size, 1))
+    level_energies[3:] += rng.uniform(-0.5, 0.5, d)  # a quench at t = 3
+    pops = rng.uniform(size=(times.size, len(keys) * d))
+    pops /= pops.sum(axis=1, keepdims=True)
+    traj = Trajectory("built", times, keys, pops, level_energies, centers, volumes)
+    ledger = build_ledger(traj)
+
+    # the reference scatters every column by its (level, key) pair
+    slot = {key: n for n, key in enumerate(keys)}
+    k_of = np.array([k for k, _ in traj.joint_index])
+    key_of = np.array([slot[key] for _, key in traj.joint_index])
+    p_sys = np.zeros((times.size, d))
+    np.add.at(p_sys, (slice(None), k_of), pops)
+    p_key = np.zeros((times.size, len(keys)))
+    np.add.at(p_key, (slice(None), key_of), pops)
+    log_v_key = np.array([math.log(volumes[0][i]) + math.log(volumes[1][j]) for i, j in keys])
+    i_cg = np.sum(pops * np.log(pops / (p_sys[:, k_of] * p_key[:, key_of])), axis=1)
+    jumps = np.sum(np.diff(level_energies, axis=0) * p_sys[1:], axis=1)
+    for name, reference in (
+        ("s_obs_s", -np.sum(p_sys * np.log(p_sys), axis=1)),
+        ("s_obs_b", np.sum(p_key * (log_v_key - np.log(p_key)), axis=1)),
+        ("i_cg", i_cg),
+        ("w", np.concatenate([[0.0], np.cumsum(jumps)])),
+    ):
+        np.testing.assert_allclose(ledger.array(name), reference, rtol=0, atol=1e-14, err_msg=name)
