@@ -645,12 +645,15 @@ class PopulationRateModel:
     def dpdt(self, t, p: np.ndarray) -> np.ndarray:
         """dp/dt at time t, or at each time of an array with one row of p per time."""
         times, pops = np.atleast_1d(t), np.atleast_2d(p)
-        owner, out = self.system.segment_index(times), np.zeros(pops.shape)
+        owner, targets, flows = self.system.segment_index(times), [], []
         for n in np.unique(owner):
             bath, rows, cols, w = self.rates[n]
             at, factors = np.flatnonzero(owner == n)[:, None], self.envelope(times[owner == n])
-            flow = pops[at, cols] * (w if factors is None else np.array(factors)[bath].T * w)
-            np.add.at(out, (at, rows), flow)  # one scatter for every time of the segment
+            flows.append(pops[at, cols] * (w if factors is None else np.array(factors)[bath].T * w))
+            targets.append(at * pops.shape[1] + rows)
+        # one scatter for every (time, row), summing each entry's flows in order
+        out = np.bincount(np.concatenate(targets, axis=None),
+                          np.concatenate(flows, axis=None), minlength=pops.size)
         return out.reshape(np.shape(p))
 
 

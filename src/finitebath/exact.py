@@ -2,11 +2,12 @@
 
 Honest brute force at desk scale: the total Hamiltonian splits into the
 invariant subspaces spanned by connected (system level, bath window)
-sectors; the blocks that the initial state occupies are assembled
-densely and diagonalized once per protocol segment.  The initial state is
-the microcanonical |eps><eps| (x) Pi / n, Pi the projector on the n
-occupied levels of one bath window, represented exactly as a pure-state
-ensemble with one member per occupied level.  The coarse-grained
+sectors.  The initial state is the microcanonical |eps><eps| (x) Pi / n,
+Pi the projector on the n occupied levels of one bath window, represented
+exactly as a pure-state ensemble with one member |eps> (x) |i> per
+occupied level i.  Every member lies in sector (eps, E_0), so the state
+occupies one invariant subspace, and only that block is assembled densely
+and diagonalized, once per protocol segment.  The coarse-grained
 populations and blocks, the same trajectory contract as the master-equation
 solvers, are quadratic forms in the phases e^{-iEt} of each segment's
 eigenbasis (the energy-eigenbasis evaluation of <O(t)>, D'Alessio et al.,
@@ -20,6 +21,7 @@ the time grid reaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -51,15 +53,17 @@ PHASE_BYTES = 16 * 2**20
 class FullEnsemble:
     """The microcanonical initial state |eps><eps| (x) Pi / n as a pure-state ensemble.
 
-    Pi projects onto the ``occupied`` bath levels i, n of them; the members
-    are |eps> (x) |i>, one per occupied level with weight 1/n, so they
-    represent the mixed state exactly.  Its von Neumann entropy, log n, is
-    invariant under the exact unitary evolution and reused for the
-    mutual-information series.  The (d_s d_b) x n member matrix is built
-    only on request (see :meth:`members`).
+    |eps> is system level ``level`` of ``d_s``, and Pi projects onto the
+    ``occupied`` bath levels i, n of them; the members are |eps> (x) |i>,
+    one per occupied level with weight 1/n, so they represent the mixed
+    state exactly.  Its von Neumann entropy, log n, is invariant under the
+    exact unitary evolution and reused for the mutual-information series.
+    The (d_s d_b) x n member matrix is built only on request (see
+    :meth:`members`).
     """
 
-    system_state: np.ndarray  # |eps>, a unit d_s-vector
+    level: int
+    d_s: int
     occupied: np.ndarray  # ascending bath basis indices
     d_b: int
 
@@ -71,12 +75,16 @@ class FullEnsemble:
     def subspace_entropy(self) -> float:
         return float(np.log(self.occupied.size))
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The basis index level * d_b + i of each member's one nonzero amplitude, ascending."""
+        return self.level * self.d_b + self.occupied
+
     def members(self) -> np.ndarray:
         """The member matrix, one column |eps> (x) |i> per occupied level i."""
-        d_s, n = self.system_state.size, self.occupied.size
-        cols = np.zeros((d_s, self.d_b, n), dtype=complex)
-        cols[:, self.occupied, np.arange(n)] = self.system_state[:, None]
-        return cols.reshape(d_s * self.d_b, n)
+        cols = np.zeros((self.d_s * self.d_b, self.occupied.size), dtype=complex)
+        cols[self.rows, np.arange(self.occupied.size)] = 1.0
+        return cols
 
 
 def sector_components(
@@ -163,31 +171,26 @@ def assemble(
 def prepare_initial(
     windows: list[EnergyWindow],
     window_index: int,
-    system_state,
+    level: int,
     d_s: int,
     fill: str = FILLS[0],
 ) -> FullEnsemble:
     """The initial state |eps><eps| (x) Pi / n in one bath window.
 
-    ``system_state`` is a level index or a vector (normalized here); Pi
-    projects onto the window's levels, or with fill "half" onto the lower
-    half of them.
+    |eps> is system level ``level``; Pi projects onto the window's levels,
+    or with fill "half" onto the lower half of them.
     """
     if fill not in FILLS:
         raise ConfigurationError(f"unknown fill {fill!r}")
     if not 0 <= window_index < len(windows):
         raise ConfigurationError(f"unknown window index {window_index}")
+    if not 0 <= level < d_s:
+        raise ConfigurationError(f"unknown system level {level}")
     sl = window_slices(windows)[window_index]
     occupied = np.arange(sl.start, sl.stop)
     if fill == "half":
         occupied = occupied[: len(occupied) // 2]
-    sys_vec = np.zeros(d_s, dtype=complex)
-    if np.isscalar(system_state):
-        sys_vec[int(system_state)] = 1.0
-    else:
-        sys_vec[:] = np.asarray(system_state, dtype=complex)
-        sys_vec /= np.linalg.norm(sys_vec)
-    return FullEnsemble(sys_vec, occupied, bath_dimension(windows))
+    return FullEnsemble(level, d_s, occupied, bath_dimension(windows))
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,169 +205,139 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SegmentPropagator:
-    """Eigendecomposition-based propagator for one static Hamiltonian.
+    """Eigendecomposition-based propagator for one static Hamiltonian block.
 
-    Works sector by sector on d-vectors; amplitudes outside the given
-    sectors must be zero, and they stay zero.
+    Works on d-vectors whose amplitudes outside the block's basis indices
+    ``index`` are zero; they stay zero.
     """
 
-    def __init__(self, sectors: list[tuple[np.ndarray, np.ndarray]], dim: int):
-        # a sector covering the whole basis is addressed by a slice, so
-        # gathering its amplitudes copies nothing; the eigenvectors are kept
+    def __init__(self, index: np.ndarray, h: np.ndarray, dim: int):
+        # a block covering the whole basis is addressed by a slice, so
+        # scattering its states is a plain copy; the eigenvectors are kept
         # row-major, so the rows of one sector state are one contiguous block
-        self.eig = []
-        for index, h in sectors:
-            evals, evecs = _eigh(h)
-            self.eig.append((slice(None) if index.size == dim else index, evals,
-                             np.ascontiguousarray(evecs)))
+        self.evals, evecs = _eigh(h)
+        self.evecs = np.ascontiguousarray(evecs)
+        self.index = slice(None) if index.size == dim else index
         self.dim = dim
 
-    def gather(self, ensemble: FullEnsemble) -> list[np.ndarray]:
-        """V^dag psi per sector for the members of ``ensemble``, without a product.
+    def gather(self, ensemble: FullEnsemble) -> np.ndarray:
+        """V^dag psi for the members of ``ensemble``, without a product.
 
-        Member i is |eps> (x) |i>, nonzero only in the rows k d_b + i of the
-        levels k that |eps> occupies, so V^dag psi is the sum over those k of
-        eps_k conj(V[k d_b + i]): one row gather of V per level.
+        Member i is |eps> (x) |i>, whose one nonzero amplitude 1 sits in row
+        ``ensemble.rows[i]``, which lies in the block, so V^dag psi is
+        conj(V) at that row: one row gather of V.
         """
-        at = np.full(self.dim, -1)
-        phi0 = []
-        for index, _, evecs in self.eig:
-            at[index] = np.arange(evecs.shape[0])
-            phi = np.zeros((ensemble.occupied.size, evecs.shape[1]), dtype=complex)
-            for k in np.flatnonzero(ensemble.system_state):
-                r = at[k * ensemble.d_b + ensemble.occupied]
-                inside = r >= 0
-                phi[inside] += ensemble.system_state[k] * evecs[r[inside]].conj()
-            at[index] = -1
-            phi0.append(np.ascontiguousarray(phi.T))
-        return phi0
+        rows = ensemble.rows
+        if not isinstance(self.index, slice):
+            rows = np.searchsorted(self.index, rows)
+        phi = np.zeros((self.evals.size, rows.size), dtype=complex)
+        # added to zeros like a product with the unit amplitudes: a -0.0 of conj reads +0.0
+        phi += self.evecs[rows].T.conj()
+        return phi
 
-    def prepare(self, psi: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-        """V^dag psi per sector, as conj(V^T conj(psi)), which reads V without a conjugated copy.
+    def prepare(self, psi: np.ndarray) -> np.ndarray:
+        """V^dag psi, as conj(V^T conj(psi)), which reads V without a conjugated copy.
 
-        ``psi`` holds the rows ``rows`` (ascending basis indices) of the
-        member matrix, whose other rows are zero; only the matching rows of
-        V enter the product.
+        ``psi`` holds the member matrix's rows inside the block, its other
+        rows being zero.
         """
-        at = np.full(self.dim, -1)
-        at[rows] = np.arange(rows.size)
-        phi0 = []
-        for index, _, evecs in self.eig:
-            at_c = at[index]
-            inside = at_c >= 0
-            if not inside.all():
-                evecs = evecs[inside]
-            phi = evecs.T @ psi[at_c[inside]].conj()
-            phi0.append(np.conjugate(phi, out=phi))
-        return phi0
+        phi = self.evecs.T @ psi.conj()
+        return np.conjugate(phi, out=phi)
 
-    def states(self, phi0: list[np.ndarray], dts: np.ndarray):
-        """Yield the member matrix at each time offset in ``dts``, one product per sector.
+    def states(self, phi0: np.ndarray, dts: np.ndarray):
+        """Yield the member matrix at each time offset in ``dts``, from one product.
 
         The phases e^{-iE dt} phi0 of all offsets are stacked side by side,
-        shaped (d_c, len(dts) * m), so one matrix product per sector carries
-        every offset at once.
+        shaped (d_c, len(dts) * m), so one matrix product carries every
+        offset at once.
         """
-        m = phi0[0].shape[1]
-        products = []
-        for (_, evals, evecs), phi in zip(self.eig, phi0):
-            stack = np.exp(-1j * evals[:, None] * dts)[:, :, None] * phi[:, None, :]
-            products.append(evecs @ stack.reshape(evals.size, -1))
+        m = phi0.shape[1]
+        stack = np.exp(-1j * self.evals[:, None] * dts)[:, :, None] * phi0[:, None, :]
+        product = self.evecs @ stack.reshape(self.evals.size, -1)
         for b in range(len(dts)):
-            cols = slice(b * m, (b + 1) * m)
             psi = np.zeros((self.dim, m), dtype=complex)
-            for (index, _, _), product in zip(self.eig, products):
-                psi[index] = product[:, cols]
+            psi[self.index] = product[:, b * m : (b + 1) * m]
             yield psi
 
-    def blocks(self, phi0: list[np.ndarray], weights: np.ndarray, dts: np.ndarray,
-               cells: dict, out: np.ndarray) -> float:
+    def blocks(self, phi0: np.ndarray, weights: np.ndarray, dts: np.ndarray,
+               cells: list, out: np.ndarray) -> float:
         """Write the coarse-grained blocks at each offset into ``out`` (len(dts), n_win, d_s, d_s).
 
-        With phi(t) = e^{-iEt} over a sector's eigenvalues, R = Phi0_a W
-        Phi0_b^dag and V_(k,j) the eigenvector rows of sector state (k, j),
+        With phi(t) = e^{-iEt} over the block's eigenvalues, R = Phi0 W
+        Phi0^dag and V_(k,j) the eigenvector rows of sector state (k, j),
         every block entry is a quadratic form in the phases:
 
-            rho_S(E_j)_kl(t) = phi_a(t)^T [R o (V_(k,j)^T conj(V_(l,j)))] conj(phi_b(t)),
+            rho_S(E_j)_kl(t) = phi(t)^T [R o (V_(k,j)^T conj(V_(l,j)))] conj(phi(t)),
 
-        for a cell (j, k, l) of :func:`_cells`, (k, j) in sector a and (l, j)
-        in sector b.  So a batch of offsets costs one (T x d_a)(d_a x d_b)
-        product per cell, whatever the number of members.  The cell matrix
-        is formed by column chunks of ``FORM_BYTES``, one chunk of one cell
-        at a time, so no d_a x d_b matrix besides V is ever held.  For k = l
-        it is Hermitian, R o conj(V_(k,j)^dag V_(k,j)), and only its upper
-        triangle enters (the diagonal halved, twice the real part), which
-        halves the work.  Those Grams sum to V^dag V over a sector; the
-        largest deviation of the sum from the identity is returned.
+        for a cell (j, k, l) of :func:`_cells`.  So a batch of offsets costs
+        one (T x d_c)(d_c x d_c) product per cell, whatever the number of
+        members.  The cell matrix is formed by column chunks of
+        ``FORM_BYTES``, one chunk of one cell at a time, so no d_c x d_c
+        matrix besides V is ever held.  For k = l it is Hermitian,
+        R o conj(V_(k,j)^dag V_(k,j)), and only its upper triangle enters
+        (the diagonal halved, twice the real part), which halves the work.
+        Those Grams sum to V^dag V; the largest deviation of the sum from
+        the identity is returned.
         """
-        amp = [phi * np.sqrt(weights) for phi in phi0]
-        values = {cell[:3]: np.zeros(dts.size, dtype=complex)
-                  for group in cells.values() for cell in group}
+        amp = phi0 * np.sqrt(weights)
+        values = {cell[:3]: np.zeros(dts.size, dtype=complex) for cell in cells}
         deviation = 0.0
-        points = max(2, PHASE_BYTES // (16 * sum(evals.size for _, evals, _ in self.eig)))
+        v = self.evecs
+        d_c = v.shape[0]
+        points = max(2, PHASE_BYTES // (16 * d_c))
         # at least two offsets per batch: a one-row product takes BLAS's
         # matrix-vector route, whose rounding differs, and a point's value
         # should not depend on how the grid is batched
         n_batches = max(1, min(-(-dts.size // points), dts.size // 2))
+        width = max(1, FORM_BYTES // (16 * d_c))
+        # the Hermitian cells read only the rows of R down to the chunk's end
+        upper = all(k == l for _, k, l, _, _ in cells)
         for batch in np.array_split(np.arange(dts.size), n_batches):
-            phases = [np.exp(-1j * dts[batch, None] * evals) for _, evals, _ in self.eig]
-            for (a, b), group in cells.items():
-                v_a, v_b = self.eig[a][2], self.eig[b][2]
-                width = max(1, FORM_BYTES // (16 * v_a.shape[0]))
-                # the Hermitian cells read only the rows of R down to the chunk's end
-                upper = a == b and all(k == l for _, k, l, _, _ in group)
-                for lo in range(0, v_b.shape[0], width):
-                    hi = min(lo + width, v_b.shape[0])
-                    chunk = np.arange(hi - lo)
-                    r = amp[a][: hi if upper else None] @ amp[b][lo:hi].conj().T
-                    gram = np.zeros((hi, hi - lo), dtype=complex) if a == b else None
-                    for j, k, l, rows_k, rows_l in group:
-                        hermitian = a == b and k == l
-                        top = hi if hermitian else v_a.shape[0]
-                        m = v_a[rows_k, :top].T @ v_b[rows_l, lo:hi].conj()
-                        if hermitian:
-                            gram += m
-                        m *= r[:top]
-                        if hermitian:
-                            m[lo:hi][np.tri(hi - lo, k=-1, dtype=bool)] = 0.0
-                            m[lo + chunk, chunk] *= 0.5
-                        form = phases[a][:, :top] @ m
-                        form *= np.conj(phases[b][:, lo:hi])
-                        form = form.sum(axis=1)
-                        values[j, k, l][batch] += 2 * form.real if hermitian else form
-                    if gram is not None:
-                        gram[lo + chunk, chunk] -= 1.0
-                        # np.maximum keeps a NaN
-                        deviation = np.maximum(deviation, np.max(np.abs(gram)))
+            phases = np.exp(-1j * dts[batch, None] * self.evals)
+            for lo in range(0, d_c, width):
+                hi = min(lo + width, d_c)
+                chunk = np.arange(hi - lo)
+                r = amp[: hi if upper else None] @ amp[lo:hi].conj().T
+                gram = np.zeros((hi, hi - lo), dtype=complex)
+                for j, k, l, rows_k, rows_l in cells:
+                    hermitian = k == l
+                    top = hi if hermitian else d_c
+                    m = v[rows_k, :top].T @ v[rows_l, lo:hi].conj()
+                    if hermitian:
+                        gram += m
+                    m *= r[:top]
+                    if hermitian:
+                        m[lo:hi][np.tri(hi - lo, k=-1, dtype=bool)] = 0.0
+                        m[lo + chunk, chunk] *= 0.5
+                    form = phases[:, :top] @ m
+                    form *= np.conj(phases[:, lo:hi])
+                    form = form.sum(axis=1)
+                    values[j, k, l][batch] += 2 * form.real if hermitian else form
+                gram[lo + chunk, chunk] -= 1.0
+                # np.maximum keeps a NaN
+                deviation = np.maximum(deviation, np.max(np.abs(gram)))
         for (j, k, l), value in values.items():
             out[:, j, k, l] = value
             out[:, j, l, k] = value.conj()
         return float(deviation)
 
 
-def _cells(occupied: list[np.ndarray], d_b: int, windows: list[EnergyWindow]) -> dict:
-    """The quadratic-form cells of the occupied sectors, grouped by sector pair.
+def _cells(index: np.ndarray, d_b: int, windows: list[EnergyWindow]) -> list[tuple]:
+    """The quadratic-form cells of the block with ascending basis indices ``index``.
 
     A cell is a window j and levels k <= l whose sector states (k, j) and
-    (l, j) both lie in occupied sectors a and b (a = b, or two sectors a
-    member spans).  Maps (a, b) to a list of (j, k, l, rows of (k, j) in a,
-    rows of (l, j) in b); the rows of one sector state are contiguous in its
-    sector's ascending index.
+    (l, j) both lie in the block: a tuple (j, k, l, rows of (k, j), rows of
+    (l, j)); the rows of one sector state are contiguous in ``index``.
     """
     n_win = len(windows)
     window_of = np.repeat(np.arange(n_win), [w.volume for w in windows])
-    rows = {}
-    for a, index in enumerate(occupied):
-        keys = index // d_b * n_win + window_of[index % d_b]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        for start, stop in zip(starts, [*starts[1:], index.size]):
-            rows[divmod(int(keys[start]), n_win)] = (a, slice(int(start), int(stop)))
-    cells: dict[tuple[int, int], list] = {}
-    for (k, j), (a, rows_k) in sorted(rows.items()):
-        for (l, i), (b, rows_l) in sorted(rows.items()):
-            if i == j and k <= l:
-                cells.setdefault((a, b), []).append((j, k, l, rows_k, rows_l))
-    return cells
+    # sector key k * n_win + j of every row, ascending with the rows
+    keys = index // d_b * n_win + window_of[index % d_b]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows = {divmod(int(keys[start]), n_win): slice(int(start), int(stop))
+            for start, stop in zip(starts, [*starts[1:], index.size])}
+    return [(j, k, l, rows_k, rows_l) for (k, j), rows_k in rows.items()
+            for (l, i), rows_l in rows.items() if i == j and k <= l]
 
 
 def _check_drift(norms: np.ndarray, t: float):
@@ -448,27 +421,25 @@ def run_exact(
 ) -> Trajectory:
     """Full benchmark run: propagate, coarse-grain, optionally track mutual information.
 
-    Only the sector components (see :func:`sector_components`) the members
-    occupy are assembled and diagonalized, once per distinct level set.  The
+    Every member |eps> (x) |i> lies in sector (eps, E_0), so the members
+    occupy one component of :func:`sector_components`, and only that block
+    is assembled and diagonalized, once per distinct level set.  The
     segments are ``SystemSpec.grid_segments``, so a quench must sit on the
     grid; there the members are carried to the boundary and the Hamiltonian
     is switched.  A point on a segment's start is coarse-grained from the
     members as they are (see :func:`coarse_grain`), so windows they do not
     occupy hold exactly 0, and before the segment is diagonalized: only the
-    carried members' nonzero rows are held through the diagonalization (see
+    carried members' rows inside the block are held through it (see
     :meth:`_SegmentPropagator.prepare`), and the initial members are
     projected by a row gather (see :meth:`_SegmentPropagator.gather`).
-    Elsewhere populations and blocks come from
-    quadratic forms in the segment's eigenbasis (see
-    :meth:`_SegmentPropagator.blocks`), whose cost per grid point does not
-    grow with the member count.  Member matrices are built only for the
-    quench carries and the mutual-information samples: ``mi_stride`` > 0
-    samples the quantum mutual information every that many grid points, the
-    members of a segment's samples built in batches of at most
-    ``BATCH_BYTES`` of stacked phases, one eigenvector product per sector
-    each (see :meth:`_SegmentPropagator.states`); each sample diagonalizes
-    one matrix of side min(d_b, d_s * members) (see
-    :func:`quantum_mutual_information`).
+    Elsewhere populations and blocks come from quadratic forms in the
+    segment's eigenbasis (see :meth:`_SegmentPropagator.blocks`), whose cost
+    per grid point does not grow with the member count.  Member matrices
+    are built only for the quench carries and the mutual-information
+    samples, every ``mi_stride`` > 0 grid points, in batches of at most
+    ``BATCH_BYTES`` of stacked phases, one eigenvector product each (see
+    :meth:`_SegmentPropagator.states`); each sample diagonalizes one matrix
+    of side min(d_b, d_s * members) (see :func:`quantum_mutual_information`).
 
     The scheme is exact diagonalization, so norms are preserved to roundoff:
     a member norm off 1 by more than ``NORM_TOL``, checked at each segment
@@ -480,7 +451,7 @@ def run_exact(
     ``propagate_products`` the number of explicit eigenvector products (the
     quench carries and the batches of MI samples), as ``qf_cells`` the
     number of quadratic-form cells per segment and as ``diag_dims`` the side
-    of every block it diagonalized.
+    of the block at every diagonalization.
     """
     if system.n_baths != 1:
         raise ConfigurationError("the exact benchmark supports a single bath")
@@ -492,10 +463,10 @@ def run_exact(
     weights = ensemble.weights
     # the split depends on S and B only, so it holds for every segment
     components = sector_components(system.couplings[0], realization)
+    sector = next(c for c in components if ensemble.rows[0] in c)
+    cells = _cells(sector, d_b, windows)
+    batch = max(1, BATCH_BYTES // (16 * weights.size * sector.size))
     psi = ensemble.members()
-    occupied = [c for c in components if np.any(psi[c] != 0)]
-    cells = _cells(occupied, d_b, windows)
-    batch = max(1, BATCH_BYTES // (16 * weights.size * sum(c.size for c in occupied)))
 
     blocks = np.zeros((t_grid.size, n_win, d_s, d_s), dtype=complex)
     sampled = np.zeros(t_grid.size, dtype=bool)
@@ -503,7 +474,6 @@ def run_exact(
         sampled[::mi_stride] = True
     mi_vals = []
     props: dict[tuple, _SegmentPropagator] = {}
-    diag_dims: list[int] = []
     products = 0
 
     def mutual_information(psi: np.ndarray) -> float:
@@ -515,7 +485,7 @@ def run_exact(
         if carried:
             # carry the members across the quench
             (psi,) = prop.states(phi0, np.array([t0 - seg_t0]))
-            products += len(prop.eig)
+            products += 1
         lo, end = end, end + grid.size
         if grid.size and abs(grid[0] - t0) < 1e-12:
             # the members themselves, not V V^dag psi: unoccupied windows stay exactly 0
@@ -525,22 +495,18 @@ def run_exact(
                 mi_vals.append(mutual_information(psi))
             grid, lo = grid[1:], lo + 1
         # no member matrix is held during a diagonalization: carried members
-        # keep only their nonzero rows, and the initial ones are dropped, since
-        # they enter through the ensemble (see _SegmentPropagator.gather)
-        if carried:
-            rows = np.flatnonzero(np.any(psi != 0, axis=1))
-            psi = psi[rows]
-        else:
-            psi = None
+        # keep only their rows inside the block, and the initial ones are
+        # dropped, since they enter through the ensemble (see
+        # _SegmentPropagator.gather)
+        psi = psi[sector] if carried else None
         key = tuple(np.round(seg.levels, FREQUENCY_DIGITS))
         if key not in props:
-            # no reference to the Hamiltonian blocks outlives their diagonalization
+            # no reference to the Hamiltonian block outlives its diagonalization
             props[key] = _SegmentPropagator(
-                assemble(seg.levels, system.couplings[0], realization, dim_cap, occupied),
+                *assemble(seg.levels, system.couplings[0], realization, dim_cap, [sector])[0],
                 d_s * d_b)
-            diag_dims += [evals.size for _, evals, _ in props[key].eig]
         prop = props[key]
-        phi0 = prop.prepare(psi, rows) if carried else prop.gather(ensemble)
+        phi0 = prop.prepare(psi) if carried else prop.gather(ensemble)
         seg_t0 = t0
         if not grid.size:
             continue
@@ -550,7 +516,7 @@ def run_exact(
             raise NumericalFailure(f"eigenvectors off unitary by {deviation:.2e} "
                                    f"in the segment from t={t0:g}")
         # eigh's eigenvalues are real, so every point keeps the member norms of phi0
-        norms2 = sum(np.sum(np.abs(phi) ** 2, axis=0) for phi in phi0)
+        norms2 = np.sum(np.abs(phi0) ** 2, axis=0)
         _check_drift(np.sqrt(norms2), t0)
         trace_drift = np.abs(np.einsum("tjkk->t", blocks[lo:end]).real - norms2 @ weights)
         # negated so that a NaN fails too
@@ -560,7 +526,7 @@ def run_exact(
                                    f"{trace_drift[bad[0]]:.2e} at t={grid[bad[0]]:g}")
         wanted = dts[sampled[lo:end]]
         for start in range(0, wanted.size, batch):
-            products += len(prop.eig)
+            products += 1
             mi_vals += map(mutual_information, prop.states(phi0, wanted[start : start + batch]))
 
     return Trajectory(
@@ -579,10 +545,10 @@ def run_exact(
             "members": int(weights.size),
             "dimension": d_s * d_b,
             "sector_dims": [int(c.size) for c in components],
-            # one entry per diagonalized block, once per distinct level set
-            "diag_dims": diag_dims,
+            # one entry per diagonalization, once per distinct level set
+            "diag_dims": [sector.size] * len(props),
             "propagate_products": products,
-            "qf_cells": sum(len(group) for group in cells.values()),
+            "qf_cells": len(cells),
             "mi_samples": len(mi_vals),
             "mi_gram_dim": min(d_b, d_s * weights.size) if mi_vals else 0,
         },

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,13 @@ def test_prepare_initial_basis_full_and_half():
     assert set(occupied) == {8 + i for i in range(4)}  # k=1 block, first 4 levels
 
 
+@pytest.mark.parametrize("level", [-1, 2])
+def test_prepare_initial_refuses_a_level_outside_the_system(level):
+    wins = build_spectrum(BathSpec([EnergyWindow(0.0, 0.5, 8)]))
+    with pytest.raises(ConfigurationError, match=f"unknown system level {level}$"):
+        prepare_initial(wins, 0, level, 2)
+
+
 def test_propagate_identity_at_origin_and_frozen_when_uncoupled():
     real = two_band_realization(v0=4, v1=5, lam=0.0, seed=4)
     ens = prepare_initial(real.windows, 0, 1, 2)
@@ -107,19 +116,20 @@ def test_propagate_rabi_oscillation_against_two_level_oracle():
 def test_propagate_conserves_norm_and_energy():
     real = two_band_realization(v0=30, v1=40, seed=5)
     model = assemble(np.array([0.0, 1.0]), [SIGMA_X], real)
-    members = random_members(np.random.default_rng(8), 2, 70, 3)
-    prop = exact._SegmentPropagator(model, members.shape[0])
-    e0 = None
-    for psi in prop.states(prop.prepare(members, np.arange(members.shape[0])),
-                           np.linspace(0.0, 50.0, 6)):
-        assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
-        energy = sum(
-            np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
-            for index, h in model
-        )
-        if e0 is None:
-            e0 = energy
-        assert np.max(np.abs(energy - e0) / np.abs(e0)) < 1e-8
+    assert len(model) == 2
+    rng = np.random.default_rng(8)
+    for index, h in model:
+        # members with amplitudes only inside the sector
+        members = random_members(rng, 1, index.size, 3)
+        prop = exact._SegmentPropagator(index, h, 2 * 70)
+        e0 = None
+        for psi in prop.states(prop.prepare(members), np.linspace(0.0, 50.0, 6)):
+            assert not np.any(np.delete(psi, index, axis=0))
+            assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
+            energy = np.real(np.sum(psi[index].conj() * (h @ psi[index]), axis=0))
+            if e0 is None:
+                e0 = energy
+            assert np.max(np.abs(energy - e0) / np.abs(e0)) < 1e-8
 
 
 def test_coarse_grain_initial_state_and_normalization():
@@ -368,6 +378,26 @@ def test_run_exact_never_diagonalizes_an_unoccupied_sector(monkeypatch):
     assert traj.meta["sector_dims"] == [unoccupied.size, occupied.size]
 
 
+def test_no_hamiltonian_block_outlives_its_diagonalization(monkeypatch):
+    # a d x d block held through the propagation would raise the peak memory
+    real, system, ens = quench_walker_case("subset")
+    received, alive = [], []
+    eigh, blocks = exact._eigh, exact._SegmentPropagator.blocks
+
+    def recording_eigh(h):
+        received.append(weakref.ref(h))
+        return eigh(h)
+
+    def checking_blocks(self, *args):
+        alive.append([ref() is not None for ref in received])
+        return blocks(self, *args)
+
+    monkeypatch.setattr(exact, "_eigh", recording_eigh)
+    monkeypatch.setattr(exact._SegmentPropagator, "blocks", checking_blocks)
+    run_exact(system, real, ens, np.linspace(0.0, 16.0, 17))
+    assert alive == [[False], [False, False]]
+
+
 # -- batched propagation -------------------------------------------------------
 
 
@@ -377,28 +407,34 @@ def batch_of(monkeypatch, points, members, occupied_dim):
 
 
 WALKER_CASES = {
-    # members in both levels of window 0: two occupied sectors, gathered and scattered
-    "two-sectors": (lambda: two_band_realization(v0=20, v1=30, seed=21), SIGMA_X, [1.0, 1.0], 2),
+    # sigma_x between two windows: the members fill (1, E0) + (0, E1), half the basis,
+    # gathered and scattered by index
+    "subset": (lambda: two_band_realization(v0=20, v1=30, seed=21), SIGMA_X, 1),
     # one sector covering the whole basis
     "whole": (lambda: two_band_realization(v0=20, v1=30, seed=22),
-              np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex), 1, 1),
+              np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex), 1),
 }
+
+
+def occupied_sector(s_op, real, ens):
+    """The one component of sector_components that holds the members."""
+    (sector,) = [c for c in sector_components([s_op], real) if np.any(ens.members()[c])]
+    return sector
 
 
 @pytest.mark.parametrize("case", list(WALKER_CASES))
 def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case):
-    make_realization, s_op, state, n_occupied = WALKER_CASES[case]
+    make_realization, s_op, level = WALKER_CASES[case]
     real = make_realization()
     system = SystemSpec(
         np.array([0.0, 1.0]),
         [[s_op]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
     )
-    ens = prepare_initial(real.windows, 0, state, 2)
-    occupied = [c for c in sector_components([s_op], real) if np.any(ens.members()[c])]
-    assert len(occupied) == n_occupied
-    assert (occupied[0].size == ens.members().shape[0]) == (case == "whole")
-    batch_of(monkeypatch, 3, ens.members().shape[1], sum(c.size for c in occupied))
+    ens = prepare_initial(real.windows, 0, level, 2)
+    sector = occupied_sector(s_op, real, ens)
+    assert (sector.size == ens.members().shape[0]) == (case == "whole")
+    batch_of(monkeypatch, 3, ens.members().shape[1], sector.size)
     # 7 points before the quench and 10 after: neither a multiple of the batch
     t_grid = np.linspace(0.0, 16.0, 17)
     traj = run_exact(system, real, ens, t_grid, mi_stride=1)
@@ -408,67 +444,89 @@ def test_batched_walker_matches_dense_reference_at_every_point(monkeypatch, case
         assert abs(mi - dense_mutual_information(ref, ens.weights, 2, d_b)[0]) <= 1e-12, t
     # each segment's start point is the carried members themselves; then
     # batches of 3 + 3 and 3 + 3 + 3 points, and the carry across the quench
-    assert traj.meta["propagate_products"] == n_occupied * (2 + 3 + 1)
+    assert traj.meta["propagate_products"] == 2 + 3 + 1
 
 
-@pytest.mark.parametrize("state", [0, 1, [1.0, 1.0], [0.6, 0.8j]])
+@pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("case", list(WALKER_CASES))
-def test_gather_is_the_product_with_the_initial_members(case, state):
-    make_realization, s_op, _, _ = WALKER_CASES[case]
+def test_gather_is_the_product_with_the_initial_members(case, level):
+    make_realization, s_op, _ = WALKER_CASES[case]
     real = make_realization()
-    ens = prepare_initial(real.windows, 0, state, 2)
+    ens = prepare_initial(real.windows, 0, level, 2)
     psi = ens.members()
-    occupied = [c for c in sector_components([s_op], real) if np.any(psi[c])]
-    prop = exact._SegmentPropagator(
-        assemble(np.array([0.0, 1.0]), [s_op], real, components=occupied), psi.shape[0])
-    rows = np.flatnonzero(np.any(psi != 0, axis=1))
-    for gathered, product in zip(prop.gather(ens), prop.prepare(psi[rows], rows), strict=True):
-        assert gathered.flags.c_contiguous
-        if np.isscalar(state):
-            # one nonzero amplitude 1 per member: the product only copies rows of conj(V)
-            assert np.array_equal(gathered, product)
-        else:
-            assert np.max(np.abs(gathered - product)) <= 1e-15
+    sector = occupied_sector(s_op, real, ens)
+    (index, h), = assemble(np.array([0.0, 1.0]), [s_op], real, components=[sector])
+    prop = exact._SegmentPropagator(index, h, psi.shape[0])
+    assert np.array_equal(np.flatnonzero(np.any(psi != 0, axis=1)), ens.rows)
+    gathered = prop.gather(ens)
+    assert gathered.flags.c_contiguous
+    # one nonzero amplitude 1 per member: the product only copies rows of conj(V)
+    assert np.array_equal(gathered, prop.prepare(psi[index]))
 
 
 def quench_walker_case(case):
     """A WALKER_CASES realization, operator and ensemble, with a quench at t = 7."""
-    make_realization, s_op, state, n_occupied = WALKER_CASES[case]
+    make_realization, s_op, level = WALKER_CASES[case]
     real = make_realization()
     system = SystemSpec(
         np.array([0.0, 1.0]),
         [[s_op]],
         [ProtocolSegment(0.0, [0.0, 1.0]), ProtocolSegment(7.0, [0.0, 1.3])],
     )
-    return real, system, prepare_initial(real.windows, 0, state, 2), n_occupied
+    return real, system, prepare_initial(real.windows, 0, level, 2)
 
 
 @pytest.mark.parametrize("small", [False, True])
 @pytest.mark.parametrize("case", list(WALKER_CASES))
 def test_run_exact_blocks_match_the_dense_reference_at_every_point(monkeypatch, case, small):
-    real, system, ens, n_occupied = quench_walker_case(case)
+    real, system, ens = quench_walker_case(case)
     if small:
         # column chunks of 7 columns and batches of 2 or 3 points
         monkeypatch.setattr(exact, "FORM_BYTES", 7 * 16 * ens.members().shape[0] // 2)
         monkeypatch.setattr(exact, "PHASE_BYTES", 2 * 16 * ens.members().shape[0])
     t_grid = np.linspace(0.0, 16.0, 17)
     traj = run_exact(system, real, ens, t_grid)
-    # levels 0 and 1 of both windows lie in occupied sectors: cells (0, 0), (0, 1), (1, 1)
-    # of each window, the off-diagonal ones across the two sectors in "two-sectors"
-    assert traj.meta["qf_cells"] == 6
+    # "whole": cells (0, 0), (0, 1), (1, 1) of each window; "subset": (1, 1) of
+    # window 0 and (0, 0) of window 1
+    assert traj.meta["qf_cells"] == (6 if case == "whole" else 2)
     # the quench carry is the only member matrix built
-    assert traj.meta["propagate_products"] == n_occupied
+    assert traj.meta["propagate_products"] == 1
     for n, psi in enumerate(dense_reference_states(system, real, ens, t_grid)):
         pops, blocks = coarse_grain(psi, ens.weights, 2, real.windows)
         assert np.max(np.abs(traj.populations[n] - pops.T.ravel())) <= 1e-12
         for j in range(2):
             assert np.max(np.abs(traj.blocks[(j,)][n] - blocks[j])) <= 1e-12
-    # the coherences are not trivially zero
-    assert np.max(np.abs(traj.blocks[(0,)][:, 0, 1])) > 1e-4
+    if case == "whole":
+        # the coherences are not trivially zero
+        assert np.max(np.abs(traj.blocks[(0,)][:, 0, 1])) > 1e-4
+
+
+def test_three_level_run_matches_the_dense_reference_at_every_point():
+    # every pair of levels coupled: the coherence cells k < l of one sector
+    s_op = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex)
+    real = two_band_realization(v0=12, v1=18, lam=0.05, seed=23)
+    system = SystemSpec(
+        np.array([0.0, 1.0, 2.0]),
+        [[s_op]],
+        [ProtocolSegment(0.0, [0.0, 1.0, 2.0]), ProtocolSegment(7.0, [0.0, 1.2, 2.1])],
+    )
+    ens = prepare_initial(real.windows, 0, 2, 3)
+    t_grid = np.linspace(0.0, 16.0, 17)
+    traj = run_exact(system, real, ens, t_grid)
+    assert traj.meta["diag_dims"] == [3 * 30, 3 * 30]
+    # (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2) of each window
+    assert traj.meta["qf_cells"] == 12
+    for n, psi in enumerate(dense_reference_states(system, real, ens, t_grid)):
+        pops, blocks = coarse_grain(psi, ens.weights, 3, real.windows)
+        assert np.max(np.abs(traj.populations[n] - pops.T.ravel())) <= 1e-12
+        for j in range(2):
+            assert np.max(np.abs(traj.blocks[(j,)][n] - blocks[j])) <= 1e-12
+    for k, l in [(0, 1), (0, 2), (1, 2)]:
+        assert np.max(np.abs(traj.blocks[(0,)][:, k, l])) > 1e-4
 
 
 def test_mutual_information_samples_leave_the_populations_as_they_are():
-    real, system, ens, _ = quench_walker_case("two-sectors")
+    real, system, ens = quench_walker_case("subset")
     t_grid = np.linspace(0.0, 16.0, 17)
     plain = run_exact(system, real, ens, t_grid)
     sampled = run_exact(system, real, ens, t_grid, mi_stride=3)
@@ -481,7 +539,7 @@ def test_mutual_information_samples_leave_the_populations_as_they_are():
 def test_run_exact_calls_the_traced_functions_per_level_set_segment_start_and_sample(
         monkeypatch):
     # perfbench/trace.py times these three through their module attributes
-    real, system, ens, _ = quench_walker_case("two-sectors")
+    real, system, ens = quench_walker_case("subset")
     calls = dict.fromkeys(["assemble", "coarse_grain", "quantum_mutual_information"], 0)
     for name in calls:
         def counted(*args, _name=name, _call=getattr(exact, name), **kwargs):
@@ -496,7 +554,7 @@ def test_run_exact_calls_the_traced_functions_per_level_set_segment_start_and_sa
 
 
 def test_eigenvectors_off_unitary_are_refused(monkeypatch):
-    real, system, ens, _ = quench_walker_case("whole")
+    real, system, ens = quench_walker_case("whole")
     eigh = exact._eigh
     monkeypatch.setattr(exact, "_eigh", lambda h: (eigh(h)[0], eigh(h)[1] * (1 + 1e-6)))
     with pytest.raises(NumericalFailure, match=r"eigenvectors off unitary by 2\.0\de-06 "
@@ -505,7 +563,7 @@ def test_eigenvectors_off_unitary_are_refused(monkeypatch):
 
 
 def test_a_block_trace_off_the_member_norms_is_refused(monkeypatch):
-    real, system, ens, _ = quench_walker_case("whole")
+    real, system, ens = quench_walker_case("whole")
     blocks = exact._SegmentPropagator.blocks
 
     def inflated(self, phi0, weights, dts, cells, out):
