@@ -94,7 +94,6 @@ class CouplingSpec:
     block_mean: complex | dict[tuple[int, int], complex] = 0.0
     variance: float = 1.0
     seed: int | None = None
-    operator_label: int = 0
 
     def __post_init__(self):
         if self.variance < 0:

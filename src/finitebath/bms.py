@@ -67,7 +67,8 @@ def choose_reference_temperature(
             "temperature explicitly"
         )
     u_b = float(np.sum(centers * np.asarray(bath_populations)))
-    return effective_temperature(centers, volumes, u_b).temperature
+    with np.errstate(divide="ignore"):
+        return 1.0 / effective_temperature(centers, volumes, u_b)
 
 
 def bms_rates_from_table(
@@ -96,19 +97,15 @@ def bms_generator(rates: BmsRates, s_omega: dict[float, np.ndarray], h_system: n
 
     It acts on the row-major ravel of rho, the convention of the EMME
     generator: vec(A X B) = (A kron B^T) vec(X).  A positive frequency adds
-    D[S_omega] at the downward rate and D[S_omega^dag] at the upward one,
-    the zero frequency D[S_0] at ``rates.down[0.0]`` if set.
+    D[S_omega] at the downward rate and D[S_omega^dag] at the upward one;
+    the zero frequency adds nothing (a zero gap reads the table's zero diagonal).
     """
     eye = np.eye(len(h_system))
     gen = -1j * (np.kron(h_system, eye) - np.kron(eye, h_system.T))
     for omega, s_op in s_omega.items():
-        if omega > 0:
-            jumps = ((rates.down.get(omega, 0.0), s_op), (rates.up(omega), s_op.conj().T))
-        elif omega == 0.0:
-            jumps = ((rates.down.get(0.0, 0.0), s_op),)
-        else:
+        if omega <= 0:
             continue
-        for rate, op in jumps:
+        for rate, op in ((rates.down.get(omega, 0.0), s_op), (rates.up(omega), s_op.conj().T)):
             if rate:
                 loss = op.conj().T @ op
                 gen += rate * (np.kron(op, op.conj())

@@ -246,8 +246,7 @@ def build_scenario(cfg: dict, name: str = "scenario") -> Scenario:
                                      "or [re, im]")
         bm = complex(*bm) if isinstance(bm, list) else bm
         couplings.append([CouplingSpec(lam=c["lambda"], block_mean=bm, variance=c["variance"],
-                                       seed=next(seeds), operator_label=alpha)
-                          for alpha in range(len(ops))])
+                                       seed=next(seeds)) for _ in ops])
 
     protocol = [ProtocolSegment(seg["t_start"], seg["levels"])
                 for seg in system_cfg["protocol"]] if "protocol" in system_cfg else None

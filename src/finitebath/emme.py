@@ -693,19 +693,17 @@ def analytic_spin_solution(
     v_high: float,
     gamma: float,
     p0: tuple[float, float],
-    t,
-    xi_values=None,
+    xi,
 ) -> np.ndarray:
     """Closed-form populations of one two-level shell.
 
     The pair is (p(eps_1, E), p(eps_0, E + gap)) with window volumes
     (v_low, v_high).  p(t) = p_eq + (p(0) - p_eq) exp(-2 gammabar Xi(t)),
-    with 2 gammabar = gamma (1/V_E + 1/V_{E+gap}); Xi(t) = t recovers the
-    Markov form, a running integral of the envelope gives the finite-time
-    variant.
+    with 2 gammabar = gamma (1/V_E + 1/V_{E+gap}), one row per entry of
+    ``xi``; Xi(t) = t recovers the Markov form, a running integral of the
+    envelope gives the finite-time variant.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    xi = t if xi_values is None else np.atleast_1d(np.asarray(xi_values, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = p0[0] + p0[1]
     p_eq = np.array([total * v_low / (v_low + v_high), total * v_high / (v_low + v_high)])
     two_gbar = gamma * (1.0 / v_low + 1.0 / v_high)
@@ -756,9 +754,7 @@ def spin_oracle_trajectory(
             idx_gnd = 2 * pos[(jp,)]
             p0_pair = (pops0.get((1, key), 0.0), pops0.get((0, (jp,)), 0.0))
             gamma = float(table.gamma[j, jp, 0, 0].real)
-            sol = analytic_spin_solution(
-                table.volumes[j], table.volumes[jp], gamma, p0_pair, t_grid, xi
-            )
+            sol = analytic_spin_solution(table.volumes[j], table.volumes[jp], gamma, p0_pair, xi)
             pops[:, idx_exc] = sol[:, 0]
             pops[:, idx_gnd] = sol[:, 1]
         elif jp is None:

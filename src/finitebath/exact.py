@@ -190,6 +190,8 @@ def prepare_initial(
     occupied = np.arange(sl.start, sl.stop)
     if fill == "half":
         occupied = occupied[: len(occupied) // 2]
+    if occupied.size == 0:
+        raise ConfigurationError(f"window {window_index} has no level to occupy with fill {fill!r}")
     return FullEnsemble(level, d_s, occupied, bath_dimension(windows))
 
 

@@ -333,27 +333,14 @@ def xi_integral(t, delta: float):
 # quadrature of one correlation function
 
 
-def _taper_window(tau: np.ndarray, tau_max: float, frac: float = 0.1) -> np.ndarray:
+def _taper_window(tau: np.ndarray, tau_max: float) -> np.ndarray:
+    """1 up to 0.9 tau_max, then a raised-cosine ramp down to 0 at tau_max."""
     w = np.ones_like(tau)
-    t0 = (1.0 - frac) * tau_max
+    t0 = 0.9 * tau_max
     ramp = tau > t0
     w[ramp] = 0.5 * (1.0 + np.cos(np.pi * (tau[ramp] - t0) / (tau_max - t0)))
     w[tau > tau_max] = 0.0
     return w
-
-
-def first_recurrence(corr: CorrelationFunction) -> float | None:
-    """First tau at which |C| climbs back above half its initial value."""
-    c0 = abs(corr.values[0])
-    mag = np.abs(corr.values)
-    below = np.nonzero(mag < 0.05 * c0)[0]
-    if below.size == 0:
-        return None
-    later = mag[below[0] :] > 0.5 * c0
-    idx = np.nonzero(later)[0]
-    if idx.size == 0:
-        return None
-    return float(corr.tau[below[0] + idx[0]])
 
 
 def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
@@ -373,25 +360,27 @@ def gamma_quadrature(corr: CorrelationFunction, omega: float) -> complex:
     therefore differ from these in the last interval; that difference has
     not been checked against a scipy 1.10 install.
     """
-    c0 = abs(corr.values[0])
+    mag = np.abs(corr.values)
+    c0 = mag[0]
     if c0 == 0.0:
         return 0.0 + 0.0j
-    if np.min(np.abs(corr.values)) > 0.5 * c0:
+    if mag.min() > 0.5 * c0:
         raise NumericalFailure(
             f"correlation function of window pair {corr.pair}, operator pair "
             f"{corr.ops} never decays (pure phase, e.g. V=1 windows); "
             "the Markov approximation is invalid for this pair"
         )
-    if np.min(np.abs(corr.values)) > 0.05 * c0:
+    if mag.min() > 0.05 * c0:
         warnings.warn(
             "correlation function has not decayed below 5% of |C(0)| on the "
             "sampled grid; quadrature may be inaccurate",
             stacklevel=2,
         )
     tau_max = 5.0 * (2.0 * np.pi / corr.delta)
-    rec = first_recurrence(corr)
-    if rec is not None:
-        tau_max = min(tau_max, rec)
+    # the first recurrence: |C| back above half its initial value after tau_b
+    rec = np.flatnonzero((corr.tau > corr.tau_b) & (mag > 0.5 * c0))
+    if rec.size:
+        tau_max = min(tau_max, float(corr.tau[rec[0]]))
     mask = corr.tau <= tau_max
     tau = corr.tau[mask]
     vals = corr.values[mask] * _taper_window(tau, tau_max)
@@ -561,12 +550,17 @@ def rate_table_quadrature(
     realization: BathRealization,
     tau_grid: np.ndarray | None = None,
 ) -> RateTable:
-    """Table from one-sided quadrature at resonance, omega = E_j - E_i.
+    """Table from one-sided quadrature at resonance, omega_ij = E_j - E_i.
 
-    Entries are symmetrized over window exchange (the two estimates differ
-    only by quadrature noise) so that downstream detailed-balance identities
-    hold exactly.  The dispersive coefficients come from the imaginary part
-    of the transform evaluated at the requested frequency.
+    gamma(E_i, E_j) = Gamma + Gamma^dagger (operator-pair Hermitian part)
+    with Gamma = Gamma(E_i, E_j; omega_ij).  Each unordered window pair
+    i < j is transformed once: B is Hermitian, so the correlation of (j, i)
+    is the conjugate of that of (i, j) and the window-exchange identity
+    Gamma(E_j, E_i; -omega) = Gamma(E_i, E_j; omega)^* holds entry by entry.
+    It gives gamma[j, i] = gamma[i, j].conj() exactly, which downstream
+    detailed-balance identities need.  The dispersive coefficients
+    A = (Gamma - Gamma^dagger) / 2i come from the transform at the
+    requested frequency, the (j, i) entries through the same identity.
     """
     windows = realization.windows
     n_ops = len(realization.matrices)
@@ -575,16 +569,16 @@ def rate_table_quadrature(
     if tau_grid is None:
         tau_grid = default_tau_grid(delta)
     n_win = len(windows)
-    pairs = [(i, j) for i in range(n_win) for j in range(n_win) if i != j]
+    pairs = [(i, j) for i in range(n_win) for j in range(i + 1, n_win)]
     keys = [(i, j, a, ap) for i, j in pairs for a in range(n_ops) for ap in range(n_ops)]
     corrs = correlation_functions(realization, keys, tau_grid)
 
     @lru_cache(maxsize=None)
     def big_gamma(i: int, j: int, omega: float) -> np.ndarray:
-        # Gamma^{aa'}(E_i, E_j; omega), memoized and read-only: the table and
-        # every a_coeff call share one transform per (i, j, omega).  Every
-        # operator pair is evaluated: Gamma = gamma/2 + i S with gamma and S
-        # Hermitian, so Gamma itself is not
+        # Gamma^{aa'}(E_i, E_j; omega), i < j, memoized and read-only: the
+        # table and every a_coeff call share one transform per (i, j, omega).
+        # Every operator pair is evaluated: Gamma = gamma/2 + i S with gamma
+        # and S Hermitian, so Gamma itself is not
         g = np.array([
             [gamma_quadrature(corrs[(i, j, a, ap)], omega) for ap in range(n_ops)]
             for a in range(n_ops)
@@ -593,23 +587,17 @@ def rate_table_quadrature(
         return g
 
     gamma = np.zeros((n_win, n_win, n_ops, n_ops), dtype=complex)
-    for i in range(n_win):
-        for j in range(i + 1, n_win):
-            omega_ij = centers[j] - centers[i]
-            g_fwd = big_gamma(i, j, omega_ij)
-            g_bwd = big_gamma(j, i, -omega_ij)
-            # gamma^{aa'} = Gamma + Gamma^dagger (operator-pair Hermitian part)
-            g1 = g_fwd + g_fwd.conj().T
-            g2 = g_bwd + g_bwd.conj().T
-            g = 0.5 * (g1 + g2.conj())
-            gamma[i, j] = g.real if n_ops == 1 else g
-            gamma[j, i] = gamma[i, j].conj()
+    for i, j in pairs:
+        g = big_gamma(i, j, centers[j] - centers[i])
+        gamma[i, j] = g + g.conj().T
+        gamma[j, i] = gamma[i, j].conj()
 
     def a_coeff(omega: float) -> np.ndarray:
         out = np.zeros_like(gamma)
         for i, j in pairs:
-            g = big_gamma(i, j, omega)
-            out[i, j] = (g - g.conj().T) / 2j
+            fwd, bwd = big_gamma(i, j, omega), big_gamma(i, j, -omega).conj()
+            out[i, j] = (fwd - fwd.conj().T) / 2j
+            out[j, i] = (bwd - bwd.conj().T) / 2j
         return out
 
     return RateTable(centers, realization.volumes, delta, gamma, a_coeff)

@@ -104,25 +104,6 @@ def gibbs_joint(
 # effective temperature
 
 
-@dataclass
-class EffectiveTemperature:
-    """Inverse temperature of the fictitious canonical bath with the same energy.
-
-    ``beta`` is finite on the interior of the attainable energy band, 0 at
-    the volume-weighted mean energy (infinite temperature), +inf when the
-    energy sits at the bottom of the spectrum (T -> 0+) and -inf at the top
-    (T -> 0-).  Negative beta means a population-inverted effective state.
-    ``beta`` is a scalar or an array, shaped like the bath energies solved.
-    """
-
-    beta: float | np.ndarray
-
-    @property
-    def temperature(self) -> float | np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.divide(1.0, self.beta)
-
-
 def _band(centers, volumes) -> tuple[np.ndarray, np.ndarray]:
     """Centers and log volumes of the windows that hold states."""
     centers = np.asarray(centers, dtype=float)
@@ -143,8 +124,15 @@ def _canonical_energy(beta, centers, log_v) -> np.ndarray:
     return np.sum(centers * p, axis=-1) / np.sum(p, axis=-1)
 
 
-def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> EffectiveTemperature:
-    """Solve sum_E E V_E e^{-E/T} / Z_B = U_B for T, for one or many U_B.
+def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> float | np.ndarray:
+    """Inverse temperature beta of the canonical bath with energy U_B, for one or many U_B.
+
+    Solves sum_E E V_E e^{-beta E} / Z_B = U_B.  beta is finite on the
+    interior of the attainable energy band, 0 at the volume-weighted mean
+    energy (infinite temperature), +inf when U_B sits at the bottom of the
+    spectrum (T -> 0+) and -inf at the top (T -> 0-); negative beta means a
+    population-inverted effective state.  Returns a scalar, or an array
+    shaped like ``u_b``.
 
     The canonical energy U(beta) is strictly decreasing, with dU/dbeta =
     -Var_beta(E), so the root is unique.  Each U_B is bracketed between two
@@ -219,7 +207,7 @@ def effective_temperature(centers: np.ndarray, volumes: np.ndarray, u_b) -> Effe
     beta[todo] = b
     # snap to the infinite-temperature marker at the weighted-mean energy
     beta = np.where(np.abs(beta) < 1e-12, 0.0, beta)
-    return EffectiveTemperature(beta.reshape(u.shape)[()])
+    return beta.reshape(u.shape)[()]
 
 
 def gibbs_bath_entropy(centers: np.ndarray, volumes: np.ndarray, beta) -> np.ndarray:
@@ -284,7 +272,8 @@ class ThermoLedger:
 
     @property
     def t_star(self) -> np.ndarray:
-        return EffectiveTemperature(self.beta_star).temperature
+        with np.errstate(divide="ignore"):
+            return 1.0 / self.beta_star
 
     def array(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -358,7 +347,7 @@ def build_ledger(traj: Trajectory) -> ThermoLedger:
     column = np.arange(pops.shape[1])
     i_cg = mutual_information_cg(pops, p_sys, p_key, np.stack([column % d, column // d], axis=1))
     betas = np.stack([
-        effective_temperature(centers, volumes, u).beta
+        effective_temperature(centers, volumes, u)
         for centers, volumes, u in zip(traj.bath_centers, traj.bath_volumes, u_b.T)
     ], axis=1)
 

@@ -6,9 +6,11 @@ name appears as an
 ``ast.Name``, an ``ast.Attribute`` or an import alias anywhere in
 ``src/finitebath`` or ``perfbench`` outside its own definition.  String
 constants in ``perfbench`` count too, because the tracer names the methods
-it wraps by string.  Code that only tests can reach is deleted; the
-exceptions are closed-form oracles that the acceptance suite compares the
-solvers against.
+it wraps by string.  An annotated field of a class in ``src/finitebath``
+counts as reached when it is read as an attribute there or in
+``perfbench``, or named by a ``perfbench`` string.  Code that only tests
+can reach is deleted; the exceptions are closed-form oracles that the
+acceptance suite compares the solvers against.
 """
 
 import ast
@@ -71,3 +73,24 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert [name for name in unreached if name not in oracles] == []
     # an oracle that gained a caller no longer needs its exception
     assert sorted(oracles) == [name for name in unreached if name in oracles]
+
+
+def unread_fields() -> list[str]:
+    """Annotated class fields, as Class.field, that nothing reads as an attribute."""
+    reads: set = set()
+    fields = []
+    for path in PACKAGE + BENCHMARK:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.add(sub.attr)
+            elif path in BENCHMARK and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                reads.add(sub.value)
+            elif path in PACKAGE and isinstance(sub, ast.ClassDef):
+                fields += [(sub.name, stmt.target.id) for stmt in sub.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in reads)
+
+
+def test_every_field_is_read_outside_tests():
+    assert unread_fields() == []

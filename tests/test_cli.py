@@ -328,7 +328,6 @@ def test_multi_operator_couplings_get_distinct_seeds():
     sc = build_scenario(cfg)
     assert len(sc.couplings[0]) == 2
     assert sc.couplings[0][0].seed != sc.couplings[0][1].seed
-    assert sc.couplings[0][1].operator_label == 1
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +603,19 @@ def test_volume_zero_window_exits_2_on_rmt_route(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "volume < 1" in capsys.readouterr().err
+
+
+def test_half_fill_of_a_single_level_window_exits_2(tmp_path, capsys):
+    # the lower half of one level is empty: no member to build the exact state from
+    cfg = mini_config(initial={"system_level": 1, "bath_windows": [0], "fill": "half"},
+                      solvers=["exact"])
+    for window, volume in zip(cfg["baths"][0]["windows"], [1, 3]):
+        window["volume"] = volume
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: window 0 has no level to occupy with fill 'half'\n")
 
 
 def test_exact_dim_cap_checked_before_sampling(tmp_path, monkeypatch):

@@ -334,7 +334,7 @@ def test_analytic_solution_with_envelope_integral():
     g = 2 * np.pi * (3e-3) ** 2 / DELTA * 400 * 600
     t = np.array([0.0, 5.0, 20.0])
     xi = xi_integral(t, DELTA)
-    p = analytic_spin_solution(400, 600, g, (1.0, 0.0), t, xi)
+    p = analytic_spin_solution(400, 600, g, (1.0, 0.0), xi)
     expect = 0.4 + 0.6 * np.exp(-g * (1 / 400 + 1 / 600) * xi)
     assert np.allclose(p[:, 0], expect, atol=1e-14)
 
@@ -605,7 +605,7 @@ def test_generator_equals_dense_kron_reference():
     tables = [
         rate_table_rmt(
             [CouplingSpec(lam=3e-3, block_mean=b, variance=1.0, seed=0),
-             CouplingSpec(lam=3e-3, block_mean=0.2j, variance=0.5, seed=1, operator_label=1)],
+             CouplingSpec(lam=3e-3, block_mean=0.2j, variance=0.5, seed=1)],
             [EnergyWindow(float(c), DELTA, v) for c, v in enumerate(volumes)],
         )
         for b, volumes in ((0.4, [30, 50, 80, 120]), (-0.1 + 0.3j, [20, 45, 70]))
@@ -803,8 +803,8 @@ def rate_scenarios(draw):
         n_ops = draw(st.integers(1, 2))
         specs = [
             CouplingSpec(lam=1e-3, block_mean=complex(*rng.uniform(-1.0, 1.0, 2)),
-                         variance=float(rng.uniform(0.1, 2.0)), operator_label=a)
-            for a in range(n_ops)
+                         variance=float(rng.uniform(0.1, 2.0)))
+            for _ in range(n_ops)
         ]
         tables.append(rate_table_rmt(specs, windows))
         raw = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))
@@ -1001,8 +1001,8 @@ def population_route_scenarios(draw):
         specs = [
             CouplingSpec(lam=0.1 / np.sqrt(float(max(volumes))),
                          block_mean=complex(*rng.uniform(-1.0, 1.0, 2)),
-                         variance=float(rng.uniform(0.1, 2.0)), operator_label=a)
-            for a in range(n_ops)
+                         variance=float(rng.uniform(0.1, 2.0)))
+            for _ in range(n_ops)
         ]
         tables.append(rate_table_rmt(specs, windows))
         raw = rng.standard_normal((n_ops, d, d)) + 1j * rng.standard_normal((n_ops, d, d))

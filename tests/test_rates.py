@@ -324,14 +324,15 @@ def test_rate_table_quadrature_evaluates_each_transform_once(monkeypatch):
     real = _three_window_two_operator_bath((60, 80, 100))
     table = rate_table_quadrature(real, default_tau_grid(0.5, 400))
     n_table = len(seen)
-    assert n_table == 3 * 2 * 4  # window pairs x directions x operator pairs
+    assert n_table == 3 * 4  # unordered window pairs x operator pairs
     for omega in (-1.0, 0.75):
         first = table.a_coeff(omega)
         again = table.a_coeff(omega)
         assert np.array_equal(first, again)
-    # a_coeff(omega) covers the six ordered window pairs at omega, four
-    # transforms each, and evaluates each transform once: at -1.0 the pairs
-    # (1, 0) and (2, 1) are the table's own resonant entries and cost none
+    # a_coeff(omega) transforms the three unordered window pairs at omega and
+    # at -omega, four transforms each, and evaluates each transform once: at
+    # -1.0 the pairs (0, 1) and (1, 2) at +1.0 are the table's own resonant
+    # entries and cost none
     assert len(seen) == n_table + (6 - 2) * 4 + 6 * 4
     assert len(set(seen)) == len(seen)
 
@@ -352,16 +353,21 @@ def test_rate_table_quadrature_uses_every_operator_pair_directly():
 
     for omega in (0.3, -1.0):
         a_coeff = table.a_coeff(omega)
-        for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
             g = direct(i, j, omega)
             assert np.array_equal(a_coeff[i, j], (g - g.conj().T) / 2j)
+            # the reverse order through the window-exchange identity
+            # Gamma(E_j, E_i; omega) = Gamma(E_i, E_j; -omega)^*, which the
+            # kernel meets to roundoff
+            g = direct(i, j, -omega).conj()
+            assert np.array_equal(a_coeff[j, i], (g - g.conj().T) / 2j)
+            reverse = direct(j, i, omega)
+            assert np.max(np.abs(reverse - g)) <= 1e-13 * np.max(np.abs(g))
     assert abs(table.a_coeff(0.3)[0, 1, 0, 1]) > 1e-3  # the cross shift S^{01}
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         fwd = direct(i, j, table.centers[j] - table.centers[i])
-        bwd = direct(j, i, table.centers[i] - table.centers[j])
-        want = 0.5 * ((fwd + fwd.conj().T) + (bwd + bwd.conj().T).conj())
-        assert np.array_equal(table.gamma[i, j], want)
-        assert np.array_equal(table.gamma[j, i], want.conj())
+        assert np.array_equal(table.gamma[i, j], fwd + fwd.conj().T)
+        assert np.array_equal(table.gamma[j, i], table.gamma[i, j].conj())
 
 
 def test_correlation_envelope_matches_sinc_squared():
@@ -547,7 +553,7 @@ def test_rmt_table_from_spec_windows_matches_scalar_kernel():
     windows = [EnergyWindow(float(c), 0.5, v) for c, v in enumerate([40, 90, 150, 260])]
     specs = [
         CouplingSpec(lam=3e-3, block_mean=0.4 + 0.2j, variance=1.0, seed=1),
-        CouplingSpec(lam=3e-3, block_mean=-0.3, variance=0.5, seed=2, operator_label=1),
+        CouplingSpec(lam=3e-3, block_mean=-0.3, variance=0.5, seed=2),
     ]
     table = rate_table_rmt(specs, windows)
     assert table.volumes.dtype == np.float64
@@ -567,8 +573,7 @@ def test_rmt_table_constant_block_mean_equals_the_same_value_per_pair():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     for b in (0.4 + 0.2j, -0.3, 0.0):
         const = [CouplingSpec(lam=3e-3, block_mean=b, variance=0.7, seed=1),
-                 CouplingSpec(lam=3e-3, block_mean={(1, 3): 0.5j}, variance=0.5, seed=2,
-                              operator_label=1)]
+                 CouplingSpec(lam=3e-3, block_mean={(1, 3): 0.5j}, variance=0.5, seed=2)]
         per_pair = [CouplingSpec(lam=3e-3, block_mean={p: b for p in pairs}, variance=0.7, seed=1),
                     const[1]]
         assert np.array_equal(rate_table_rmt(const, windows).gamma,
@@ -783,7 +788,7 @@ def rmt_baths(draw):
     lam = draw(st.floats(1e-4, 1e-2))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     specs = []
-    for label in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 2))):
         if draw(st.booleans()):
             mean = draw(COMPLEX)
         else:
@@ -795,8 +800,7 @@ def rmt_baths(draw):
                     mean[(i, j)] = b
                 else:
                     mean[(j, i)] = np.conj(b)
-        specs.append(CouplingSpec(lam=lam, block_mean=mean, variance=draw(st.floats(0.0, 2.0)),
-                                  operator_label=label))
+        specs.append(CouplingSpec(lam=lam, block_mean=mean, variance=draw(st.floats(0.0, 2.0))))
     d = draw(st.integers(2, 3))
     levels = delta * np.array(sorted(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d,
                                                    unique=True))), dtype=float)

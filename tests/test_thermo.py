@@ -151,15 +151,12 @@ def test_mutual_information_cg_limits():
 def test_effective_temperature_markers_and_sign():
     centers = np.array([0.0, 1.0])
     volumes = np.array([400.0, 600.0])
-    bottom = effective_temperature(centers, volumes, 0.0)
-    assert bottom.beta == math.inf and bottom.temperature == 0.0
-    infinite = effective_temperature(centers, volumes, 0.6)
-    assert infinite.beta == pytest.approx(0.0, abs=1e-12)
-    assert infinite.temperature == math.inf
-    negative = effective_temperature(centers, volumes, 0.75)
-    assert negative.beta < 0 and negative.temperature < 0
-    positive = effective_temperature(centers, volumes, 0.25)
-    assert positive.beta > 0 and positive.temperature > 0
+    assert effective_temperature(centers, volumes, 0.0) == math.inf
+    # the weighted-mean energy snaps to the infinite-temperature marker
+    assert effective_temperature(centers, volumes, 0.6) == 0.0
+    assert effective_temperature(centers, volumes, 0.75) < 0
+    assert effective_temperature(centers, volumes, 0.25) > 0
+    assert np.ndim(effective_temperature(centers, volumes, 0.25)) == 0
     with pytest.raises(ConfigurationError):
         effective_temperature(centers, volumes, 1.5)
 
@@ -173,8 +170,7 @@ def test_effective_temperature_round_trip():
         w -= w.max()
         p = np.exp(w) / np.sum(np.exp(w))
         u = float(np.sum(centers * p))
-        est = effective_temperature(centers, volumes, u)
-        assert est.beta == pytest.approx(beta, abs=1e-9)
+        assert effective_temperature(centers, volumes, u) == pytest.approx(beta, abs=1e-9)
 
 
 def bisection_beta(centers, volumes, u_b):
@@ -231,13 +227,14 @@ EDGE_CENTERS, EDGE_VOLUMES = np.array([1.75, 2.59765625]), np.array([62.0, 20088
           np.array([np.average(EDGE_CENTERS, weights=EDGE_VOLUMES)])))
 def test_effective_temperature_array_solves_every_energy(bath):
     centers, volumes, betas, u = bath
-    est = effective_temperature(centers, volumes, u).beta
+    est = effective_temperature(centers, volumes, u)
+    assert est.shape == u.shape
     assert np.max(np.abs(est - betas)) <= 1e-9
     # the former bisection meets the same bound, and so agrees with the Newton answer
     oracle = bisection_beta(centers, volumes, u)
     assert np.max(np.abs(oracle - betas)) <= 1e-9
     assert np.max(np.abs(est - oracle)) <= 1e-9
-    scalar = [effective_temperature(centers, volumes, x).beta for x in u]
+    scalar = [effective_temperature(centers, volumes, x) for x in u]
     assert np.array_equal(est, scalar)
     # the markers: the band edges, and the canonical energies at +-BETA_MAX,
     # clipped to the band where they round past it
@@ -245,14 +242,14 @@ def test_effective_temperature_array_solves_every_energy(bath):
     edges = [centers[0], centers[-1], _canonical_energy(BETA_MAX, centers, log_v),
              _canonical_energy(-BETA_MAX, centers, log_v)]
     edges = np.clip(edges, centers[0], centers[-1])
-    marked = effective_temperature(centers, volumes, edges).beta
+    marked = effective_temperature(centers, volumes, edges)
     assert list(marked[:2]) == [math.inf, -math.inf]
     assert np.array_equal(marked, bisection_beta(centers, volumes, edges))
     # energies across and beyond the range, saturated ones included: a marker
     # or a beta inside the range, as the former bisection gives
     sweep = np.clip(_canonical_energy(np.linspace(-60.0, 60.0, 41), centers, log_v),
                     centers[0], centers[-1])
-    swept = effective_temperature(centers, volumes, sweep).beta
+    swept = effective_temperature(centers, volumes, sweep)
     assert np.all(np.isinf(swept) | (np.abs(swept) < BETA_MAX))
     assert np.array_equal(np.isinf(swept), np.isinf(bisection_beta(centers, volumes, sweep)))
 
